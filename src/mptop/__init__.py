@@ -49,7 +49,6 @@ from .sparse import (
     SymmetricSparse,
     extract,
     factorize,
-    solve_multi,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ Subcommands operate on a flat key=value config file with [section] headers::
     tol = 0.01
     [output]
     dir = out
-    threads = 1
 
 Artifacts per run: a per-iteration TSV log (deterministic fields only), a
 separate timing file, the final density as ASCII PGM and CSV, and a
@@ -37,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizer import optimize
-from .perfmodel import FlopModel, gain_problem1, gain_problem2, measure_runtime_gain
+from .perfmodel import FlopModel, gain_table, measure_runtime_gain
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import fd_verify
 
@@ -64,7 +63,6 @@ class RunConfig:
     max_iters: int = 50
     tol: float = 0.01
     out_dir: str = "out"
-    threads: int = 1
     # gain sweep
     gain_n: tuple = (1e3, 1e4, 1e6)
     gain_m_min: float = 1.0
@@ -92,7 +90,6 @@ _SCHEMA = {
     ("optimizer", "max_iters"): ("max_iters", int),
     ("optimizer", "tol"): ("tol", float),
     ("output", "dir"): ("out_dir", str),
-    ("output", "threads"): ("threads", int),
     ("gain", "n"): ("gain_n", "floats"),
     ("gain", "m_min"): ("gain_m_min", float),
     ("gain", "m_max"): ("gain_m_max", float),
@@ -187,7 +184,6 @@ def write_config(cfg: RunConfig) -> str:
         f"tol = {cfg.tol!r}",
         "[output]",
         f"dir = {cfg.out_dir}",
-        f"threads = {cfg.threads}",
         "[gain]",
         f"n = {gain_n}",
         f"m_min = {cfg.gain_m_min!r}",
@@ -309,7 +305,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     summary = [("kind", cfg.kind), ("nelx", cfg.nelx), ("nely", cfg.nely),
                ("pipeline", cfg.pipeline), ("backend", cfg.backend),
-               ("seed", cfg.seed), ("threads", cfg.threads),
+               ("seed", cfg.seed),
                ("wall_seconds", f"{wall:.3f}")]
     for pipe, res in results.items():
         if res.history:
@@ -378,26 +374,19 @@ def cmd_gain(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     ms = np.logspace(np.log10(cfg.gain_m_min), np.log10(cfg.gain_m_max),
                      cfg.gain_m_count)
-    gain_fn = gain_problem1 if cfg.gain_kind == "problem1" else gain_problem2
+    tables = [gain_table(FlopModel(method), cfg.gain_n, ms, cfg.gain_kind)
+              for method in ("direct", "iterative")]
     rows = []
-    for n in cfg.gain_n:
-        for m in ms:
-            if cfg.gain_kind == "problem2":
-                m = max(2 * round(m / 2), 2)
-            if m >= n:
-                continue
-            entry = {}
-            for method in ("direct", "iterative"):
-                entry[method] = gain_fn(FlopModel(method), n, m)
-            xi_t = ""
-            if cfg.gain_measure and n <= cfg.gain_measure_cap \
-                    and cfg.gain_kind == "problem1" and 2 <= m < n / 4:
-                side = max(2, int(round(np.sqrt(n))) - 1)
-                prob = build_problem1(side, side, int(round(m)),
-                                      vbar=0.4, seed=cfg.seed)
-                xi_t = _fmt(measure_runtime_gain(prob, repeats=2).xi_measured)
-            for method in ("direct", "iterative"):
-                rows.append((n, m, method, entry[method], xi_t))
+    for entries in zip(*tables):
+        n, m = entries[0][:2]
+        xi_t = ""
+        if cfg.gain_measure and n <= cfg.gain_measure_cap \
+                and cfg.gain_kind == "problem1" and 2 <= m < n / 4:
+            side = max(2, int(round(np.sqrt(n))) - 1)
+            prob = build_problem1(side, side, int(round(m)),
+                                  vbar=0.4, seed=cfg.seed)
+            xi_t = _fmt(measure_runtime_gain(prob, repeats=2).xi_measured)
+        rows += [entry + (xi_t,) for entry in entries]
     path = os.path.join(out, "gain.csv")
     with open(path, "w") as fh:
         fh.write("n,m,model,xi_beta,xi_t\n")

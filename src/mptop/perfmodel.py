@@ -141,11 +141,16 @@ def measure_runtime_gain(problem, x=None, repeats: int = 3,
 
 
 def gain_table(model: FlopModel, n_values, m_values, kind: str = "problem1"):
-    """Rows (n, m, method, predicted gain) over a sweep grid."""
+    """Rows (n, m, method, predicted gain) over a sweep grid.
+
+    For problem 2 each ``m`` is rounded to the nearest even count, at least 2.
+    """
     fn = gain_problem1 if kind == "problem1" else gain_problem2
     rows = []
     for n in n_values:
         for m in m_values:
+            if kind == "problem2":
+                m = max(2 * round(m / 2), 2)
             if m >= n:
                 continue
             rows.append((float(n), float(m), model.method, fn(model, n, m)))

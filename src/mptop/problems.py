@@ -152,39 +152,56 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
              backend: str = "direct", want_grads: bool = True,
              ledger: CostLedger | None = None,
              backend_opts: dict | None = None) -> Evaluation:
-    """One full response (and gradient) evaluation at design ``x``."""
-    if pipeline not in ("elementary", "condensed"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+    """One full response (and gradient) evaluation at design ``x``.
+
+    The pipeline is chosen here only: it fixes the free DOFs each set's states
+    live on and the gradient route (``sens_condensed_state``, one contraction
+    through the reduced model, or ``sens_elementary``, one per set). The
+    responses read states through those free DOFs and the primary states.
+    """
+    grid = problem.grid
     design = problem.design(np.asarray(x, dtype=float))
-    K = assemble(problem.grid, design)
-    model = None
+    K = assemble(grid, design)
     if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
                          problem.sec_values, backend=backend, ledger=ledger,
                          backend_opts=backend_opts)
         sol = solve_condensed(model, problem.sets, ledger=ledger)
-    else:
+        free_sets = problem.plan.free_primary
+
+        def gradient(adjoints):
+            return sens_condensed_state(grid, design, model, sol,
+                                        problem.sets, adjoints, ledger=ledger)
+    elif pipeline == "elementary":
+        model = None
         sol = solve_elementary(K, problem.sets, backend=backend,
                                ledger=ledger, backend_opts=backend_opts)
+        free_sets = [aset.free for aset in problem.sets]
+
+        def gradient(adjoints):
+            return sens_elementary(grid, design, sol, problem.sets, adjoints,
+                                   ledger=ledger)
+    else:
+        raise ValueError(f"unknown pipeline {pipeline!r}")
 
     if problem.kind == "problem1":
-        return _evaluate_p1(problem, design, K, model, sol, pipeline,
-                            want_grads, ledger)
-    return _evaluate_p2(problem, design, K, model, sol, pipeline,
-                        want_grads, ledger)
+        responses = _evaluate_p1(problem, design, sol, gradient, want_grads)
+    else:
+        responses = _evaluate_p2(problem, design, sol, free_sets, gradient,
+                                 want_grads)
+    return Evaluation(*responses, sol, model)
 
 
-def _evaluate_p1(problem, design, K, model, sol, pipeline, want_grads, ledger):
+def _evaluate_p1(problem, design, sol, gradient, want_grads):
     grid, plan = problem.grid, problem.plan
     vbar = problem.params["vbar"]
     n_elems = grid.n_elems
 
-    if pipeline == "condensed":
-        g0 = sum(float(np.sum(s.u_full * (model.reduced_matrix @ s.u_full)))
-                 for s in sol.sets)
-    else:
-        g0 = sum(float(np.sum(s.u_full * (K.mat @ s.u_full)))
-                 for s in sol.sets)
+    # compliance u^T K u is the work of the port loads: the grounded port
+    # carries zero temperature, every other port is loaded and primary
+    g0 = sum(float(np.sum(aset.loads[plan.primary.ids, :].toarray()
+                          * sol.primary_states(plan, i)))
+             for i, aset in enumerate(problem.sets))
     g1 = float(design.filtered.sum() / (n_elems * vbar) - 1.0)
 
     d0 = d1 = None
@@ -192,38 +209,22 @@ def _evaluate_p1(problem, design, K, model, sol, pipeline, want_grads, ledger):
         # grounded ports (zero prescribed values) make the compliance
         # self-adjoint: the explicit matrix dependence folds into the adjoint
         # term, leaving adjoint == state and no adjoint solve at all
-        adjoints = [("lam", s.u_free) for s in sol.sets]
-        if pipeline == "condensed":
-            d0 = sens_condensed_state(grid, design, model, sol, problem.sets,
-                                      adjoints, ledger=ledger)
-        else:
-            d0 = sens_elementary(grid, design, sol, problem.sets, adjoints,
-                                 ledger=ledger)
+        d0 = gradient([("lam", s.u_free) for s in sol.sets])
         d1 = design.flt.chain(np.full(n_elems, 1.0 / (n_elems * vbar)))
         d1 = d1[None, :]
-    return Evaluation(g0, np.array([g1]), d0, d1, sol, model)
+    return g0, np.array([g1]), d0, d1
 
 
-def _evaluate_p2(problem, design, K, model, sol, pipeline, want_grads, ledger):
-    grid, plan = problem.grid, problem.plan
+def _evaluate_p2(problem, design, sol, free_sets, gradient, want_grads):
     jbar = problem.params["jbar"]
     x_in = problem.params["n_inputs"]
-    out_dofs = problem.params["out_dofs"]
-    n_elems = grid.n_elems
+    outputs = IndexSet(problem.params["out_dofs"], problem.plan.n)
+    n_elems = problem.grid.n_elems
 
     # transmission entries: output displacement i under unit input j
-    jmat = np.empty((x_in, x_in))
-    out_pos_free = []
-    for j in range(x_in):
-        if pipeline == "condensed":
-            fhat = plan.free_primary[j]
-            pos = IndexSet(out_dofs, plan.n).positions_in(fhat)
-            jmat[:, j] = sol.sets[j].u_free[pos, 0]
-        else:
-            free = problem.sets[j].free
-            pos = IndexSet(out_dofs, plan.n).positions_in(free)
-            jmat[:, j] = sol.sets[j].u_free[pos, 0]
-        out_pos_free.append(pos)
+    out_pos = [outputs.positions_in(free) for free in free_sets]
+    jmat = np.column_stack([sol.sets[j].u_free[out_pos[j], 0]
+                            for j in range(x_in)])
 
     g0 = -float(design.filtered.sum()) / n_elems
     cons = (jmat / jbar + 1.0).ravel()
@@ -236,14 +237,7 @@ def _evaluate_p2(problem, design, K, model, sol, pipeline, want_grads, ledger):
             for j in range(x_in):
                 adjoints = [None] * x_in
                 rhs = np.zeros((len(sol.sets[j].u_free), 1))
-                rhs[out_pos_free[j][i], 0] = 1.0 / jbar[i, j]
+                rhs[out_pos[j][i], 0] = 1.0 / jbar[i, j]
                 adjoints[j] = ("rhs", rhs)
-                if pipeline == "condensed":
-                    dcons[i * x_in + j] = sens_condensed_state(
-                        grid, design, model, sol, problem.sets, adjoints,
-                        ledger=ledger)
-                else:
-                    dcons[i * x_in + j] = sens_elementary(
-                        grid, design, sol, problem.sets, adjoints,
-                        ledger=ledger)
-    return Evaluation(g0, cons, d0, dcons, sol, model)
+                dcons[i * x_in + j] = gradient(adjoints)
+    return g0, cons, d0, dcons

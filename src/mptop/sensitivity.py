@@ -12,9 +12,15 @@ linear solve at all, and state gradients need only small dense adjoint
 solves. Responses that read secondary states or secondary reactions are the
 exception: they cost one extra large solve against the retained
 factorization plus one small solve.
+
+Condensed state gradients stack every set's reduced adjoint columns ``A`` and
+primary state columns ``U`` and contract them once. When the stacked columns
+outnumber the ``m`` primary DOFs, ``W = A U^T`` is contracted against the
+``m`` reduced unit columns instead, exact since <EA, dK EU> = <EW, dK E>.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +108,13 @@ def _solve_adjoint(fact, rhs, ledger):
     lam = np.zeros_like(rhs)
     live = np.linalg.norm(rhs, axis=0) > ZERO_COLUMN_NORM
     if np.any(live):
-        if ledger is not None:
-            with ledger.phase("adjoint"):
-                lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
-        else:
-            lam[:, live] = fact.solve(rhs[:, live])
+        with _adjoint_phase(ledger):
+            lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
     return lam
+
+
+def _adjoint_phase(ledger):
+    return ledger.phase("adjoint") if ledger is not None else nullcontext()
 
 
 def _resolve_adjoint(spec, fact, ledger):
@@ -152,19 +159,33 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
     """Gradient of a response of the reduced free states, condensed route.
 
     Adjoint systems are the small dense blocks retained by the condensed
-    response evaluation; no large system is solved.
+    response evaluation; no large system is solved. One contraction covers
+    all sets, in the narrower of the stacked-column and reduced-unit bases;
+    secondary sources add one contraction per set in the latter.
     """
     plan = model.plan
-    acc = np.zeros(grid.n_elems)
-    for i, spec in enumerate(adjoints):
-        if spec is None:
-            continue
-        lam_hat = _resolve_adjoint(spec, sol.factorizations[i], ledger)
+    live = [i for i, spec in enumerate(adjoints) if spec is not None]
+    if not live:
+        return design.flt.chain(np.zeros(grid.n_elems))
+    blocks = []
+    for i in live:
+        lam_hat = _resolve_adjoint(adjoints[i], sol.factorizations[i], ledger)
         a = np.zeros((plan.m, lam_hat.shape[1]))
         a[plan.free_primary_pos[i], :] = lam_hat
-        left = expand_primary(model, a)
-        right = state_mismatch(model, i, sol.sets[i].u_full)
-        acc += contract_dk_raw(grid, design, left, right)
+        blocks.append(a)
+    A = np.hstack(blocks)
+    if A.shape[1] <= plan.m:
+        right = np.hstack([state_mismatch(model, i, sol.primary_states(plan, i))
+                           for i in live])
+        return design.flt.chain(
+            contract_dk_raw(grid, design, expand_primary(model, A), right))
+    U = np.hstack([sol.primary_states(plan, i) for i in live])
+    acc = -contract_dk_raw(grid, design, expand_primary(model, A @ U.T),
+                           expand_primary(model, np.eye(plan.m)))
+    for i, a in zip(live, blocks):
+        b = load_field(model, plan.case_slices[i])
+        if b is not None:
+            acc += contract_dk_raw(grid, design, expand_primary(model, a), b)
     return design.flt.chain(acc)
 
 
@@ -287,18 +308,6 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
         d_values = (d_values + model.k_fp.T @ lam_check
                     + model.k_pp @ partial)
     return SensitivityBundle(dgdx, d_loads, d_values, lam_hat, d_presc)
-
-
-class _NullPhase:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _adjoint_phase(ledger):
-    return ledger.phase("adjoint") if ledger is not None else _NullPhase()
 
 
 # ---------------------------------------------------------------------------

@@ -414,10 +414,6 @@ def factorize(K: SymmetricSparse, backend: str = "direct",
     return Factorization(K, backend=backend, ledger=ledger, **kw)
 
 
-def solve_multi(fact: Factorization, B, ledger: CostLedger | None = None) -> np.ndarray:
-    return fact.solve(B, ledger=ledger)
-
-
 class DenseCholesky:
     """Dense Cholesky for the (small, dense) condensed systems."""
 

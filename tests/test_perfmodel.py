@@ -177,3 +177,6 @@ class TestGainTable:
         assert len(rows) == 2  # m >= n dropped
         assert rows[0][:3] == (1000.0, 10.0, "direct")
         assert rows[0][3] == pytest.approx(gain_problem1(DIRECT, 1000, 10))
+        rows = gain_table(DIRECT, [1000], [0.4, 3.2], kind="problem2")
+        assert [r[1] for r in rows] == [2.0, 4.0]  # rounded to even, >= 2
+        assert rows[1][3] == pytest.approx(gain_problem2(DIRECT, 1000, 4))

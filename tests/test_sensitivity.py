@@ -226,15 +226,21 @@ class TestStateSensitivities:
         return weights
 
     def test_cross_pipeline_gradient_equality(self):
+        # draws on both sides of the condensed route's basis choice (stacked
+        # adjoint columns > m or <= m), each with secondary sources present
         rng = np.random.default_rng(36)
         checked = 0
-        while checked < 6:
+        bases = set()   # True: stacked columns > m, with secondary sources
+        while checked < 6 or len(bases) < 2:
+            assert checked < 200, f"bases drawn: {bases}"
             K, sets, grid, design = random_conduction_problem(rng, max_grid=8)
             plan, sec_loads, sec_values = plan_and_secondary(sets, grid.n_dofs)
             if plan.m == 0 or any(len(f) == 0 for f in plan.free_primary):
                 continue
             checked += 1
             model = condense(K, plan, sec_loads, sec_values)
+            if load_field(model) is not None:
+                bases.add(plan.total_cases > plan.m)
             cond = solve_condensed(model, sets)
             elem = solve_elementary(K, sets)
             weights = self._rand_state_response(rng, sets, plan)

@@ -12,7 +12,6 @@ from mptop.sparse import (
     SymmetricSparse,
     extract,
     factorize,
-    solve_multi,
 )
 
 CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -105,7 +104,7 @@ class TestFactorize:
         K = SymmetricSparse.from_dense(np.eye(4))
         f = factorize(K)
         B = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_allclose(solve_multi(f, B), B, atol=1e-14)
+        np.testing.assert_allclose(f.solve(B), B, atol=1e-14)
 
     def test_two_by_two_hand_elimination(self):
         # [[2,-1],[-1,2]] x = [1,0]: eliminate row 0 -> 1.5 x1 = 0.5 -> x = [2/3, 1/3]
