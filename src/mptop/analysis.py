@@ -57,15 +57,13 @@ class StateSolution:
 
 def solve_elementary(K: SymmetricSparse, sets, backend: str = "direct",
                      ledger: CostLedger | None = None,
-                     want_reactions: bool = False,
-                     backend_opts: dict | None = None) -> StateSolution:
+                     want_reactions: bool = False) -> StateSolution:
     """Solve each analysis set against the full system matrix."""
     out = StateSolution(ledger=ledger)
     for aset in sets:
         fidx, pidx = aset.free, aset.prescribed
         kff = SymmetricSparse(extract(K, fidx, fidx))
-        fact = factorize(kff, backend=backend, ledger=ledger,
-                         **(backend_opts or {}))
+        fact = factorize(kff, backend=backend, ledger=ledger)
         k_fp = extract(K, fidx, pidx)
         rhs = aset.loads_free() - k_fp @ aset.prescribed_values
         u_free = fact.solve(rhs, ledger=ledger)

@@ -39,6 +39,7 @@ from .optimizer import optimize
 from .perfmodel import FlopModel, gain_table, measure_runtime_gain
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import fd_verify
+from .sparse import BACKENDS
 
 
 class ConfigError(ValueError):
@@ -154,46 +155,30 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown problem kind {cfg.kind!r}")
     if cfg.pipeline not in ("elementary", "condensed", "both"):
         raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
-    if cfg.backend not in ("direct", "iterative"):
+    if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.nelx < 1 or cfg.nely < 1 or cfg.max_iters < 0:
         raise ConfigError("grid sizes must be positive, max_iters >= 0")
 
 
+def _format_value(value, typ) -> str:
+    if typ == "matrix":
+        return ";".join(",".join(repr(v) for v in row) for row in value)
+    if typ == "floats":
+        return ",".join(repr(v) for v in value)
+    if typ == "bool":
+        return "1" if value else "0"
+    return repr(value) if typ is float else str(value)
+
+
 def write_config(cfg: RunConfig) -> str:
-    jbar = ";".join(",".join(repr(v) for v in row) for row in cfg.jbar)
-    gain_n = ",".join(repr(v) for v in cfg.gain_n)
-    return "\n".join([
-        "[problem]",
-        f"kind = {cfg.kind}",
-        f"nelx = {cfg.nelx}",
-        f"nely = {cfg.nely}",
-        f"m = {cfg.m}",
-        f"vbar = {cfg.vbar!r}",
-        f"seed = {cfg.seed}",
-        f"inputs = {cfg.inputs}",
-        f"jbar = {jbar}",
-        f"radius = {cfg.radius!r}",
-        f"penal = {cfg.penal!r}",
-        f"emin = {cfg.emin!r}",
-        "[solver]",
-        f"pipeline = {cfg.pipeline}",
-        f"backend = {cfg.backend}",
-        "[optimizer]",
-        f"max_iters = {cfg.max_iters}",
-        f"tol = {cfg.tol!r}",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-        "[gain]",
-        f"n = {gain_n}",
-        f"m_min = {cfg.gain_m_min!r}",
-        f"m_max = {cfg.gain_m_max!r}",
-        f"m_count = {cfg.gain_m_count}",
-        f"kind = {cfg.gain_kind}",
-        f"measure = {1 if cfg.gain_measure else 0}",
-        f"measure_cap = {cfg.gain_measure_cap!r}",
-        "",
-    ])
+    lines, section = [], None
+    for (sect, key), (attr, typ) in _SCHEMA.items():
+        if sect != section:
+            lines.append(f"[{sect}]")
+            section = sect
+        lines.append(f"{key} = {_format_value(getattr(cfg, attr), typ)}")
+    return "\n".join(lines + [""])
 
 
 def load_config(path: str) -> RunConfig:
@@ -315,7 +300,8 @@ def cmd_run(cfg: RunConfig) -> int:
                         (f"{pipe}_max_constraint",
                          _fmt(max(last.constraints)))]
         else:
-            ev = evaluate(problem, res.x, want_grads=False, pipeline=pipe)
+            ev = evaluate(problem, res.x, want_grads=False, pipeline=pipe,
+                          backend=cfg.backend)
             summary += [(f"{pipe}_iterations", 0),
                         (f"{pipe}_objective", _fmt(ev.objective)),
                         (f"{pipe}_max_constraint",
@@ -338,13 +324,11 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
     problem = build_problem(cap)
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.3, 0.9, problem.grid.n_elems)
-    opts = {"tol": 1e-12} if cfg.backend == "iterative" else None
 
     worst = 0.0
     failed = False
     for pipe in ("elementary", "condensed"):
-        ev = evaluate(problem, x, pipeline=pipe, backend=cfg.backend,
-                      backend_opts=opts)
+        ev = evaluate(problem, x, pipeline=pipe, backend=cfg.backend)
         rows = [("g0", ev.objective, ev.d_objective)]
         for j in range(problem.n_constraints):
             rows.append((f"g{j + 1}", ev.constraints[j], ev.d_constraints[j]))
@@ -355,7 +339,7 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
 
             def g_of(xv, name=name):
                 e = evaluate(problem, xv, pipeline=pipe, backend=cfg.backend,
-                             want_grads=False, backend_opts=opts)
+                             want_grads=False)
                 if name == "g0":
                     return e.objective
                 return e.constraints[int(name[1:]) - 1]

@@ -14,7 +14,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .partitions import PartitionPlan
-from .sparse import CostLedger, Factorization, SymmetricSparse, extract, factorize
+from .sparse import (
+    CostLedger,
+    DenseCholesky,
+    Factorization,
+    SymmetricSparse,
+    extract,
+    factorize,
+)
 
 
 class EmptyPrimarySetError(ValueError):
@@ -29,8 +36,8 @@ class ReducedModel:
     reduced_matrix: np.ndarray        # m x m, symmetric
     reduced_loads: np.ndarray         # m x total cases
     static_modes: np.ndarray          # f_sec x m solutions against the coupling block
-    load_states: np.ndarray | None    # f_sec x cases, None when no secondary loads
-    kff_fact: Factorization
+    load_states: np.ndarray | None    # f_sec x cases, None when no secondary sources
+    kff_fact: Factorization | DenseCholesky   # 0 x 0 dense when f_sec == 0
     k_fp: sp.csr_matrix               # secondary-free rows, secondary-prescribed cols
     k_fm: sp.csr_matrix               # secondary-free rows, primary cols
     k_pm: sp.csr_matrix               # secondary-prescribed rows, primary cols
@@ -47,14 +54,19 @@ class ReducedModel:
 
 def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
              sec_values=None, backend: str = "direct",
-             ledger: CostLedger | None = None,
-             backend_opts: dict | None = None) -> ReducedModel:
+             ledger: CostLedger | None = None) -> ReducedModel:
     """Eliminate the secondary DOFs of ``K`` under the given plan.
 
     ``sec_loads`` (sparse or dense, f_sec x cases) and ``sec_values``
     (p_sec x cases) describe loads and prescribed magnitudes on secondary
     DOFs; both may be None or zero, in which case the reduced loads vanish
     and no load columns are solved.
+
+    The secondary-free block is factorized once with ``backend`` (``direct``
+    or ``iterative``). With no secondary-free DOFs the same path runs on a
+    0 x 0 :class:`DenseCholesky`: the reduced matrix is the primary block,
+    the reduced loads are ``-K_mp @ sec_values``, and nothing is recorded in
+    the ledger.
     """
     if plan.m == 0:
         raise EmptyPrimarySetError("empty primary set: nothing to condense onto")
@@ -75,22 +87,11 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
     have_loads = sec_loads is not None and (
         sec_loads.nnz > 0 if sp.issparse(sec_loads) else np.any(sec_loads))
 
-    # degenerate no-secondary-free case: the reduced model is just the block
-    if plan.f_sec == 0:
-        fact = _EmptyFactorization()
-        static_modes = np.zeros((0, plan.m))
-        load_states = None
-        reduced = 0.5 * (k_mm + k_mm.T)
-        reduced_loads = np.zeros((plan.m, l_tot))
-        if have_values:
-            reduced_loads = -(k_mp @ sec_values)
-        return ReducedModel(plan, reduced, reduced_loads, static_modes,
-                            load_states, fact, k_fp, k_fm, k_pm, k_pp,
-                            sec_values)
-
-    kff = SymmetricSparse(extract(K, fset, fset))
-    fact = factorize(kff, backend=backend, ledger=ledger,
-                     **(backend_opts or {}))
+    if plan.f_sec:
+        fact = factorize(SymmetricSparse(extract(K, fset, fset)),
+                         backend=backend, ledger=ledger)
+    else:
+        fact = DenseCholesky(np.zeros((0, 0)))
 
     rhs = [k_fm.toarray()]
     if have_loads or have_values:
@@ -115,22 +116,6 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
 
     return ReducedModel(plan, reduced, reduced_loads, static_modes,
                         load_states, fact, k_fp, k_fm, k_pm, k_pp, sec_values)
-
-
-class _EmptyFactorization:
-    """Stand-in when there are no secondary free DOFs to eliminate."""
-
-    backend = "direct"
-    n = 0
-    solve_calls = 0
-    rhs_solved = 0
-    flops = 0.0
-
-    def solve(self, B, ledger=None):
-        B = np.asarray(B, dtype=float)
-        if B.shape[0] != 0:
-            raise ValueError("empty factorization got a nonempty rhs")
-        return np.zeros_like(B)
 
 
 def recover_secondary(model: ReducedModel, u_primary,

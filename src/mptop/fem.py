@@ -198,6 +198,9 @@ class DesignField:
         x = np.asarray(x, dtype=float)
         if x.shape != (grid.n_elems,):
             raise ValueError(f"x must have shape ({grid.n_elems},)")
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"x[{bad[0]}] = {x[bad[0]]} is not finite")
         self.grid = grid
         self.x = x
         self.flt = flt

@@ -128,7 +128,7 @@ def measure_runtime_gain(problem, x=None, repeats: int = 3,
             t_cond.append(ledger.seconds_total())
     te = float(np.median(t_elem))
     tc = float(np.median(t_cond))
-    fm = FlopModel("direct" if backend == "direct" else "iterative")
+    fm = FlopModel(backend)
     if problem.kind == "problem1":
         xi_pred = gain_problem1(fm, problem.plan.n, problem.plan.m)
     elif problem.kind == "problem2":

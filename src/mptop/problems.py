@@ -150,8 +150,7 @@ def build_problem2(nelx: int, nely: int, n_inputs: int, jbar,
 
 def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
              backend: str = "direct", want_grads: bool = True,
-             ledger: CostLedger | None = None,
-             backend_opts: dict | None = None) -> Evaluation:
+             ledger: CostLedger | None = None) -> Evaluation:
     """One full response (and gradient) evaluation at design ``x``.
 
     The pipeline is chosen here only: it fixes the free DOFs each set's states
@@ -164,8 +163,7 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     K = assemble(grid, design)
     if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
-                         problem.sec_values, backend=backend, ledger=ledger,
-                         backend_opts=backend_opts)
+                         problem.sec_values, backend=backend, ledger=ledger)
         sol = solve_condensed(model, problem.sets, ledger=ledger)
         free_sets = problem.plan.free_primary
 
@@ -175,7 +173,7 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     elif pipeline == "elementary":
         model = None
         sol = solve_elementary(K, problem.sets, backend=backend,
-                               ledger=ledger, backend_opts=backend_opts)
+                               ledger=ledger)
         free_sets = [aset.free for aset in problem.sets]
 
         def gradient(adjoints):

@@ -4,20 +4,24 @@ Two backends are provided behind one :class:`Factorization` interface:
 
 * ``direct`` — banded Cholesky (LAPACK ``pbtrf``/``pbtrs``); no fill-reducing
   reordering is applied, so the factorization cost tracks the bandwidth.
-* ``cg`` — preconditioned conjugate gradients with a zero-fill incomplete
-  Cholesky preconditioner (diagonal Jacobi fallback on breakdown).
+* ``iterative`` — preconditioned conjugate gradients with a zero-fill
+  incomplete Cholesky preconditioner, stopping at the relative residual
+  :data:`CG_TOL` (1e-12). On an incomplete-Cholesky breakdown it warns
+  (``RuntimeWarning``) and falls back to the diagonal Jacobi preconditioner.
 
 Dense blocks arising from condensed systems always use a dense Cholesky
 (:class:`DenseCholesky`) regardless of the backend chosen for the large
 sparse systems.
 
-All factorizations and solves can report into a :class:`CostLedger`, which
-records one event per factorization / multi-RHS solve with its dimension,
-right-hand-side count, an operation-count estimate and wall time.
+Every handle solves through one shared path, which can report into a
+:class:`CostLedger`: one event per factorization / multi-RHS solve with its
+dimension, right-hand-side count, an operation-count estimate and wall time.
+A handle of an empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +214,6 @@ class SymmetricSparse:
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
 
-    def matvec(self, x):
-        return self.mat @ x
-
 
 def extract(K: SymmetricSparse, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix:
     """Block of ``K`` at the given row/column index sets (CSR, |rows| x |cols|)."""
@@ -244,6 +245,10 @@ def _flops_dense_solve(n, nrhs):
 # ---------------------------------------------------------------------------
 # factorizations
 # ---------------------------------------------------------------------------
+
+BACKENDS = ("direct", "iterative")
+CG_TOL = 1e-12  # relative residual at which the iterative backend's CG stops
+
 
 def _to_banded_upper(mat: sp.csr_matrix, k: int) -> np.ndarray:
     """LAPACK upper-banded storage: ab[k + i - j, j] = A[i, j] for i <= j."""
@@ -290,28 +295,64 @@ def _ichol0(lower: sp.csc_matrix):
     return L
 
 
-class Factorization:
-    """Reusable handle for solving against one SPD matrix.
+class _Solver:
+    """The one solve path shared by every factorization handle.
+
+    A subclass sets ``matrix`` (its ledger label) and supplies two steps:
+    ``_factor(A) -> flops``, run once at construction, and
+    ``_kernel(B) -> (X, flops)`` for a block with rows and columns. This class
+    checks the right-hand side rows, short-cuts empty blocks, times both steps
+    and records one ledger event per factorization and per solve call. A
+    handle of an empty (0 x 0) block does no work and records nothing.
+    """
+
+    def __init__(self, A, n: int, ledger: CostLedger | None):
+        self.n = n
+        if n:
+            t0 = time.perf_counter()
+            self._record(ledger, "factorize", 0, self._factor(A), t0)
+
+    def _record(self, ledger, op, nrhs, flops, t0):
+        if ledger is not None:
+            ledger.record(op, self.matrix, self.n, nrhs, flops,
+                          time.perf_counter() - t0)
+
+    def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
+        """Solve A X = B for a vector or a matrix of right-hand sides."""
+        B = np.asarray(B, dtype=float)
+        Bm = B[:, None] if B.ndim == 1 else B
+        if Bm.shape[0] != self.n:
+            raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
+        if self.n == 0:
+            return np.zeros_like(B)
+        t0 = time.perf_counter()
+        X, fl = self._kernel(Bm) if Bm.shape[1] else (np.zeros_like(Bm), 0.0)
+        self._record(ledger, "solve", Bm.shape[1], fl, t0)
+        return X[:, 0] if B.ndim == 1 else X
+
+
+class Factorization(_Solver):
+    """Reusable handle for solving against one sparse SPD matrix.
 
     The matrix is processed exactly once at construction; any number of
     right-hand sides can then be solved without re-factorizing. Instances are
-    immutable apart from their counters and safe to share.
+    immutable and safe to share. ``maxiter`` caps the CG iterations per
+    column of the ``iterative`` backend.
     """
 
+    matrix = "sparse"
+
     def __init__(self, K: SymmetricSparse, backend: str = "direct",
-                 tol: float = 1e-10, maxiter: int | None = None,
+                 maxiter: int | None = None,
                  ledger: CostLedger | None = None):
-        if backend == "iterative":
-            backend = "cg"
-        if backend not in ("direct", "cg"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
-        self.n = K.n
-        self.solve_calls = 0
-        self.rhs_solved = 0
-        self.flops = 0.0
-        t0 = time.perf_counter()
-        if backend == "direct":
+        self.maxiter = maxiter if maxiter is not None else int(10 * np.sqrt(K.n) + 100)
+        super().__init__(K, K.n, ledger)
+
+    def _factor(self, K):
+        if self.backend == "direct":
             kbw = K.bandwidth
             ab = _to_banded_upper(K.mat, kbw)
             try:
@@ -321,25 +362,33 @@ class Factorization:
                     f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
                 ) from exc
             self._bw = kbw
-            fl = _flops_banded_factor(K.n, kbw)
+            return _flops_banded_factor(K.n, kbw)
+        self._mat = K.mat
+        lower = sp.tril(K.mat).tocsc()
+        L = _ichol0(lower)
+        if L is not None:
+            self._pc = ("ichol", L, sp.csr_matrix(L.T))
         else:
-            self._mat = K.mat
-            self.tol = tol
-            self.maxiter = maxiter if maxiter is not None else int(10 * np.sqrt(K.n) + 100)
-            lower = sp.tril(K.mat).tocsc()
-            L = _ichol0(lower)
-            if L is not None:
-                self._pc = ("ichol", L, sp.csr_matrix(L.T))
-            else:
-                diag = K.mat.diagonal()
-                if np.any(diag <= 0):
-                    raise SingularMatrixError("non-positive diagonal; matrix not SPD")
-                self._pc = ("jacobi", 1.0 / diag, None)
-            fl = 2.0 * K.mat.nnz
-        dt = time.perf_counter() - t0
-        self.flops += fl
-        if ledger is not None:
-            ledger.record("factorize", "sparse", K.n, 0, fl, dt)
+            diag = K.mat.diagonal()
+            if np.any(diag <= 0):
+                raise SingularMatrixError("non-positive diagonal; matrix not SPD")
+            warnings.warn(
+                f"incomplete Cholesky broke down on a non-positive pivot "
+                f"(n={K.n}); CG falls back to the Jacobi preconditioner",
+                RuntimeWarning)
+            self._pc = ("jacobi", 1.0 / diag, None)
+        return 2.0 * K.mat.nnz
+
+    def _kernel(self, B):
+        if self.backend == "direct":
+            return (cho_solve_banded((self._cb, False), B),
+                    _flops_banded_solve(self.n, self._bw, B.shape[1]))
+        X = np.empty_like(B)
+        iters = 0
+        for c in range(B.shape[1]):
+            X[:, c], nit = self._solve_cg_column(B[:, c])
+            iters += nit
+        return X, iters * (2.0 * self._mat.nnz + 10.0 * self.n)
 
     # -- preconditioner -----------------------------------------------------
     def _apply_pc(self, r):
@@ -368,7 +417,7 @@ class Factorization:
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            if np.linalg.norm(r) <= self.tol * bnorm:
+            if np.linalg.norm(r) <= CG_TOL * bnorm:
                 return x, it
             z = self._apply_pc(r)
             rz_new = r @ z
@@ -376,76 +425,32 @@ class Factorization:
             rz = rz_new
         raise IterativeSolveError(
             f"CG did not converge in {self.maxiter} iterations "
-            f"(relative residual {np.linalg.norm(r) / bnorm:.3e}, target {self.tol:.1e})"
+            f"(relative residual {np.linalg.norm(r) / bnorm:.3e}, target {CG_TOL:.1e})"
         )
-
-    def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
-        """Solve K X = B for a vector or a matrix of right-hand sides."""
-        B = np.asarray(B, dtype=float)
-        single = B.ndim == 1
-        Bm = B[:, None] if single else B
-        if Bm.shape[0] != self.n:
-            raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
-        t0 = time.perf_counter()
-        if self.backend == "direct":
-            if self.n == 0 or Bm.shape[1] == 0:
-                X = np.zeros_like(Bm)
-            else:
-                X = cho_solve_banded((self._cb, False), Bm)
-            fl = _flops_banded_solve(self.n, self._bw, Bm.shape[1])
-        else:
-            X = np.empty_like(Bm)
-            iters = 0
-            for c in range(Bm.shape[1]):
-                X[:, c], nit = self._solve_cg_column(Bm[:, c])
-                iters += nit
-            fl = iters * (2.0 * self._mat.nnz + 10.0 * self.n)
-        dt = time.perf_counter() - t0
-        self.solve_calls += 1
-        self.rhs_solved += Bm.shape[1]
-        self.flops += fl
-        if ledger is not None:
-            ledger.record("solve", "sparse", self.n, Bm.shape[1], fl, dt)
-        return X[:, 0] if single else X
 
 
 def factorize(K: SymmetricSparse, backend: str = "direct",
-              ledger: CostLedger | None = None, **kw) -> Factorization:
-    return Factorization(K, backend=backend, ledger=ledger, **kw)
+              ledger: CostLedger | None = None,
+              maxiter: int | None = None) -> Factorization:
+    return Factorization(K, backend=backend, maxiter=maxiter, ledger=ledger)
 
 
-class DenseCholesky:
+class DenseCholesky(_Solver):
     """Dense Cholesky for the (small, dense) condensed systems."""
+
+    matrix = "dense"
 
     def __init__(self, A: np.ndarray, ledger: CostLedger | None = None):
         A = np.asarray(A, dtype=float)
-        self.n = A.shape[0]
-        t0 = time.perf_counter()
-        if self.n:
-            try:
-                self._cf = cho_factor(A, lower=False)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"dense Cholesky failed (n={self.n}): {exc}") from exc
-        dt = time.perf_counter() - t0
-        self.solve_calls = 0
-        self.rhs_solved = 0
-        if ledger is not None:
-            ledger.record("factorize", "dense", self.n, 0,
-                          _flops_dense_factor(self.n), dt)
+        super().__init__(A, A.shape[0], ledger)
 
-    def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
-        B = np.asarray(B, dtype=float)
-        single = B.ndim == 1
-        Bm = B[:, None] if single else B
-        if Bm.shape[0] != self.n:
-            raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
-        t0 = time.perf_counter()
-        X = cho_solve(self._cf, Bm) if self.n and Bm.shape[1] else np.zeros_like(Bm)
-        dt = time.perf_counter() - t0
-        self.solve_calls += 1
-        self.rhs_solved += Bm.shape[1]
-        if ledger is not None:
-            ledger.record("solve", "dense", self.n, Bm.shape[1],
-                          _flops_dense_solve(self.n, Bm.shape[1]), dt)
-        return X[:, 0] if single else X
+    def _factor(self, A):
+        try:
+            self._cf = cho_factor(A, lower=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"dense Cholesky failed (n={self.n}): {exc}") from exc
+        return _flops_dense_factor(self.n)
+
+    def _kernel(self, B):
+        return cho_solve(self._cf, B), _flops_dense_solve(self.n, B.shape[1])

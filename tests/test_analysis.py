@@ -100,7 +100,7 @@ class TestCondensedPipeline:
             if plan.m == 0 or plan.f_sec == 0:
                 continue
             checked += 1
-            model = condense(K, plan, sec_loads, sec_values, backend="cg")
+            model = condense(K, plan, sec_loads, sec_values, backend="iterative")
             cond = solve_condensed(model, sets)
             elem = solve_elementary(K, sets, backend="direct")
             for i in range(len(sets)):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from mptop import cli
 from mptop.cli import (
     ConfigError,
     build_problem,
@@ -114,11 +115,22 @@ class TestRun:
             g0e = float(le.split("\t")[1])
             assert abs(g0c - g0e) <= 1e-6 * abs(g0e)
 
-    def test_zero_iterations_writes_initial_design(self, tmp_path):
-        text = P1_SMALL.format(out=tmp_path).replace("max_iters = 4",
-                                                     "max_iters = 0")
+    def test_zero_iterations_writes_initial_design(self, tmp_path,
+                                                   monkeypatch):
+        text = P1_SMALL.format(out=tmp_path).replace(
+            "max_iters = 4", "max_iters = 0").replace(
+            "pipeline = both", "pipeline = both\nbackend = iterative")
         cfg = parse_config(text)
+        backends = []
+        real_evaluate = cli.evaluate
+
+        def recording_evaluate(*args, **kwargs):
+            backends.append(kwargs.get("backend"))
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
         cmd_run(cfg)
+        assert backends == ["iterative", "iterative"]  # one per pipeline
         log = (tmp_path / "iterations_condensed.tsv").read_text().splitlines()
         assert len(log) == 1  # header only
         csv = np.loadtxt(tmp_path / "density_condensed.csv", delimiter=",")

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from helpers import plan_and_secondary, random_conduction_problem
+from mptop.analysis import solve_condensed, solve_elementary
 from mptop.condensation import EmptyPrimarySetError, condense, recover_secondary
-from mptop.partitions import AnalysisSet, build_plan
+from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sparse import (
     CostLedger,
     IndexSet,
@@ -131,6 +132,30 @@ class TestCondense:
         K = SymmetricSparse.from_dense([[2.0, -1.0], [-1.0, 2.0]])
         model = condense(K, plan)
         np.testing.assert_allclose(model.reduced_matrix, K.toarray())
+
+        # DOF 2 prescribed to 0.5 in both sets: secondary prescribed, still
+        # with no secondary-free DOF to eliminate
+        n = 3
+        s1 = AnalysisSet(n, IndexSet([0, 2], n), IndexSet([0, 1], n),
+                         prescribed_values=[[0.2], [0.5]])
+        s2 = AnalysisSet(n, IndexSet([1, 2], n), IndexSet([0, 1], n),
+                         prescribed_values=[[-0.3], [0.5]])
+        with pytest.warns(UserWarning):
+            plan = build_plan([s1, s2], n)
+        assert (plan.m, plan.f_sec, plan.p_sec) == (2, 0, 1)
+        sec_loads, sec_values = gather_secondary(plan, [s1, s2])
+        K = SymmetricSparse.from_dense(CHAIN3)
+        ledger = CostLedger()
+        model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
+        assert ledger.events == []
+        k_mp = CHAIN3[np.ix_([0, 1], [2])]
+        np.testing.assert_array_equal(model.reduced_loads, -(k_mp @ sec_values))
+        cond = solve_condensed(model, [s1, s2])
+        elem = solve_elementary(K, [s1, s2])
+        for i in range(2):
+            np.testing.assert_allclose(cond.primary_states(plan, i),
+                                       elem.primary_states(plan, i),
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestRecoverSecondary:

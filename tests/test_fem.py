@@ -1,5 +1,6 @@
 """Element matrices, filtering, SIMP, assembly and the dK contraction."""
 import numpy as np
+import pytest
 
 from mptop.fem import (
     DesignField,
@@ -120,6 +121,16 @@ class TestSimp:
 
 def make_design(grid, x, radius=0.0, penal=3.0, emin=1e-9):
     return DesignField(grid, x, Filter(grid, radius), penal, emin)
+
+
+class TestDesignField:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_first_element(self, bad):
+        grid = Grid(3, 2)
+        x = np.full(grid.n_elems, 0.5)
+        x[[2, 4]] = bad
+        with pytest.raises(ValueError, match=r"x\[2\] = .* is not finite"):
+            make_design(grid, x)
 
 
 class TestAssemble:

@@ -126,9 +126,8 @@ class TestReducedMatrixSensitivity:
         rng = np.random.default_rng(34)
         design = DesignField(grid, rng.uniform(0.3, 0.9, 9), Filter(grid, 2.0))
         model, _ = _grid_model(grid, design)
-        before = model.kff_fact.solve_calls
+        model.kff_fact = None  # any solve against the retained factor would raise
         sens_reduced_matrix(grid, design, model, rng.normal(size=(model.m, model.m)))
-        assert model.kff_fact.solve_calls == before
 
 
 def _grid_model(grid, design, sec_loads=None, sec_values=None):

@@ -120,7 +120,7 @@ class TestFactorize:
     def test_singular_cg(self):
         K = SymmetricSparse.from_dense([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises((SingularMatrixError, IterativeSolveError)):
-            factorize(K, "cg").solve(np.array([1.0, -1.0]))
+            factorize(K, "iterative").solve(np.array([1.0, -1.0]))
 
     def test_zero_rhs(self):
         rng = np.random.default_rng(1)
@@ -159,7 +159,6 @@ class TestFactorize:
         assert ledger.count(op="factorize", matrix="sparse") == 1
         assert ledger.count(op="solve", matrix="sparse") == 5
         assert ledger.rhs_total(matrix="sparse") == 10
-        assert f.solve_calls == 5 and f.rhs_solved == 10
 
 
 class TestBackendEquivalence:
@@ -169,7 +168,7 @@ class TestBackendEquivalence:
         K = random_spd_banded(n, band, rng)
         B = rng.normal(size=(n, 3))
         Xd = factorize(K, "direct").solve(B)
-        Xi = factorize(K, "cg", tol=1e-10).solve(B)
+        Xi = factorize(K, "iterative").solve(B)
         err = np.abs(Xd - Xi).max() / np.abs(Xd).max()
         assert err <= 1e-7
 
@@ -177,7 +176,7 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(9)
         K = random_spd_banded(120, 5, rng)
         b = rng.normal(size=120)
-        x = factorize(K, "cg", tol=1e-10).solve(b)
+        x = factorize(K, "iterative").solve(b)
         assert np.linalg.norm(K.mat @ x - b) <= 1e-9 * np.linalg.norm(b)
 
     def test_ichol_breakdown_falls_back_to_jacobi(self):
@@ -186,8 +185,8 @@ class TestBackendEquivalence:
         K = SymmetricSparse.from_dense(
             [[3.0, -2.0, 0.0, 2.0], [-2.0, 3.0, -2.0, 0.0],
              [0.0, -2.0, 3.0, -2.0], [2.0, 0.0, -2.0, 3.0]])
-        f = factorize(K, "cg", tol=1e-12)
-        assert f._pc[0] == "jacobi"
+        with pytest.warns(RuntimeWarning, match="Jacobi"):
+            f = factorize(K, "iterative")
         b = np.array([1.0, 2.0, -1.0, 0.5])
         x = f.solve(b)
         np.testing.assert_allclose(K.mat @ x, b, atol=1e-10)
@@ -202,7 +201,7 @@ class TestBackendEquivalence:
              + 0.01 * sp.identity(g * g)).tocsr())
         rng = np.random.default_rng(10)
         with pytest.raises(IterativeSolveError) as err:
-            factorize(K, "cg", tol=1e-12, maxiter=2).solve(rng.normal(size=g * g))
+            factorize(K, "iterative", maxiter=2).solve(rng.normal(size=g * g))
         assert "residual" in str(err.value)
 
 
