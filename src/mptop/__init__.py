@@ -40,6 +40,7 @@ from .sensitivity import (
     sens_reduced_matrix,
 )
 from .sparse import (
+    BandStorageError,
     CostLedger,
     DenseCholesky,
     Factorization,

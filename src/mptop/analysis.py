@@ -62,7 +62,7 @@ def solve_elementary(K: SymmetricSparse, sets, backend: str = "direct",
     out = StateSolution(ledger=ledger)
     for aset in sets:
         fidx, pidx = aset.free, aset.prescribed
-        kff = SymmetricSparse(extract(K, fidx, fidx))
+        kff = SymmetricSparse.principal(extract(K, fidx, fidx))
         fact = factorize(kff, backend=backend, ledger=ledger)
         k_fp = extract(K, fidx, pidx)
         rhs = aset.loads_free() - k_fp @ aset.prescribed_values

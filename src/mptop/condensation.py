@@ -88,7 +88,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
         sec_loads.nnz > 0 if sp.issparse(sec_loads) else np.any(sec_loads))
 
     if plan.f_sec:
-        fact = factorize(SymmetricSparse(extract(K, fset, fset)),
+        fact = factorize(SymmetricSparse.principal(extract(K, fset, fset)),
                          backend=backend, ledger=ledger)
     else:
         fact = DenseCholesky(np.zeros((0, 0)))

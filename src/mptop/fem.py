@@ -10,8 +10,11 @@ Conventions (fixed, relied on throughout):
 * elements are unit squares with unit conductivity / unit Young's modulus,
   Poisson ratio 0.3, unit thickness, full 2x2 Gauss integration.
 
-This numbering keeps the assembled bandwidth proportional to the grid height,
-i.e. of order sqrt(n) for square grids.
+This numbering makes the assembled bandwidth proportional to the grid height,
+i.e. of order sqrt(n) for square grids. The direct backend factorizes in
+whichever of this order and reverse Cuthill–McKee gives the smaller
+bandwidth, so its cost follows the better of the two, not the grid's
+orientation.
 """
 from __future__ import annotations
 

@@ -2,8 +2,12 @@
 
 Two backends are provided behind one :class:`Factorization` interface:
 
-* ``direct`` — banded Cholesky (LAPACK ``pbtrf``/``pbtrs``); no fill-reducing
-  reordering is applied, so the factorization cost tracks the bandwidth.
+* ``direct`` — banded Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the better of
+  two orders: the natural one, or reverse Cuthill–McKee (Cuthill & McKee
+  1969) when that gives a strictly smaller bandwidth. The permutation stays
+  inside the handle, so callers pass and receive vectors in natural order,
+  and the cost tracks the smaller bandwidth, whatever the grid's orientation.
+  A band too large to allocate raises :class:`BandStorageError` with its size.
 * ``iterative`` — preconditioned conjugate gradients with a zero-fill
   incomplete Cholesky preconditioner, stopping at the relative residual
   :data:`CG_TOL` (1e-12). On an incomplete-Cholesky breakdown it warns
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularMatrixError(RuntimeError):
@@ -35,6 +40,10 @@ class SingularMatrixError(RuntimeError):
 
 class IterativeSolveError(RuntimeError):
     """Raised when CG fails to reach the target residual within the cap."""
+
+
+class BandStorageError(MemoryError):
+    """Raised when the banded-Cholesky storage of a matrix cannot be allocated."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +213,19 @@ class SymmetricSparse:
     def from_dense(cls, arr) -> "SymmetricSparse":
         return cls(sp.csr_matrix(np.asarray(arr, dtype=float)))
 
+    @classmethod
+    def principal(cls, block: sp.csr_matrix) -> "SymmetricSparse":
+        """Wrap ``extract(K, idx, idx)`` of an existing SymmetricSparse ``K``.
+
+        Such a block is exactly symmetric already, so the constructor's check
+        and averaging are skipped; external input goes through the constructor.
+        """
+        self = cls.__new__(cls)
+        self.mat = block
+        self.n = block.shape[0]
+        self._bandwidth = None
+        return self
+
     @property
     def bandwidth(self) -> int:
         if self._bandwidth is None:
@@ -250,14 +272,32 @@ BACKENDS = ("direct", "iterative")
 CG_TOL = 1e-12  # relative residual at which the iterative backend's CG stops
 
 
-def _to_banded_upper(mat: sp.csr_matrix, k: int) -> np.ndarray:
-    """LAPACK upper-banded storage: ab[k + i - j, j] = A[i, j] for i <= j."""
-    n = mat.shape[0]
+def _to_banded_upper(row, col, data, n: int, k: int) -> np.ndarray:
+    """LAPACK upper-banded storage of the n x n matrix with entries
+    ``A[row, col] = data``: ab[k + i - j, j] = A[i, j] for i <= j."""
     ab = np.zeros((k + 1, n))
-    coo = mat.tocoo()
-    mask = coo.row <= coo.col
-    ab[k + coo.row[mask] - coo.col[mask], coo.col[mask]] = coo.data[mask]
+    mask = row <= col
+    ab[k + row[mask] - col[mask], col[mask]] = data[mask]
     return ab
+
+
+def _narrower_order(K: SymmetricSparse, coo: sp.coo_matrix):
+    """``(row, col, bandwidth, perm)`` of ``K``'s entries ``coo`` in the
+    narrower of two orders.
+
+    Reverse Cuthill–McKee is taken only when its bandwidth is strictly
+    smaller than the natural one (on square grids it is about twice as
+    wide); ``row``/``col`` are then its positions and ``perm`` maps them back
+    to natural order. Otherwise they are ``coo``'s own and ``perm`` is None.
+    """
+    perm = reverse_cuthill_mckee(K.mat, symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(K.n, dtype=perm.dtype)
+    row, col = inv[coo.row], inv[coo.col]
+    k_rcm = int(np.abs(row - col).max(initial=0))
+    if k_rcm < K.bandwidth:
+        return row, col, k_rcm, perm
+    return coo.row, coo.col, K.bandwidth, None
 
 
 def _ichol0(lower: sp.csc_matrix):
@@ -337,7 +377,9 @@ class Factorization(_Solver):
     The matrix is processed exactly once at construction; any number of
     right-hand sides can then be solved without re-factorizing. Instances are
     immutable and safe to share. ``maxiter`` caps the CG iterations per
-    column of the ``iterative`` backend.
+    column of the ``iterative`` backend. ``bandwidth`` is the half-bandwidth
+    the ``direct`` backend factorized, in the order it chose; it is None for
+    ``iterative``.
     """
 
     matrix = "sparse"
@@ -349,19 +391,26 @@ class Factorization(_Solver):
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.maxiter = maxiter if maxiter is not None else int(10 * np.sqrt(K.n) + 100)
+        self.bandwidth = None
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
         if self.backend == "direct":
-            kbw = K.bandwidth
-            ab = _to_banded_upper(K.mat, kbw)
+            coo = K.mat.tocoo()
+            row, col, kbw, self._perm = _narrower_order(K, coo)
+            try:
+                ab = _to_banded_upper(row, col, coo.data, K.n, kbw)
+            except MemoryError as exc:
+                raise BandStorageError(
+                    f"cannot allocate banded storage for n={K.n}, bandwidth "
+                    f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
             try:
                 self._cb = cholesky_banded(ab, lower=False)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
                 ) from exc
-            self._bw = kbw
+            self.bandwidth = kbw
             return _flops_banded_factor(K.n, kbw)
         self._mat = K.mat
         lower = sp.tril(K.mat).tocsc()
@@ -381,8 +430,12 @@ class Factorization(_Solver):
 
     def _kernel(self, B):
         if self.backend == "direct":
-            return (cho_solve_banded((self._cb, False), B),
-                    _flops_banded_solve(self.n, self._bw, B.shape[1]))
+            fl = _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
+            if self._perm is None:
+                return cho_solve_banded((self._cb, False), B), fl
+            X = np.empty_like(B)
+            X[self._perm] = cho_solve_banded((self._cb, False), B[self._perm])
+            return X, fl
         X = np.empty_like(B)
         iters = 0
         for c in range(B.shape[1]):

@@ -175,6 +175,35 @@ class TestBuildProblem2:
             x, ev_c.d_objective)
         assert err <= 1e-6
 
+    def test_slender_grid_reordered_pipelines_agree(self):
+        # 4 x 40 bands along the long side (natural bandwidth 85), so both
+        # pipelines factorize in reverse Cuthill-McKee order
+        p = build_problem2(4, 40, 2, JBAR)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.3, 0.9, p.grid.n_elems)
+        ev_c = evaluate(p, x, pipeline="condensed")
+        ev_e = evaluate(p, x, pipeline="elementary")
+        assert ev_c.model.kff_fact.bandwidth < 40
+        assert all(f.bandwidth < 40 for f in ev_e.states.factorizations)
+        np.testing.assert_allclose(ev_c.constraints, ev_e.constraints,
+                                   rtol=1e-9, atol=1e-12)
+        assert abs(ev_c.objective - ev_e.objective) \
+            <= 1e-9 * abs(ev_e.objective)
+        scale = np.abs(ev_e.d_constraints).max()
+        assert np.abs(ev_c.d_constraints - ev_e.d_constraints).max() \
+            <= 1e-9 * scale
+        # far from the ports the components fall to ~1e-11, below what
+        # central differences resolve (~1e-10 absolute roundoff); the FD
+        # check reads the components within 1e-3 of the largest
+        for k in (0, 3):
+            floor = 1e-3 * np.abs(ev_e.d_constraints[k]).max()
+            for pipe, ev in (("condensed", ev_c), ("elementary", ev_e)):
+                err = fd_verify(
+                    lambda xv: evaluate(p, xv, pipeline=pipe,
+                                        want_grads=False).constraints[k],
+                    x, ev.d_constraints[k], floor=floor)
+                assert err <= 1e-5, f"{pipe} g[{k}] FD error {err:.2e}"
+
     def test_adjoint_load_count(self):
         # one adjoint right-hand side per constraint that reads the set
         p = build_problem2(6, 6, 2, JBAR)

@@ -2,19 +2,34 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 
+import mptop.sparse
+from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
+    BandStorageError,
     CostLedger,
     DenseCholesky,
     IndexSet,
     IterativeSolveError,
     SingularMatrixError,
     SymmetricSparse,
+    _flops_banded_factor,
+    _flops_banded_solve,
     extract,
     factorize,
 )
 
 CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+
+
+def clamped_plane_stress(nelx, nely, seed=0):
+    """Plane-stress K of a random-density grid, left edge clamped (SPD)."""
+    grid = Grid(nelx, nely, physics="plane-stress")
+    x = np.random.default_rng(seed).uniform(0.3, 1.0, grid.n_elems)
+    K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
+    free = IndexSet(np.arange(2 * (nely + 1)), grid.n_dofs).complement()
+    return SymmetricSparse.principal(extract(K, free, free))
 
 
 def random_spd_banded(n, band, rng):
@@ -98,6 +113,20 @@ class TestSymmetricSparse:
         assert K.bandwidth == 1
         assert SymmetricSparse.from_dense(np.eye(4)).bandwidth == 0
 
+    def test_principal_block_matches_constructor(self):
+        # the trusted path must store exactly what the checking one stores
+        grid = Grid(7, 5, physics="plane-stress")
+        x = np.random.default_rng(11).uniform(0.2, 1.0, grid.n_elems)
+        K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
+        idx = IndexSet(np.arange(3, K.n, 2), K.n)
+        checked = SymmetricSparse(extract(K, idx, idx))
+        trusted = SymmetricSparse.principal(extract(K, idx, idx))
+        assert trusted.n == checked.n == len(idx)
+        assert trusted.bandwidth == checked.bandwidth
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(trusted.mat, attr),
+                                          getattr(checked.mat, attr))
+
 
 class TestFactorize:
     def test_identity_solve(self):
@@ -159,6 +188,60 @@ class TestFactorize:
         assert ledger.count(op="factorize", matrix="sparse") == 1
         assert ledger.count(op="solve", matrix="sparse") == 5
         assert ledger.rhs_total(matrix="sparse") == 10
+
+
+class TestOrdering:
+    def test_orientation_does_not_set_the_band(self):
+        tall = clamped_plane_stress(20, 400)
+        wide = clamped_plane_stress(400, 20)
+        assert tall.bandwidth > 10 * wide.bandwidth      # natural orders
+        k_tall = factorize(tall).bandwidth
+        k_wide = factorize(wide).bandwidth
+        assert max(k_tall, k_wide) <= 2 * min(k_tall, k_wide)
+        assert max(k_tall, k_wide) <= 2 * wide.bandwidth
+
+    def test_square_grid_keeps_natural_order(self):
+        K = clamped_plane_stress(24, 24)
+        assert factorize(K).bandwidth == K.bandwidth
+
+    def test_permuted_solves_match_spsolve(self):
+        K = clamped_plane_stress(5, 60, seed=3)
+        f = factorize(K)
+        assert f.bandwidth < K.bandwidth
+        rng = np.random.default_rng(12)
+        A = K.mat.tocsc()
+        b = rng.normal(size=K.n)
+        ref = spl.spsolve(A, b)
+        assert np.abs(f.solve(b) - ref).max() <= 1e-10 * np.abs(ref).max()
+        B = rng.normal(size=(K.n, 4))
+        ref = spl.spsolve(A, B)
+        assert np.abs(f.solve(B) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_ledger_counts_the_factorized_band(self):
+        K = clamped_plane_stress(4, 50)
+        ledger = CostLedger()
+        f = factorize(K, ledger=ledger)
+        f.solve(np.ones((K.n, 3)), ledger=ledger)
+        assert f.bandwidth < K.bandwidth
+        assert ledger.flops_total(op="factorize") == \
+            _flops_banded_factor(K.n, f.bandwidth)
+        assert ledger.flops_total(op="solve") == \
+            _flops_banded_solve(K.n, f.bandwidth, 3)
+
+    def test_band_allocation_failure_is_named(self, monkeypatch):
+        K = clamped_plane_stress(3, 30)
+        k = factorize(K).bandwidth
+
+        def no_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(mptop.sparse, "_to_banded_upper", no_memory)
+        with pytest.raises(BandStorageError) as err:
+            factorize(K)
+        assert isinstance(err.value, MemoryError)
+        msg = str(err.value)
+        assert f"n={K.n}" in msg
+        assert f"bandwidth {k}" in msg
+        assert f"{(k + 1) * K.n * 8} bytes" in msg
 
 
 class TestBackendEquivalence:
