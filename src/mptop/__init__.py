@@ -45,7 +45,6 @@ from .sparse import (
     DenseCholesky,
     Factorization,
     IndexSet,
-    IterativeSolveError,
     SingularMatrixError,
     SymmetricSparse,
     extract,

@@ -33,8 +33,6 @@ class SetStates:
     """
 
     space: str
-    free_idx: np.ndarray        # positions of free DOFs within the space
-    presc_idx: np.ndarray
     u_free: np.ndarray          # (free, cases)
     u_presc: np.ndarray         # echoed prescribed values
     u_full: np.ndarray          # (space dim, cases)
@@ -55,7 +53,7 @@ class StateSolution:
         return s.u_full[plan.primary.ids, :]
 
 
-def solve_elementary(K: SymmetricSparse, sets, backend: str = "direct",
+def solve_elementary(K: SymmetricSparse, sets,
                      ledger: CostLedger | None = None,
                      want_reactions: bool = False) -> StateSolution:
     """Solve each analysis set against the full system matrix."""
@@ -63,7 +61,7 @@ def solve_elementary(K: SymmetricSparse, sets, backend: str = "direct",
     for aset in sets:
         fidx, pidx = aset.free, aset.prescribed
         kff = SymmetricSparse.principal(extract(K, fidx, fidx))
-        fact = factorize(kff, backend=backend, ledger=ledger)
+        fact = factorize(kff, ledger=ledger)
         k_fp = extract(K, fidx, pidx)
         rhs = aset.loads_free() - k_fp @ aset.prescribed_values
         u_free = fact.solve(rhs, ledger=ledger)
@@ -74,7 +72,7 @@ def solve_elementary(K: SymmetricSparse, sets, backend: str = "direct",
         if want_reactions:
             k_pp = extract(K, pidx, pidx)
             reactions = k_fp.T @ u_free + k_pp @ aset.prescribed_values
-        out.sets.append(SetStates("full", fidx.ids, pidx.ids, u_free,
+        out.sets.append(SetStates("full", u_free,
                                   aset.prescribed_values.copy(), u_full,
                                   reactions))
         out.factorizations.append(fact)
@@ -113,7 +111,7 @@ def solve_condensed(model: ReducedModel, sets,
             ft_presc = model.reduced_loads[
                 np.ix_(ppos, range(cols.start, cols.stop))]
             reactions = ktpf @ u_free + ktpp @ u_presc - ft_presc
-        out.sets.append(SetStates("reduced", fpos, ppos, u_free, u_presc,
+        out.sets.append(SetStates("reduced", u_free, u_presc,
                                   u_full, reactions))
         out.factorizations.append(fact)
     return out

@@ -13,12 +13,15 @@ Subcommands operate on a flat key=value config file with [section] headers::
     jbar = 0.5,2.0;1.0,-1.0  # problem2: target transmission matrix
     [solver]
     pipeline = condensed   # elementary | condensed | both
-    backend = direct       # direct | iterative
     [optimizer]
     max_iters = 50
     tol = 0.01
     [output]
     dir = out
+
+The large sparse systems are solved by banded Cholesky. ``gain`` tabulates
+the cost model's predicted gain for every method in
+:data:`mptop.perfmodel.METHODS`; only the direct one can also be measured.
 
 Artifacts per run: a per-iteration TSV log (deterministic fields only), a
 separate timing file, the final density as ASCII PGM and CSV, and a
@@ -39,7 +42,6 @@ from .optimizer import optimize
 from .perfmodel import FlopModel, gain_table, measure_runtime_gain
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import fd_verify
-from .sparse import BACKENDS
 
 
 class ConfigError(ValueError):
@@ -60,7 +62,6 @@ class RunConfig:
     penal: float = 3.0
     emin: float = 1e-9
     pipeline: str = "condensed"
-    backend: str = "direct"
     max_iters: int = 50
     tol: float = 0.01
     out_dir: str = "out"
@@ -87,7 +88,6 @@ _SCHEMA = {
     ("problem", "penal"): ("penal", float),
     ("problem", "emin"): ("emin", float),
     ("solver", "pipeline"): ("pipeline", str),
-    ("solver", "backend"): ("backend", str),
     ("optimizer", "max_iters"): ("max_iters", int),
     ("optimizer", "tol"): ("tol", float),
     ("output", "dir"): ("out_dir", str),
@@ -110,6 +110,15 @@ def _parse_matrix(text: str) -> tuple:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"malformed matrix literal {text!r}")
     return tuple(rows)
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,7 +144,7 @@ def parse_config(text: str) -> RunConfig:
             elif typ == "floats":
                 parsed = tuple(float(v) for v in value.split(",") if v.strip())
             elif typ == "bool":
-                parsed = value.lower() in ("1", "true", "yes")
+                parsed = _parse_bool(value)
             else:
                 parsed = typ(value)
         except ConfigError:
@@ -155,8 +164,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown problem kind {cfg.kind!r}")
     if cfg.pipeline not in ("elementary", "condensed", "both"):
         raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
-    if cfg.backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.nelx < 1 or cfg.nely < 1 or cfg.max_iters < 0:
         raise ConfigError("grid sizes must be positive, max_iters >= 0")
 
@@ -276,7 +283,7 @@ def cmd_run(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     for pipe in pipelines:
         res = optimize(problem, pipeline=pipe, max_iters=cfg.max_iters,
-                       tol=cfg.tol, backend=cfg.backend)
+                       tol=cfg.tol)
         results[pipe] = res
         write_iteration_log(os.path.join(out, f"iterations_{pipe}.tsv"),
                             res.history, problem.n_constraints)
@@ -289,8 +296,7 @@ def cmd_run(cfg: RunConfig) -> int:
     wall = time.perf_counter() - t0
 
     summary = [("kind", cfg.kind), ("nelx", cfg.nelx), ("nely", cfg.nely),
-               ("pipeline", cfg.pipeline), ("backend", cfg.backend),
-               ("seed", cfg.seed),
+               ("pipeline", cfg.pipeline), ("seed", cfg.seed),
                ("wall_seconds", f"{wall:.3f}")]
     for pipe, res in results.items():
         if res.history:
@@ -300,8 +306,7 @@ def cmd_run(cfg: RunConfig) -> int:
                         (f"{pipe}_max_constraint",
                          _fmt(max(last.constraints)))]
         else:
-            ev = evaluate(problem, res.x, want_grads=False, pipeline=pipe,
-                          backend=cfg.backend)
+            ev = evaluate(problem, res.x, want_grads=False, pipeline=pipe)
             summary += [(f"{pipe}_iterations", 0),
                         (f"{pipe}_objective", _fmt(ev.objective)),
                         (f"{pipe}_max_constraint",
@@ -328,7 +333,7 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
     worst = 0.0
     failed = False
     for pipe in ("elementary", "condensed"):
-        ev = evaluate(problem, x, pipeline=pipe, backend=cfg.backend)
+        ev = evaluate(problem, x, pipeline=pipe)
         rows = [("g0", ev.objective, ev.d_objective)]
         for j in range(problem.n_constraints):
             rows.append((f"g{j + 1}", ev.constraints[j], ev.d_constraints[j]))
@@ -338,8 +343,7 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
                 grad[np.argmax(np.abs(grad))] *= 1.5
 
             def g_of(xv, name=name):
-                e = evaluate(problem, xv, pipeline=pipe, backend=cfg.backend,
-                             want_grads=False)
+                e = evaluate(problem, xv, pipeline=pipe, want_grads=False)
                 if name == "g0":
                     return e.objective
                 return e.constraints[int(name[1:]) - 1]
@@ -348,7 +352,7 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
             worst = max(worst, err)
             status = "ok" if err <= 1e-4 else "FAIL"
             failed = failed or err > 1e-4
-            print(f"{cfg.kind} {pipe:10s} {cfg.backend:9s} {name:4s} "
+            print(f"{cfg.kind} {pipe:10s} {name:4s} "
                   f"max rel error {err:.3e}  {status}")
     print(f"worst relative error {worst:.3e}")
     return 1 if failed else 0

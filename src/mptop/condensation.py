@@ -53,8 +53,7 @@ class ReducedModel:
 
 
 def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
-             sec_values=None, backend: str = "direct",
-             ledger: CostLedger | None = None) -> ReducedModel:
+             sec_values=None, ledger: CostLedger | None = None) -> ReducedModel:
     """Eliminate the secondary DOFs of ``K`` under the given plan.
 
     ``sec_loads`` (sparse or dense, f_sec x cases) and ``sec_values``
@@ -62,8 +61,8 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
     DOFs; both may be None or zero, in which case the reduced loads vanish
     and no load columns are solved.
 
-    The secondary-free block is factorized once with ``backend`` (``direct``
-    or ``iterative``). With no secondary-free DOFs the same path runs on a
+    The secondary-free block is factorized once. With no secondary-free DOFs
+    the same path runs on a
     0 x 0 :class:`DenseCholesky`: the reduced matrix is the primary block,
     the reduced loads are ``-K_mp @ sec_values``, and nothing is recorded in
     the ledger.
@@ -89,7 +88,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
 
     if plan.f_sec:
         fact = factorize(SymmetricSparse.principal(extract(K, fset, fset)),
-                         backend=backend, ledger=ledger)
+                         ledger=ledger)
     else:
         fact = DenseCholesky(np.zeros((0, 0)))
 

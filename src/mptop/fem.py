@@ -11,7 +11,7 @@ Conventions (fixed, relied on throughout):
   Poisson ratio 0.3, unit thickness, full 2x2 Gauss integration.
 
 This numbering makes the assembled bandwidth proportional to the grid height,
-i.e. of order sqrt(n) for square grids. The direct backend factorizes in
+i.e. of order sqrt(n) for square grids. The sparse factorization bands in
 whichever of this order and reverse Cuthill–McKee gives the smaller
 bandwidth, so its cost follows the better of the two, not the grid's
 orientation.

@@ -172,7 +172,7 @@ class OptResult:
 
 def optimize(problem: ProblemSpec, pipeline: str = "condensed",
              max_iters: int = 100, tol: float = 0.01,
-             backend: str = "direct", x_min: float = 1e-3,
+             x_min: float = 1e-3,
              callback=None, keep_ledgers: bool = False) -> OptResult:
     """Nested analysis-and-design loop: evaluate, update, repeat.
 
@@ -186,8 +186,7 @@ def optimize(problem: ProblemSpec, pipeline: str = "condensed",
     for k in range(1, max_iters + 1):
         t0 = time.perf_counter()
         ledger = CostLedger()
-        ev = evaluate(problem, x, pipeline=pipeline, backend=backend,
-                      ledger=ledger)
+        ev = evaluate(problem, x, pipeline=pipeline, ledger=ledger)
         x_new = mma.step(x, ev.objective, ev.d_objective, ev.constraints,
                          ev.d_constraints)
         max_change = float(np.abs(x_new - x).max())

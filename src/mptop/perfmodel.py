@@ -5,7 +5,9 @@ sweeps, for a 2D discretization (bandwidth scaling with sqrt(n)):
 
 * sparse direct — banded Cholesky: n^2 + 2 l n^(3/2)
 * sparse iterative — preconditioned CG at ~sqrt(n) iterations of 2 n^(3/2)
-  work each: 2 l n^2 (preconditioner construction neglected)
+  work each: 2 l n^2 (preconditioner construction neglected). This is a
+  predicted-only curve: the library has no iterative solver, so
+  :func:`measure_runtime_gain` compares against the direct model.
 * dense direct — Cholesky with dense back-substitution: n^3/3 + 2 l n^2
 
 The dense back-substitution term is quadratic per right-hand side, as a
@@ -102,8 +104,7 @@ class RuntimeGain:
     repeats: int
 
 
-def measure_runtime_gain(problem, x=None, repeats: int = 3,
-                         backend: str = "direct") -> RuntimeGain:
+def measure_runtime_gain(problem, x=None, repeats: int = 3) -> RuntimeGain:
     """Measured wall-clock gain of the condensed pipeline on one problem.
 
     Only preprocessing and solve time is compared (the ledgers time exactly
@@ -117,18 +118,18 @@ def measure_runtime_gain(problem, x=None, repeats: int = 3,
     t_elem, t_cond = [], []
     for rep in range(repeats + 1):
         ledger = CostLedger()
-        solve_elementary(K, problem.sets, backend=backend, ledger=ledger)
+        solve_elementary(K, problem.sets, ledger=ledger)
         if rep:
             t_elem.append(ledger.seconds_total())
         ledger = CostLedger()
         model = condense(K, problem.plan, problem.sec_loads,
-                         problem.sec_values, backend=backend, ledger=ledger)
+                         problem.sec_values, ledger=ledger)
         solve_condensed(model, problem.sets, ledger=ledger)
         if rep:
             t_cond.append(ledger.seconds_total())
     te = float(np.median(t_elem))
     tc = float(np.median(t_cond))
-    fm = FlopModel(backend)
+    fm = FlopModel("direct")
     if problem.kind == "problem1":
         xi_pred = gain_problem1(fm, problem.plan.n, problem.plan.m)
     elif problem.kind == "problem2":

@@ -149,7 +149,7 @@ def build_problem2(nelx: int, nely: int, n_inputs: int, jbar,
 # ---------------------------------------------------------------------------
 
 def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
-             backend: str = "direct", want_grads: bool = True,
+             want_grads: bool = True,
              ledger: CostLedger | None = None) -> Evaluation:
     """One full response (and gradient) evaluation at design ``x``.
 
@@ -163,7 +163,7 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     K = assemble(grid, design)
     if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
-                         problem.sec_values, backend=backend, ledger=ledger)
+                         problem.sec_values, ledger=ledger)
         sol = solve_condensed(model, problem.sets, ledger=ledger)
         free_sets = problem.plan.free_primary
 
@@ -172,8 +172,7 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
                                         problem.sets, adjoints, ledger=ledger)
     elif pipeline == "elementary":
         model = None
-        sol = solve_elementary(K, problem.sets, backend=backend,
-                               ledger=ledger)
+        sol = solve_elementary(K, problem.sets, ledger=ledger)
         free_sets = [aset.free for aset in problem.sets]
 
         def gradient(adjoints):

@@ -1,21 +1,18 @@
-"""Symmetric sparse matrices, submatrix selection and linear-solution backends.
+"""Symmetric sparse matrices, submatrix selection and the linear solvers.
 
-Two backends are provided behind one :class:`Factorization` interface:
+Large sparse SPD systems are solved by one :class:`Factorization`: banded
+Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the better of two orders, the
+natural one or reverse Cuthill–McKee (Cuthill & McKee 1969) when that gives
+a strictly smaller bandwidth. The permutation stays inside the handle, so
+callers pass and receive vectors in natural order, and the cost tracks the
+smaller bandwidth, whatever the grid's orientation. A band too large to
+allocate raises :class:`BandStorageError` with its size. There is no
+CG solver: with an ichol0 preconditioner it condensed the three benchmark
+problems 48-232x slower than this one, so its cost is only a predicted
+curve in :mod:`mptop.perfmodel`.
 
-* ``direct`` — banded Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the better of
-  two orders: the natural one, or reverse Cuthill–McKee (Cuthill & McKee
-  1969) when that gives a strictly smaller bandwidth. The permutation stays
-  inside the handle, so callers pass and receive vectors in natural order,
-  and the cost tracks the smaller bandwidth, whatever the grid's orientation.
-  A band too large to allocate raises :class:`BandStorageError` with its size.
-* ``iterative`` — preconditioned conjugate gradients with a zero-fill
-  incomplete Cholesky preconditioner, stopping at the relative residual
-  :data:`CG_TOL` (1e-12). On an incomplete-Cholesky breakdown it warns
-  (``RuntimeWarning``) and falls back to the diagonal Jacobi preconditioner.
-
-Dense blocks arising from condensed systems always use a dense Cholesky
-(:class:`DenseCholesky`) regardless of the backend chosen for the large
-sparse systems.
+Dense blocks arising from condensed systems use a dense Cholesky
+(:class:`DenseCholesky`).
 
 Every handle solves through one shared path, which can report into a
 :class:`CostLedger`: one event per factorization / multi-RHS solve with its
@@ -25,7 +22,7 @@ A handle of an empty block solves trivially and records nothing.
 from __future__ import annotations
 
 import time
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +33,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 class SingularMatrixError(RuntimeError):
     """Raised when a matrix expected to be SPD has a non-positive pivot."""
-
-
-class IterativeSolveError(RuntimeError):
-    """Raised when CG fails to reach the target residual within the cap."""
 
 
 class BandStorageError(MemoryError):
@@ -139,21 +132,13 @@ class CostLedger:
     events: list = field(default_factory=list)
     _phase: str = "response"
 
-    class _Phase:
-        def __init__(self, ledger, name):
-            self.ledger, self.name = ledger, name
-
-        def __enter__(self):
-            self.prev = self.ledger._phase
-            self.ledger._phase = self.name
-            return self.ledger
-
-        def __exit__(self, *exc):
-            self.ledger._phase = self.prev
-            return False
-
+    @contextmanager
     def phase(self, name: str):
-        return CostLedger._Phase(self, name)
+        prev, self._phase = self._phase, name
+        try:
+            yield self
+        finally:
+            self._phase = prev
 
     def record(self, op, matrix, dim, nrhs, flops, seconds):
         self.events.append(
@@ -268,10 +253,6 @@ def _flops_dense_solve(n, nrhs):
 # factorizations
 # ---------------------------------------------------------------------------
 
-BACKENDS = ("direct", "iterative")
-CG_TOL = 1e-12  # relative residual at which the iterative backend's CG stops
-
-
 def _to_banded_upper(row, col, data, n: int, k: int) -> np.ndarray:
     """LAPACK upper-banded storage of the n x n matrix with entries
     ``A[row, col] = data``: ab[k + i - j, j] = A[i, j] for i <= j."""
@@ -298,41 +279,6 @@ def _narrower_order(K: SymmetricSparse, coo: sp.coo_matrix):
     if k_rcm < K.bandwidth:
         return row, col, k_rcm, perm
     return coo.row, coo.col, K.bandwidth, None
-
-
-def _ichol0(lower: sp.csc_matrix):
-    """Zero-fill incomplete Cholesky of the lower triangle, in CSC order.
-
-    Returns the factor L (csc) or None if a pivot goes non-positive.
-    """
-    L = lower.copy()
-    L.sort_indices()
-    n = L.shape[0]
-    indptr, indices, data = L.indptr, L.indices, L.data
-    col_of = [dict() for _ in range(n)]
-    for j in range(n):
-        for p in range(indptr[j], indptr[j + 1]):
-            col_of[j][indices[p]] = p
-    for j in range(n):
-        p0, p1 = indptr[j], indptr[j + 1]
-        if p1 == p0 or indices[p0] != j:
-            return None
-        diag = data[p0]
-        if diag <= 0.0:
-            return None
-        d = np.sqrt(diag)
-        data[p0] = d
-        data[p0 + 1:p1] /= d
-        for p in range(p0 + 1, p1):
-            i = indices[p]
-            lij = data[p]
-            tgt = col_of[i]
-            for q in range(p, p1):
-                r = indices[q]
-                hit = tgt.get(r)
-                if hit is not None:
-                    data[hit] -= data[q] * lij
-    return L
 
 
 class _Solver:
@@ -374,118 +320,48 @@ class _Solver:
 class Factorization(_Solver):
     """Reusable handle for solving against one sparse SPD matrix.
 
-    The matrix is processed exactly once at construction; any number of
+    The matrix is factorized exactly once at construction; any number of
     right-hand sides can then be solved without re-factorizing. Instances are
-    immutable and safe to share. ``maxiter`` caps the CG iterations per
-    column of the ``iterative`` backend. ``bandwidth`` is the half-bandwidth
-    the ``direct`` backend factorized, in the order it chose; it is None for
-    ``iterative``.
+    immutable and safe to share. ``bandwidth`` is the half-bandwidth
+    factorized, in the order chosen (None for an empty block).
     """
 
     matrix = "sparse"
 
-    def __init__(self, K: SymmetricSparse, backend: str = "direct",
-                 maxiter: int | None = None,
-                 ledger: CostLedger | None = None):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        self.maxiter = maxiter if maxiter is not None else int(10 * np.sqrt(K.n) + 100)
+    def __init__(self, K: SymmetricSparse, *, ledger: CostLedger | None = None):
         self.bandwidth = None
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
-        if self.backend == "direct":
-            coo = K.mat.tocoo()
-            row, col, kbw, self._perm = _narrower_order(K, coo)
-            try:
-                ab = _to_banded_upper(row, col, coo.data, K.n, kbw)
-            except MemoryError as exc:
-                raise BandStorageError(
-                    f"cannot allocate banded storage for n={K.n}, bandwidth "
-                    f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
-            try:
-                self._cb = cholesky_banded(ab, lower=False)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
-                ) from exc
-            self.bandwidth = kbw
-            return _flops_banded_factor(K.n, kbw)
-        self._mat = K.mat
-        lower = sp.tril(K.mat).tocsc()
-        L = _ichol0(lower)
-        if L is not None:
-            self._pc = ("ichol", L, sp.csr_matrix(L.T))
-        else:
-            diag = K.mat.diagonal()
-            if np.any(diag <= 0):
-                raise SingularMatrixError("non-positive diagonal; matrix not SPD")
-            warnings.warn(
-                f"incomplete Cholesky broke down on a non-positive pivot "
-                f"(n={K.n}); CG falls back to the Jacobi preconditioner",
-                RuntimeWarning)
-            self._pc = ("jacobi", 1.0 / diag, None)
-        return 2.0 * K.mat.nnz
+        coo = K.mat.tocoo()
+        row, col, kbw, self._perm = _narrower_order(K, coo)
+        try:
+            ab = _to_banded_upper(row, col, coo.data, K.n, kbw)
+        except MemoryError as exc:
+            raise BandStorageError(
+                f"cannot allocate banded storage for n={K.n}, bandwidth "
+                f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
+        try:
+            self._cb = cholesky_banded(ab, lower=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
+            ) from exc
+        self.bandwidth = kbw
+        return _flops_banded_factor(K.n, kbw)
 
     def _kernel(self, B):
-        if self.backend == "direct":
-            fl = _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
-            if self._perm is None:
-                return cho_solve_banded((self._cb, False), B), fl
-            X = np.empty_like(B)
-            X[self._perm] = cho_solve_banded((self._cb, False), B[self._perm])
-            return X, fl
+        fl = _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
+        if self._perm is None:
+            return cho_solve_banded((self._cb, False), B), fl
         X = np.empty_like(B)
-        iters = 0
-        for c in range(B.shape[1]):
-            X[:, c], nit = self._solve_cg_column(B[:, c])
-            iters += nit
-        return X, iters * (2.0 * self._mat.nnz + 10.0 * self.n)
-
-    # -- preconditioner -----------------------------------------------------
-    def _apply_pc(self, r):
-        kind, a, b = self._pc
-        if kind == "jacobi":
-            return a * r
-        y = sp.linalg.spsolve_triangular(a, r, lower=True)
-        return sp.linalg.spsolve_triangular(b, y, lower=False)
-
-    def _solve_cg_column(self, b):
-        n = self.n
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros(n), 0
-        x = np.zeros(n)
-        r = b.copy()
-        z = self._apply_pc(r)
-        p = z.copy()
-        rz = r @ z
-        for it in range(1, self.maxiter + 1):
-            Ap = self._mat @ p
-            pAp = p @ Ap
-            if pAp <= 0.0:
-                raise SingularMatrixError(
-                    "CG breakdown: matrix is not positive definite")
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            if np.linalg.norm(r) <= CG_TOL * bnorm:
-                return x, it
-            z = self._apply_pc(r)
-            rz_new = r @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise IterativeSolveError(
-            f"CG did not converge in {self.maxiter} iterations "
-            f"(relative residual {np.linalg.norm(r) / bnorm:.3e}, target {CG_TOL:.1e})"
-        )
+        X[self._perm] = cho_solve_banded((self._cb, False), B[self._perm])
+        return X, fl
 
 
-def factorize(K: SymmetricSparse, backend: str = "direct",
-              ledger: CostLedger | None = None,
-              maxiter: int | None = None) -> Factorization:
-    return Factorization(K, backend=backend, maxiter=maxiter, ledger=ledger)
+def factorize(K: SymmetricSparse, *,
+              ledger: CostLedger | None = None) -> Factorization:
+    return Factorization(K, ledger=ledger)
 
 
 class DenseCholesky(_Solver):

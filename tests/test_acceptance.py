@@ -40,9 +40,9 @@ def test_criterion_1_condensation_exactness():
         if plan.m == 0:
             continue
         checked += 1
-        model = condense(K, plan, sec_loads, sec_values, backend="direct")
+        model = condense(K, plan, sec_loads, sec_values)
         cond = solve_condensed(model, sets)
-        elem = solve_elementary(K, sets, backend="direct")
+        elem = solve_elementary(K, sets)
         for i in range(len(sets)):
             a = cond.primary_states(plan, i)
             b = elem.primary_states(plan, i)
@@ -177,7 +177,7 @@ def test_criterion_5_measured_runtime_gain():
     t0 = time.perf_counter()
     problem = build_problem1(99, 99, m=32, vbar=0.3, seed=0)
     assert problem.plan.n == 10 ** 4
-    out = measure_runtime_gain(problem, repeats=3, backend="direct")
+    out = measure_runtime_gain(problem, repeats=3)
     elapsed = time.perf_counter() - t0
     ok = (out.xi_measured >= 5.0
           and out.xi_predicted / 3.0 <= out.xi_measured <= 3.0 * out.xi_predicted
@@ -243,7 +243,6 @@ vbar = 0.3
 seed = 9
 [solver]
 pipeline = both
-backend = direct
 [optimizer]
 max_iters = 6
 tol = 0.0

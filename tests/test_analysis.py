@@ -91,24 +91,6 @@ class TestCondensedPipeline:
                 scale = max(np.abs(b).max(), 1e-30)
                 assert np.abs(a - b).max() <= 1e-9 * scale
 
-    def test_equivalence_iterative_large_solve(self):
-        rng = np.random.default_rng(24)
-        checked = 0
-        while checked < 3:
-            K, sets, grid, _ = random_conduction_problem(rng, max_grid=10)
-            plan, sec_loads, sec_values = plan_and_secondary(sets, grid.n_dofs)
-            if plan.m == 0 or plan.f_sec == 0:
-                continue
-            checked += 1
-            model = condense(K, plan, sec_loads, sec_values, backend="iterative")
-            cond = solve_condensed(model, sets)
-            elem = solve_elementary(K, sets, backend="direct")
-            for i in range(len(sets)):
-                a = cond.primary_states(plan, i)
-                b = elem.primary_states(plan, i)
-                scale = max(np.abs(b).max(), 1e-30)
-                assert np.abs(a - b).max() <= 1e-6 * scale
-
     def test_cost_split(self):
         rng = np.random.default_rng(25)
         K, sets, grid, _ = random_conduction_problem(rng, max_grid=8)

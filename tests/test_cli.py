@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from mptop import cli
 from mptop.cli import (
     ConfigError,
     build_problem,
@@ -58,7 +57,6 @@ class TestConfig:
     def test_defaults_and_overrides(self):
         cfg = parse_config("[problem]\nkind = problem2\n")
         assert cfg.kind == "problem2"
-        assert cfg.backend == "direct"
         assert cfg.jbar == ((0.5, 2.0), (1.0, -1.0))
 
     def test_matrix_literal(self):
@@ -76,6 +74,12 @@ class TestConfig:
         assert "bogus" in str(err.value)
         with pytest.raises(ConfigError):
             parse_config("[problem]\nkind = problem9\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config("[gain]\nm_count = 3\nmeasure = ture\n")
+        assert "line 3" in str(err.value) and "ture" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config("[solver]\nbackend = direct\n")
+        assert "line 2: unknown key [solver] backend" in str(err.value)
 
     def test_build_problem_dispatch(self):
         p1 = build_problem(parse_config("[problem]\nkind = problem1\nnelx = 5"
@@ -115,22 +119,10 @@ class TestRun:
             g0e = float(le.split("\t")[1])
             assert abs(g0c - g0e) <= 1e-6 * abs(g0e)
 
-    def test_zero_iterations_writes_initial_design(self, tmp_path,
-                                                   monkeypatch):
+    def test_zero_iterations_writes_initial_design(self, tmp_path):
         text = P1_SMALL.format(out=tmp_path).replace(
-            "max_iters = 4", "max_iters = 0").replace(
-            "pipeline = both", "pipeline = both\nbackend = iterative")
-        cfg = parse_config(text)
-        backends = []
-        real_evaluate = cli.evaluate
-
-        def recording_evaluate(*args, **kwargs):
-            backends.append(kwargs.get("backend"))
-            return real_evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
-        cmd_run(cfg)
-        assert backends == ["iterative", "iterative"]  # one per pipeline
+            "max_iters = 4", "max_iters = 0")
+        cmd_run(parse_config(text))
         log = (tmp_path / "iterations_condensed.tsv").read_text().splitlines()
         assert len(log) == 1  # header only
         csv = np.loadtxt(tmp_path / "density_condensed.csv", delimiter=",")
@@ -186,11 +178,6 @@ class TestVerify:
                            "m = 3\n")
         assert cmd_verify(cfg) == 0
         assert "ok" in capsys.readouterr().out
-
-    def test_problem1_iterative(self):
-        cfg = parse_config("[problem]\nkind = problem1\nnelx = 6\nnely = 6\n"
-                           "m = 3\n[solver]\nbackend = iterative\n")
-        assert cmd_verify(cfg) == 0
 
     def test_problem2_direct(self):
         cfg = parse_config("[problem]\nkind = problem2\nnelx = 6\nnely = 6\n")

@@ -1,4 +1,4 @@
-"""Storage, extraction and the two solve backends."""
+"""Storage, extraction and the sparse and dense solvers."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +11,6 @@ from mptop.sparse import (
     CostLedger,
     DenseCholesky,
     IndexSet,
-    IterativeSolveError,
     SingularMatrixError,
     SymmetricSparse,
     _flops_banded_factor,
@@ -144,12 +143,7 @@ class TestFactorize:
     def test_singular_direct(self):
         K = SymmetricSparse.from_dense([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
-            factorize(K, "direct")
-
-    def test_singular_cg(self):
-        K = SymmetricSparse.from_dense([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises((SingularMatrixError, IterativeSolveError)):
-            factorize(K, "iterative").solve(np.array([1.0, -1.0]))
+            factorize(K)
 
     def test_zero_rhs(self):
         rng = np.random.default_rng(1)
@@ -242,50 +236,6 @@ class TestOrdering:
         assert f"n={K.n}" in msg
         assert f"bandwidth {k}" in msg
         assert f"{(k + 1) * K.n * 8} bytes" in msg
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("n,band", [(40, 3), (160, 6), (500, 8)])
-    def test_direct_vs_cg(self, n, band):
-        rng = np.random.default_rng(n)
-        K = random_spd_banded(n, band, rng)
-        B = rng.normal(size=(n, 3))
-        Xd = factorize(K, "direct").solve(B)
-        Xi = factorize(K, "iterative").solve(B)
-        err = np.abs(Xd - Xi).max() / np.abs(Xd).max()
-        assert err <= 1e-7
-
-    def test_cg_residual_tolerance(self):
-        rng = np.random.default_rng(9)
-        K = random_spd_banded(120, 5, rng)
-        b = rng.normal(size=120)
-        x = factorize(K, "iterative").solve(b)
-        assert np.linalg.norm(K.mat @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-    def test_ichol_breakdown_falls_back_to_jacobi(self):
-        # SPD but not an M-matrix: zero-fill incomplete Cholesky hits a
-        # non-positive pivot, and the diagonal preconditioner takes over
-        K = SymmetricSparse.from_dense(
-            [[3.0, -2.0, 0.0, 2.0], [-2.0, 3.0, -2.0, 0.0],
-             [0.0, -2.0, 3.0, -2.0], [2.0, 0.0, -2.0, 3.0]])
-        with pytest.warns(RuntimeWarning, match="Jacobi"):
-            f = factorize(K, "iterative")
-        b = np.array([1.0, 2.0, -1.0, 0.5])
-        x = f.solve(b)
-        np.testing.assert_allclose(K.mat @ x, b, atol=1e-10)
-
-    def test_cg_iteration_cap(self):
-        # 5-point Laplacian on a 12x12 grid has fill, so IC(0) is not exact
-        g = 12
-        lap1 = sp.diags([2.0 * np.ones(g), -np.ones(g - 1), -np.ones(g - 1)],
-                        [0, 1, -1])
-        K = SymmetricSparse(
-            (sp.kron(sp.identity(g), lap1) + sp.kron(lap1, sp.identity(g))
-             + 0.01 * sp.identity(g * g)).tocsr())
-        rng = np.random.default_rng(10)
-        with pytest.raises(IterativeSolveError) as err:
-            factorize(K, "iterative", maxiter=2).solve(rng.normal(size=g * g))
-        assert "residual" in str(err.value)
 
 
 class TestDenseCholesky:
