@@ -232,10 +232,13 @@ def write_iteration_log(path, history, n_cons):
 
 
 def write_timings(path, history):
+    """Wall time and MMA dual health per iteration (not deterministic)."""
     with open(path, "w") as fh:
-        fh.write("iteration\tseconds\n")
+        fh.write("iteration\tseconds\tdual_sweeps\tdual_newton"
+                 "\tdual_residual\n")
         for r in history:
-            fh.write(f"{r.iteration}\t{r.seconds:.6f}\n")
+            fh.write(f"{r.iteration}\t{r.seconds:.6f}\t{r.dual_sweeps}"
+                     f"\t{r.dual_newton}\t{r.dual_residual:.3e}\n")
 
 
 def write_density_pgm(path, problem, x_filtered):

@@ -1,10 +1,16 @@
 """Design updates via the method of moving asymptotes (Svanberg, 1987).
 
-The update solves the separable convex subproblem through its dual:
-the primal minimizer has a closed form per variable given the multipliers,
-and the multipliers are found by cyclic bisection on the dual gradient,
-which is exact for one constraint and converges quickly for the handful of
-constraints these problems carry.
+The update solves the separable convex subproblem through its dual. Given
+the multipliers, the primal minimizer has a closed form per variable; the
+multipliers maximize the concave dual on [0, penalty]^h. Each sweep of the
+dual solve is a coordinate pass, which finds every multiplier in turn by
+bracketed false position and so copes with the near-kinks where a variable
+jumps between its move limits, followed by one projected Newton step on the
+interior multipliers (Bertsekas, 1982), which resolves the coupling that
+stalls plain cyclic coordinate ascent when constraint gradients are nearly
+parallel. The solve runs to a projected dual gradient of 1e-12 relative to
+its terms; one that cannot get there raises MMADualError instead of
+returning an inexact design.
 
 A small deadband on the oscillation indicator keeps the asymptote update
 deterministic when two mathematically equivalent pipelines feed the
@@ -21,8 +27,18 @@ from .problems import ProblemSpec, evaluate
 from .sparse import CostLedger
 
 
+class MMADualError(RuntimeError):
+    """The MMA subproblem dual did not converge within its sweep cap."""
+
+
 class MMA:
     """Moving-asymptote update for min g0 s.t. g <= 0, bounds on x."""
+
+    # the dual solve stops when every component of the projected dual
+    # gradient is below dual_tol times the magnitude of its terms, and
+    # raises MMADualError after max_sweeps coordinate passes
+    dual_tol = 1e-12
+    max_sweeps = 100
 
     def __init__(self, n_vars: int, n_cons: int, lower, upper,
                  move: float = 0.2, asy_init: float = 0.5,
@@ -46,6 +62,10 @@ class MMA:
         self.upp = None
         self.xold1 = None
         self.xold2 = None
+        # health of the last dual solve: passes, Newton steps, residual
+        self.dual_sweeps = 0
+        self.dual_newton = 0
+        self.dual_residual = 0.0
 
     def step(self, x, g0, dg0, g=None, dg=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -89,61 +109,175 @@ class MMA:
                         + 0.001 * np.maximum(-dg0, 0.0) + base)
         q0 = dl ** 2 * (0.001 * np.maximum(dg0, 0.0)
                         + 1.001 * np.maximum(-dg0, 0.0) + base)
-        if self.h:
-            P = du ** 2 * (1.001 * np.maximum(dg, 0.0)
-                           + 0.001 * np.maximum(-dg, 0.0) + base)
-            Q = dl ** 2 * (0.001 * np.maximum(dg, 0.0)
-                           + 1.001 * np.maximum(-dg, 0.0) + base)
-            b = P @ (1.0 / du) + Q @ (1.0 / dl) - g
-        else:
-            P = Q = b = None
-
-        def x_of(lam):
-            pl = p0 if not self.h else p0 + lam @ P
-            ql = q0 if not self.h else q0 + lam @ Q
-            sp = np.sqrt(pl)
-            sq = np.sqrt(ql)
-            xl = (self.low * sp + self.upp * sq) / (sp + sq)
-            return np.clip(xl, alpha, beta)
-
         if not self.h:
-            return x_of(None)
+            return self._primal(p0, q0, alpha, beta)
+        P = du ** 2 * (1.001 * np.maximum(dg, 0.0)
+                       + 0.001 * np.maximum(-dg, 0.0) + base)
+        Q = dl ** 2 * (0.001 * np.maximum(dg, 0.0)
+                       + 1.001 * np.maximum(-dg, 0.0) + base)
+        b = P @ (1.0 / du) + Q @ (1.0 / dl) - g
+        x_new, self.dual_sweeps, self.dual_newton, self.dual_residual = \
+            self._solve_dual(p0, q0, P, Q, b, alpha, beta)
+        return x_new
 
-        def residual(lam):
-            xl = x_of(lam)
-            return P @ (1.0 / (self.upp - xl)) + Q @ (1.0 / (xl - self.low)) - b
+    def _primal(self, pl, ql, alpha, beta):
+        """Closed-form subproblem minimizer for the folded terms pl, ql."""
+        sp = np.sqrt(pl)
+        sq = np.sqrt(ql)
+        return np.clip((self.low * sp + self.upp * sq) / (sp + sq),
+                       alpha, beta)
+
+    def _solve_dual(self, p0, q0, P, Q, b, alpha, beta):
+        """Subproblem minimizer through the concave dual on [0, penalty]^h.
+
+        Alternates a coordinate pass (bracketed false position on each
+        monotone dual-gradient component) with one projected Newton step on
+        the interior multipliers. Returns (x, sweeps, Newton steps,
+        residual); raises MMADualError when ``max_sweeps`` passes leave the
+        scaled projected gradient above ``dual_tol``.
+        """
+        low, upp, cap = self.low, self.upp, self.penalty
+
+        def measure(lam):
+            pl = p0 + lam @ P
+            ql = q0 + lam @ Q
+            x = self._primal(pl, ql, alpha, beta)
+            ui = 1.0 / (upp - x)
+            li = 1.0 / (x - low)
+            terms = P @ ui + Q @ li
+            grad = terms - b
+            value = pl @ ui + ql @ li - lam @ b
+            proj = np.abs(lam - np.clip(lam + grad, 0.0, cap))
+            res = float((proj / (terms + np.abs(b))).max())
+            return dict(lam=lam, x=x, pl=pl, ql=ql, ui=ui, li=li,
+                        grad=grad, value=value, res=res)
 
         lam = np.zeros(self.h)
-        for _ in range(50):
-            change = 0.0
+        newton = 0
+        for sweep in range(1, self.max_sweeps + 1):
+            pl = p0 + lam @ P
+            ql = q0 + lam @ Q
             for i in range(self.h):
-                new = self._bisect_coord(residual, lam, i)
-                change = max(change, abs(new - lam[i]))
+                new = self._coordinate(lam[i], pl, ql, P[i], Q[i], b[i],
+                                       alpha, beta)
+                pl += (new - lam[i]) * P[i]
+                ql += (new - lam[i]) * Q[i]
                 lam[i] = new
-            if change <= 1e-12 * (1.0 + np.abs(lam).max()):
-                break
-        return x_of(lam)
+            cur = measure(lam)
+            point = None
+            if cur["res"] > self.dual_tol:
+                point = self._newton(cur, P, Q, alpha, beta)
+            if point is not None:
+                trial = measure(point)
+                if trial["value"] > cur["value"] or trial["res"] < cur["res"]:
+                    cur = trial
+                    newton += 1
+            if cur["res"] <= self.dual_tol:
+                return cur["x"], sweep, newton, cur["res"]
+            lam = cur["lam"].copy()
+        raise MMADualError(
+            f"MMA dual did not converge at iteration {self.iteration}: "
+            f"h={self.h}, projected-gradient residual {cur['res']:.3e} "
+            f"after {self.max_sweeps} sweeps")
 
-    def _bisect_coord(self, residual, lam, i, tol=1e-11):
-        """Root of the i-th dual stationarity condition in [0, penalty]."""
-        trial = lam.copy()
-        trial[i] = 0.0
-        if residual(trial)[i] <= 0.0:
-            return 0.0
-        trial[i] = self.penalty
-        if residual(trial)[i] >= 0.0:
-            return self.penalty
-        lo, hi = 0.0, self.penalty
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            trial[i] = mid
-            if residual(trial)[i] > 0.0:
-                lo = mid
+    def _newton(self, cur, P, Q, alpha, beta):
+        """Projected Newton trial point from ``cur``, or None.
+
+        Newton ascent on the interior multipliers of the local quadratic
+        model. While the step leaves [0, penalty], the multiplier that
+        leaves first is fixed at its bound and the step is re-solved for
+        the rest.
+        """
+        lam = cur["lam"]
+        fx = (cur["x"] > alpha) & (cur["x"] < beta)
+        free = (lam > 0.0) & (lam < self.penalty)
+        if not fx.any():
+            return None
+        ui, li = cur["ui"][fx], cur["li"][fx]
+        jac = P[:, fx] * ui ** 2 - Q[:, fx] * li ** 2
+        curv = 2.0 * (cur["pl"][fx] * ui ** 3 + cur["ql"][fx] * li ** 3)
+        hess = (jac / curv) @ jac.T
+        new = lam.copy()
+        while free.any():
+            fixed = ~free
+            rhs = cur["grad"][free] - hess[free][:, fixed] @ (new - lam)[fixed]
+            try:
+                new[free] = lam[free] + np.linalg.solve(
+                    hess[free][:, free], rhs)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(new)):
+                return None
+            out = free & ((new < 0.0) | (new > self.penalty))
+            if not out.any():
+                return new
+            # fix the multiplier whose step leaves the box first
+            idx = np.flatnonzero(out)
+            bound = np.clip(new[idx], 0.0, self.penalty)
+            k = np.argmin((bound - lam[idx]) / (new[idx] - lam[idx]))
+            new[idx[k]] = bound[k]
+            free[idx[k]] = False
+        return None
+
+    def _coordinate(self, t0, pl, ql, Pi, Qi, bi, alpha, beta):
+        """Root in [0, penalty] of one dual-gradient component.
+
+        The component (terms ``Pi``, ``Qi``, ``bi``) decreases in its own
+        multiplier, now ``t0``; the other multipliers stay as folded into
+        ``pl``/``ql``. Illinois false position on the bracket, each
+        evaluation O(n).
+        """
+        low, upp = self.low, self.upp
+        tol = 0.25 * self.dual_tol
+
+        def f(t):
+            x = self._primal(pl + (t - t0) * Pi, ql + (t - t0) * Qi,
+                             alpha, beta)
+            terms = Pi @ (1.0 / (upp - x)) + Qi @ (1.0 / (x - low))
+            return terms - bi, tol * (terms + abs(bi))
+
+        f0, eps = f(t0)
+        if abs(f0) <= eps:
+            return t0
+        if f0 > 0.0:
+            if t0 >= self.penalty:
+                return t0
+            a, fa = t0, f0
+            c = self.penalty
+            fc, eps = f(c)
+            if fc >= 0.0:
+                return c
+        else:
+            if t0 <= 0.0:
+                return t0
+            c, fc = t0, f0
+            a = 0.0
+            fa, eps = f(a)
+            if fa <= 0.0:
+                return a
+        # Illinois: an end kept twice in a row has its value halved, so the
+        # secant cannot stall against it
+        side = 0
+        for _ in range(200):
+            t = c - fc * (c - a) / (fc - fa)
+            if not a < t < c:
+                t = 0.5 * (a + c)
+            ft, eps = f(t)
+            if abs(ft) <= eps:
+                return t
+            if ft > 0.0:
+                a, fa = t, ft
+                if side == 1:
+                    fc *= 0.5
+                side = 1
             else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, hi):
+                c, fc = t, ft
+                if side == -1:
+                    fa *= 0.5
+                side = -1
+            if c - a <= 4.0 * np.spacing(c):
                 break
-        return 0.5 * (lo + hi)
+        return 0.5 * (a + c)
 
 
 @dataclass
@@ -157,6 +291,9 @@ class IterationRecord:
     dense_factorizations: int
     adjoint_rhs: int
     seconds: float
+    dual_sweeps: int
+    dual_newton: int
+    dual_residual: float
 
 
 @dataclass
@@ -200,6 +337,9 @@ def optimize(problem: ProblemSpec, pipeline: str = "condensed",
             dense_factorizations=ledger.count(op="factorize", matrix="dense"),
             adjoint_rhs=ledger.rhs_total(op="solve", phase="adjoint"),
             seconds=time.perf_counter() - t0,
+            dual_sweeps=mma.dual_sweeps,
+            dual_newton=mma.dual_newton,
+            dual_residual=mma.dual_residual,
         )
         result.history.append(record)
         if keep_ledgers:

@@ -128,6 +128,17 @@ class TestRun:
         csv = np.loadtxt(tmp_path / "density_condensed.csv", delimiter=",")
         np.testing.assert_allclose(csv, 0.35, atol=1e-12)
 
+    def test_timings_carry_dual_health(self, tmp_path):
+        cmd_run(parse_config(P2_SMALL.format(out=tmp_path)))
+        rows = [line.split("\t") for line in
+                (tmp_path / "timings_condensed.tsv").read_text().splitlines()]
+        assert rows[0] == ["iteration", "seconds", "dual_sweeps",
+                           "dual_newton", "dual_residual"]
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert int(row[2]) >= 1
+            assert 0.0 <= float(row[4]) <= 1e-12
+
     def test_pgm_format_and_conventions(self, tmp_path):
         cfg = parse_config(P2_SMALL.format(out=tmp_path))
         cmd_run(cfg)

@@ -2,8 +2,50 @@
 import numpy as np
 import pytest
 
-from mptop.optimizer import MMA, optimize
+from mptop.optimizer import MMA, MMADualError, optimize
 from mptop.problems import build_problem1, build_problem2
+
+
+def _subproblem(mma, x, dg0, g, dg):
+    """The convex subproblem of ``mma``'s last step, rebuilt from its terms.
+
+    Returns the objective and constraint terms, the move box and the
+    closed-form minimizer ``x_of(lam)``.
+    """
+    span = mma.upper - mma.lower
+    low, upp = mma.low, mma.upp
+    alpha = np.maximum.reduce([mma.lower, low + 0.1 * (x - low),
+                               x - mma.move * span])
+    beta = np.minimum.reduce([mma.upper, upp - 0.1 * (upp - x),
+                              x + mma.move * span])
+    du, dl = upp - x, x - low
+    base = mma.raa0 / span
+
+    def pq(d):
+        pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
+        return (du ** 2 * (1.001 * pos + 0.001 * neg + base),
+                dl ** 2 * (0.001 * pos + 1.001 * neg + base))
+
+    p0, q0 = pq(dg0)
+    P, Q = pq(dg)
+    b = P @ (1.0 / du) + Q @ (1.0 / dl) - g
+
+    def x_of(lam):
+        sp, sq = np.sqrt(p0 + lam @ P), np.sqrt(q0 + lam @ Q)
+        return np.clip((low * sp + upp * sq) / (sp + sq), alpha, beta)
+
+    return dict(p0=p0, q0=q0, P=P, Q=Q, b=b, alpha=alpha, beta=beta,
+                x_of=x_of)
+
+
+def _nearly_parallel(seed=0, n=200, h=4):
+    """Constraint rows base + 1e-3 noise, every constraint violated."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.5, 1.5, n) / n
+    dg = base + 1e-3 * rng.standard_normal((h, n)) / n
+    g = 0.05 + 0.01 * rng.random(h)
+    dg0 = -rng.uniform(0.5, 1.5, n)
+    return np.full(n, 0.5), dg0, g, dg
 
 
 class TestMMA:
@@ -61,6 +103,84 @@ class TestMMA:
         mma = MMA(2, 0, lower=0.0, upper=1.0)
         with pytest.raises(ValueError):
             mma.step(np.array([0.5, 0.5]), 1.0, np.array([np.nan, 0.0]))
+
+
+class TestMMADual:
+    def test_nearly_parallel_constraints_meet_kkt(self):
+        # the regime where cyclic coordinate ascent stalls: four violated
+        # constraints with almost the same gradient
+        x, dg0, g, dg = _nearly_parallel()
+        mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
+        x_new = mma.step(x, 0.0, dg0, g, dg)
+        # the coupling is resolved by Newton steps, not by sweeping
+        assert 1 <= mma.dual_newton <= mma.dual_sweeps
+        assert mma.dual_residual <= MMA.dual_tol
+        sub = _subproblem(mma, x, dg0, g, dg)
+        ui = 1.0 / (mma.upp - x_new)
+        li = 1.0 / (x_new - mma.low)
+        terms = sub["P"] @ ui + sub["Q"] @ li
+        gt = terms - sub["b"]
+        scale = terms + np.abs(sub["b"])
+        # multipliers recovered from stationarity in the interior variables
+        free = (x_new > sub["alpha"]) & (x_new < sub["beta"])
+        assert free.sum() > g.size
+        d0 = sub["p0"] * ui ** 2 - sub["q0"] * li ** 2
+        D = sub["P"] * ui ** 2 - sub["Q"] * li ** 2
+        w = 1.0 / np.abs(d0[free])
+        lam = np.linalg.lstsq((D[:, free] * w).T, -d0[free] * w,
+                              rcond=None)[0]
+        stationarity = (d0 + lam @ D)[free] * w
+        assert np.abs(stationarity).max() <= 1e-9
+        assert np.all(lam >= -1e-9 * lam.max())
+        assert np.all(gt <= 1e-9 * scale)
+        # complementarity, against the size of the multipliers
+        assert np.all(np.abs(lam * gt) <= 1e-9 * lam.max() * scale)
+
+    def test_single_constraint_matches_bisection(self):
+        rng = np.random.default_rng(7)
+        n = 60
+        x = rng.uniform(0.1, 0.9, n)
+        dg0 = rng.standard_normal(n)
+        dg = rng.uniform(0.2, 1.0, (1, n)) / n
+        g = np.array([0.05])
+        mma = MMA(n, 1, lower=1e-3, upper=1.0)
+        x_new = mma.step(x, 0.0, dg0, g, dg)
+        sub = _subproblem(mma, x, dg0, g, dg)
+
+        def grad(lam):
+            xl = sub["x_of"](np.array([lam]))
+            return (sub["P"] @ (1.0 / (mma.upp - xl))
+                    + sub["Q"] @ (1.0 / (xl - mma.low)) - sub["b"])[0]
+
+        lo, hi = 0.0, mma.penalty
+        assert grad(lo) > 0.0 > grad(hi)  # the constraint is active
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if grad(mid) > 0.0 else (lo, mid)
+        x_ref = sub["x_of"](np.array([0.5 * (lo + hi)]))
+        assert np.abs(x_new - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_repeatable_bit_for_bit(self):
+        x, dg0, g, dg = _nearly_parallel(seed=3)
+        runs = []
+        for _ in range(2):
+            mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
+            xk = x
+            for _ in range(3):
+                xk = mma.step(xk, 0.0, dg0, g, dg)
+            runs.append((xk, mma.dual_sweeps, mma.dual_newton,
+                         mma.dual_residual))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1:] == runs[1][1:]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        x, dg0, g, dg = _nearly_parallel()
+        monkeypatch.setattr(MMA, "max_sweeps", 1)
+        mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
+        with pytest.raises(MMADualError,
+                           match=r"iteration 1: h=4, projected-gradient "
+                                 r"residual \S+ after 1 sweeps"):
+            mma.step(x, 0.0, dg0, g, dg)
 
 
 class TestOptimize:
