@@ -24,6 +24,8 @@ import scipy.sparse as sp
 from .sparse import SymmetricSparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
+COLUMN_CHUNK = 64     # columns per pass of contract_dk_raw
+ELEMENT_CHUNK = 128   # elements per pass of the reduced-derivative contraction
 
 
 def _quad_points(order: int):
@@ -223,8 +225,7 @@ def assemble(grid: Grid, design: DesignField) -> SymmetricSparse:
     return SymmetricSparse(mat, bandwidth=bw)
 
 
-def contract_dk_raw(grid: Grid, design: DesignField, left, right,
-                    chunk: int = 64) -> np.ndarray:
+def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
     """Per-element contraction left^T (dK/d x-filtered_e) right, summed over columns.
 
     ``left`` and ``right`` are full-length vectors or matrices with matching
@@ -240,9 +241,9 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right,
     if L.shape != R.shape or L.shape[0] != grid.n_dofs:
         raise ValueError("left/right must be n x q with matching shapes")
     out = np.zeros(grid.n_elems)
-    for c0 in range(0, L.shape[1], chunk):
-        Lc = L[:, c0:c0 + chunk]
-        Rc = R[:, c0:c0 + chunk]
+    for c0 in range(0, L.shape[1], COLUMN_CHUNK):
+        Lc = L[:, c0:c0 + COLUMN_CHUNK]
+        Rc = R[:, c0:c0 + COLUMN_CHUNK]
         Le = Lc[grid.edof]          # (n_elems, k, q)
         Re = Rc[grid.edof]
         out += np.einsum("ekq,kl,elq->e", Le, grid.ke, Re, optimize=True)

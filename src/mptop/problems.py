@@ -12,7 +12,7 @@ with both vertical edges clamped, x input DOFs on the left edge midspan and x
 output DOFs on the right. Analysis set j drives input j with a unit
 displacement; the transmission matrix entries are the output displacements.
 Material is maximized subject to one transmission constraint per input/output
-pair; each constraint needs one small adjoint solve per driving set.
+pair; the x constraints that read one set share its adjoint solve.
 """
 from __future__ import annotations
 
@@ -155,8 +155,9 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
 
     The pipeline is chosen here only: it fixes the free DOFs each set's states
     live on and the gradient route (``sens_condensed_state``, one contraction
-    through the reduced model, or ``sens_elementary``, one per set). The
-    responses read states through those free DOFs and the primary states.
+    through the reduced model, or ``sens_elementary``, one per set and
+    response). The responses read states through those free DOFs and the
+    primary states; one ``gradient`` call covers every response.
     """
     grid = problem.grid
     design = problem.design(np.asarray(x, dtype=float))
@@ -206,7 +207,7 @@ def _evaluate_p1(problem, design, sol, gradient, want_grads):
         # grounded ports (zero prescribed values) make the compliance
         # self-adjoint: the explicit matrix dependence folds into the adjoint
         # term, leaving adjoint == state and no adjoint solve at all
-        d0 = gradient([("lam", s.u_free) for s in sol.sets])
+        d0 = gradient([("lam", s.u_free[None]) for s in sol.sets])[0]
         d1 = design.flt.chain(np.full(n_elems, 1.0 / (n_elems * vbar)))
         d1 = d1[None, :]
     return g0, np.array([g1]), d0, d1
@@ -229,12 +230,11 @@ def _evaluate_p2(problem, design, sol, free_sets, gradient, want_grads):
     d0 = dcons = None
     if want_grads:
         d0 = -design.flt.chain(np.ones(n_elems)) / n_elems
-        dcons = np.empty((x_in * x_in, n_elems))
-        for i in range(x_in):
-            for j in range(x_in):
-                adjoints = [None] * x_in
-                rhs = np.zeros((len(sol.sets[j].u_free), 1))
-                rhs[out_pos[j][i], 0] = 1.0 / jbar[i, j]
-                adjoints[j] = ("rhs", rhs)
-                dcons[i * x_in + j] = gradient(adjoints)
+        # constraint row i * x_in + j reads output i of set j
+        adjoints = []
+        for j in range(x_in):
+            rhs = np.zeros((x_in * x_in, len(sol.sets[j].u_free), 1))
+            rhs[np.arange(x_in) * x_in + j, out_pos[j], 0] = 1.0 / jbar[:, j]
+            adjoints.append(("rhs", rhs))
+        dcons = gradient(adjoints)
     return g0, cons, d0, dcons

@@ -205,17 +205,54 @@ class TestBuildProblem2:
                 assert err <= 1e-5, f"{pipe} g[{k}] FD error {err:.2e}"
 
     def test_adjoint_load_count(self):
-        # one adjoint right-hand side per constraint that reads the set
+        # one adjoint right-hand side per constraint that reads the set, and
+        # each set's right-hand sides solved together
         p = build_problem2(6, 6, 2, JBAR)
         ledger = CostLedger()
         evaluate(p, p.x0, pipeline="condensed", ledger=ledger)
         assert ledger.count(op="factorize", matrix="sparse") == 1
         assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 0
+        assert ledger.count(op="solve", matrix="dense", phase="adjoint") == 2
         assert ledger.rhs_total(op="solve", matrix="dense",
                                 phase="adjoint") == 4
 
         ledger = CostLedger()
         evaluate(p, p.x0, pipeline="elementary", ledger=ledger)
         assert ledger.count(op="factorize", matrix="sparse") == 2
+        assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 2
         assert ledger.rhs_total(op="solve", matrix="sparse",
                                 phase="adjoint") == 4
+
+    def test_three_inputs_gradients_and_adjoint_count(self):
+        # h = 9 constraints over m = 6 primaries, all in one gradient call
+        jbar = np.array([[0.5, 2.0, -1.0], [1.0, -1.0, 0.8], [-0.6, 1.5, 0.7]])
+        p = build_problem2(8, 8, 3, jbar)
+        assert p.plan.m == 6 and p.n_constraints == 9
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.3, 0.9, p.grid.n_elems)
+        ledger_c, ledger_e = CostLedger(), CostLedger()
+        ev_c = evaluate(p, x, pipeline="condensed", ledger=ledger_c)
+        ev_e = evaluate(p, x, pipeline="elementary", ledger=ledger_e)
+        assert ev_c.d_constraints.shape == (9, p.grid.n_elems)
+        # row-major like a row-by-row fill: the optimizer's roundoff (and the
+        # history hashes) follow the layout
+        assert ev_c.d_constraints.flags.c_contiguous
+        assert ev_e.d_constraints.flags.c_contiguous
+        for k in range(9):
+            scale = np.abs(ev_e.d_constraints[k]).max()
+            assert np.abs(ev_c.d_constraints[k] - ev_e.d_constraints[k]).max() \
+                <= 1e-9 * scale, f"g[{k}]"
+        assert ledger_c.count(op="solve", matrix="sparse", phase="adjoint") == 0
+        assert ledger_e.count(op="solve", matrix="sparse", phase="adjoint") == 3
+        assert ledger_e.rhs_total(op="solve", matrix="sparse",
+                                  phase="adjoint") == 9
+        # components far from the ports sit below what central differences
+        # resolve; read those within 1e-3 of the largest
+        for k in (1, 5):
+            floor = 1e-3 * np.abs(ev_e.d_constraints[k]).max()
+            for pipe, ev in (("condensed", ev_c), ("elementary", ev_e)):
+                err = fd_verify(
+                    lambda xv: evaluate(p, xv, pipeline=pipe,
+                                        want_grads=False).constraints[k],
+                    x, ev.d_constraints[k], floor=floor)
+                assert err <= 1e-5, f"{pipe} g[{k}] FD error {err:.2e}"

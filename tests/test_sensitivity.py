@@ -218,18 +218,28 @@ def _design_1x1():
 
 
 class TestStateSensitivities:
-    def _rand_state_response(self, rng, sets, plan):
-        """Linear response on the free primary states, both pipelines."""
-        weights = [rng.normal(size=(len(plan.free_primary[i]), s.cases))
+    def _rand_state_response(self, rng, sets, plan, rows=2):
+        """Linear responses on the free primary states, one per row."""
+        weights = [rng.normal(size=(rows, len(plan.free_primary[i]), s.cases))
                    for i, s in enumerate(sets)]
         return weights
 
+    @staticmethod
+    def _elementary_stacks(sets, plan, weights):
+        """The same responses' right-hand sides on each set's free DOFs."""
+        stacks = []
+        for i, (aset, w) in enumerate(zip(sets, weights)):
+            rhs = np.zeros((len(w), len(aset.free), aset.cases))
+            rhs[:, plan.free_primary[i].positions_in(aset.free), :] = w
+            stacks.append(("rhs", rhs))
+        return stacks
+
     def test_cross_pipeline_gradient_equality(self):
-        # draws on both sides of the condensed route's basis choice (stacked
-        # adjoint columns > m or <= m), each with secondary sources present
+        # draws with secondary sources present (the reduced-load term F of the
+        # condensed contraction), with total cases both above and below m
         rng = np.random.default_rng(36)
         checked = 0
-        bases = set()   # True: stacked columns > m, with secondary sources
+        bases = set()   # True: total cases > m, with secondary sources
         while checked < 6 or len(bases) < 2:
             assert checked < 200, f"bases drawn: {bases}"
             K, sets, grid, design = random_conduction_problem(rng, max_grid=8)
@@ -247,15 +257,13 @@ class TestStateSensitivities:
             cond_adj = [("rhs", w) for w in weights]
             g_cond = sens_condensed_state(grid, design, model, cond, sets,
                                           cond_adj)
-            elem_adj = []
-            for i, (aset, w) in enumerate(zip(sets, weights)):
-                rhs = np.zeros((len(aset.free), aset.cases))
-                pos = plan.free_primary[i].positions_in(aset.free)
-                rhs[pos, :] = w
-                elem_adj.append(("rhs", rhs))
-            g_elem = sens_elementary(grid, design, elem, sets, elem_adj)
-            scale = max(np.abs(g_elem).max(), 1e-30)
-            assert np.abs(g_cond - g_elem).max() <= 1e-9 * scale
+            g_elem = sens_elementary(grid, design, elem, sets,
+                                     self._elementary_stacks(sets, plan,
+                                                             weights))
+            assert g_cond.shape == g_elem.shape == (2, grid.n_elems)
+            for gc, ge in zip(g_cond, g_elem):
+                scale = max(np.abs(ge).max(), 1e-30)
+                assert np.abs(gc - ge).max() <= 1e-9 * scale
 
     def test_fd_both_pipelines_4x4(self):
         rng = np.random.default_rng(37)
@@ -271,14 +279,14 @@ class TestStateSensitivities:
         sets = [s1, s2]
         plan = build_plan(sets, n)
         sec_loads, sec_values = gather_secondary(plan, sets)
-        weights = [rng.normal(size=(len(plan.free_primary[i]), 1))
+        weights = [rng.normal(size=(1, len(plan.free_primary[i]), 1))
                    for i in range(2)]
 
         def response_from_primary(primary_states):
             total = 0.0
             for i, w in enumerate(weights):
                 total += float(np.sum(
-                    w * primary_states[i][plan.free_primary_pos[i], :]))
+                    w[0] * primary_states[i][plan.free_primary_pos[i], :]))
             return total
 
         def g_cond(xv):
@@ -296,24 +304,26 @@ class TestStateSensitivities:
         model = condense(assemble(grid, design), plan, sec_loads, sec_values)
         cond = solve_condensed(model, sets)
         grad_c = sens_condensed_state(grid, design, model, cond, sets,
-                                      [("rhs", w) for w in weights])
+                                      [("rhs", w) for w in weights])[0]
         elem = solve_elementary(assemble(grid, design), sets)
-        elem_adj = []
-        for i, (aset, w) in enumerate(zip(sets, weights)):
-            rhs = np.zeros((len(aset.free), aset.cases))
-            rhs[plan.free_primary[i].positions_in(aset.free), :] = w
-            elem_adj.append(("rhs", rhs))
-        grad_e = sens_elementary(grid, design, elem, sets, elem_adj)
+        grad_e = sens_elementary(grid, design, elem, sets,
+                                 self._elementary_stacks(sets, plan,
+                                                         weights))[0]
 
         assert fd_verify(g_cond, x, grad_c) <= 1e-5
         assert fd_verify(g_elem, x, grad_e) <= 1e-5
 
     def test_zero_partial_zero_gradient(self):
+        # an all-zero adjoint stack gives exactly zero and records no solve
         rng = np.random.default_rng(38)
         K, sets, grid, design = random_conduction_problem(rng, max_grid=5)
         elem = solve_elementary(K, sets)
-        g = sens_elementary(grid, design, elem, sets, [None] * len(sets))
+        ledger = CostLedger()
+        zero = [("rhs", np.zeros((2, len(s.free), s.cases))) for s in sets]
+        g = sens_elementary(grid, design, elem, sets, zero, ledger=ledger)
+        assert g.shape == (2, grid.n_elems)
         np.testing.assert_array_equal(g, 0.0)
+        assert ledger.count(op="solve") == 0
 
     def test_no_large_solves_in_condensed_adjoint(self):
         rng = np.random.default_rng(39)
@@ -331,6 +341,9 @@ class TestStateSensitivities:
             sens_condensed_state(grid, design, model, cond, sets,
                                  [("rhs", w) for w in weights], ledger=ledger)
             assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 0
+            # each set's two responses are one small dense solve
+            assert ledger.count(op="solve", matrix="dense",
+                                phase="adjoint") == len(sets)
             assert ledger.count(op="factorize", matrix="sparse") == 1
 
     def test_self_adjoint_shortcut_matches_solve(self):
@@ -343,11 +356,11 @@ class TestStateSensitivities:
             pytest.skip("degenerate draw")
         model = condense(K, plan, None, None)
         cond = solve_condensed(model, sets)
-        weights = [rng.normal(size=(len(plan.free_primary[i]), s.cases))
-                   for i, s in enumerate(sets)]
+        weights = self._rand_state_response(rng, sets, plan)
         g1 = sens_condensed_state(grid, design, model, cond, sets,
                                   [("rhs", w) for w in weights])
-        lams = [cond.factorizations[i].solve(w) for i, w in enumerate(weights)]
+        lams = [np.stack([cond.factorizations[i].solve(wr) for wr in w])
+                for i, w in enumerate(weights)]
         g2 = sens_condensed_state(grid, design, model, cond, sets,
                                   [("lam", l) for l in lams])
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
@@ -496,6 +509,7 @@ def test_case_solve_counts():
     design, model, sol, sets = rig.pipeline(ledger=ledger)
     base_sparse = ledger.count(op="solve", matrix="sparse")
     base_dense = ledger.count(op="solve", matrix="dense")
+    base_factorize = ledger.count(op="factorize")
 
     W = rig.rng.normal(size=CASE_SHAPES["primary-state"](rig, 0))
     sens_case("primary-state", rig.grid, design, model, W, sol=sol,
@@ -508,7 +522,7 @@ def test_case_solve_counts():
               set_index=0, ledger=ledger)
     assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 1
     assert ledger.count(op="solve", matrix="dense") == base_dense + 2
-    assert ledger.count(op="factorize") == ledger.count(op="factorize")
+    assert ledger.count(op="factorize") == base_factorize
 
 
 def test_reduced_matrix_case_same_as_direct_call():
