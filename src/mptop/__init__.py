@@ -49,6 +49,7 @@ from .sparse import (
     SymmetricSparse,
     extract,
     factorize,
+    principal,
 )
 
 __version__ = "0.1.0"

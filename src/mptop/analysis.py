@@ -20,6 +20,7 @@ from .sparse import (
     SymmetricSparse,
     extract,
     factorize,
+    principal,
 )
 
 
@@ -60,8 +61,7 @@ def solve_elementary(K: SymmetricSparse, sets,
     out = StateSolution(ledger=ledger)
     for aset in sets:
         fidx, pidx = aset.free, aset.prescribed
-        kff = SymmetricSparse.principal(extract(K, fidx, fidx))
-        fact = factorize(kff, ledger=ledger)
+        fact = factorize(principal(K, fidx), ledger=ledger)
         k_fp = extract(K, fidx, pidx)
         rhs = aset.loads_free() - k_fp @ aset.prescribed_values
         u_free = fact.solve(rhs, ledger=ledger)

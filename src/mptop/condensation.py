@@ -21,6 +21,7 @@ from .sparse import (
     SymmetricSparse,
     extract,
     factorize,
+    principal,
 )
 
 
@@ -87,8 +88,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
         sec_loads.nnz > 0 if sp.issparse(sec_loads) else np.any(sec_loads))
 
     if plan.f_sec:
-        fact = factorize(SymmetricSparse.principal(extract(K, fset, fset)),
-                         ledger=ledger)
+        fact = factorize(principal(K, fset), ledger=ledger)
     else:
         fact = DenseCholesky(np.zeros((0, 0)))
 

@@ -15,13 +15,21 @@ i.e. of order sqrt(n) for square grids. The sparse factorization bands in
 whichever of this order and reverse Cuthill–McKee gives the smaller
 bandwidth, so its cost follows the better of the two, not the grid's
 orientation.
+
+Assembly is split like a sparse direct solver's work: the first
+:func:`assemble` on a grid builds K's CSR pattern and the operator P from
+element scales to K's values, from the symmetrized element matrix, and every
+later one is the product ``P @ scales`` on that pattern (top99neo likewise
+computes its assembly indices once).
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SymmetricSparse
+from .sparse import Pattern, SymmetricSparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 COLUMN_CHUNK = 64     # columns per pass of contract_dk_raw
@@ -112,13 +120,30 @@ class Grid:
         self.ke = element_matrix(
             "conduction" if physics == "conduction" else "plane-stress")
         self.edof = self._edof_table()
-        # scatter index pairs for COO assembly
-        k = self.edof.shape[1]
-        self._iK = np.repeat(self.edof, k, axis=1).ravel()
-        self._jK = np.tile(self.edof, (1, k)).ravel()
 
     def node(self, r: int, c: int) -> int:
         return r + c * (self.nely + 1)
+
+    @cached_property
+    def _assembly(self):
+        """``(pattern, P)``: K's CSR pattern and the operator with
+        ``K.data = P @ scales``. Entry (i, j) of element e sits in P's row of
+        K's slot (edof[e, i], edof[e, j]) and column e, with the value of the
+        symmetrized element matrix, so K is exactly symmetric and each slot
+        sums its elements in ascending order."""
+        k = self.edof.shape[1]
+        n = self.n_dofs
+        keys = (np.repeat(self.edof, k, axis=1) * n
+                + np.tile(self.edof, (1, k))).ravel()
+        keys, slot = np.unique(keys, return_inverse=True)
+        pattern = Pattern(np.searchsorted(keys, np.arange(n + 1) * n),
+                          keys % n, (n, n))
+        ke = 0.5 * (self.ke + self.ke.T)
+        P = sp.csr_matrix(
+            (np.tile(ke.ravel(), self.n_elems),
+             (slot, np.repeat(np.arange(self.n_elems), k * k))),
+            shape=(len(keys), self.n_elems))
+        return pattern, P
 
     def _edof_table(self) -> np.ndarray:
         nely = self.nely
@@ -217,12 +242,10 @@ class DesignField:
 
 
 def assemble(grid: Grid, design: DesignField) -> SymmetricSparse:
-    """Global system matrix: SIMP-scaled sum of scattered element matrices."""
-    vals = np.einsum("e,ij->eij", design.scales, grid.ke).ravel()
-    mat = sp.coo_matrix((vals, (grid._iK, grid._jK)),
-                        shape=(grid.n_dofs, grid.n_dofs)).tocsr()
-    bw = int((grid.edof.max(axis=1) - grid.edof.min(axis=1)).max())
-    return SymmetricSparse(mat, bandwidth=bw)
+    """Global system matrix: SIMP-scaled sum of scattered element matrices,
+    on the grid's fixed pattern."""
+    pattern, P = grid._assembly
+    return SymmetricSparse.trusted(pattern, P @ design.scales)
 
 
 def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:

@@ -1,5 +1,11 @@
 """Symmetric sparse matrices, submatrix selection and the linear solvers.
 
+Work that depends on a matrix's structure only is done once per structure,
+George & Liu's analyse step: a :class:`Pattern` holds the CSR structure and
+keeps, built on first use, the map of every block extracted from it and
+the banded order of every block factorized. Per matrix, extraction is then
+one gather of values and filling the band one scatter.
+
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
 Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the better of two orders, the
 natural one or reverse Cuthill–McKee (Cuthill & McKee 1969) when that gives
@@ -51,7 +57,7 @@ class IndexSet:
     IndexSets realizes the product S_rows^T K S_cols.
     """
 
-    __slots__ = ("ids", "n")
+    __slots__ = ("ids", "n", "_hash")
 
     def __init__(self, indices, n: int):
         ids = np.unique(np.asarray(indices, dtype=np.int64))
@@ -62,6 +68,7 @@ class IndexSet:
             )
         self.ids = ids
         self.n = int(n)
+        self._hash = None
 
     def __len__(self):
         return int(self.ids.size)
@@ -79,6 +86,12 @@ class IndexSet:
             and self.n == other.n
             and np.array_equal(self.ids, other.ids)
         )
+
+    def __hash__(self):
+        # the members are fixed at construction, so the hash is computed once
+        if self._hash is None:
+            self._hash = hash((self.n, self.ids.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"IndexSet({self.ids.tolist()}, n={self.n})"
@@ -167,18 +180,92 @@ class CostLedger:
 
 
 # ---------------------------------------------------------------------------
-# symmetric sparse storage
+# symbolic analysis and symmetric sparse storage
 # ---------------------------------------------------------------------------
 
-class SymmetricSparse:
-    """Symmetric sparse matrix in CSR form with a cached bandwidth.
+def _index_array(a, bound: int) -> np.ndarray:
+    """``a`` as int32 when ``bound`` fits in it, int64 otherwise."""
+    return np.asarray(a, dtype=np.int32 if bound < 2 ** 31 else np.int64)
 
-    The constructor symmetrizes numerically (averaging with the transpose) so
-    that stored entries satisfy ``K[i, j] == K[j, i]`` exactly; assembly-order
-    roundoff would otherwise break the symmetry tests downstream.
+
+class Pattern:
+    """The symbolic half of a sparse matrix: its CSR structure, and what
+    follows from the structure alone, each built on first use and kept.
+
+    That is the half-bandwidth, the pattern of every block extracted and the
+    positions of its entries in this pattern's values (:meth:`block`), and
+    for a square pattern the order and slots of its banded Cholesky
+    (:meth:`band`). Values live beside it, one array aligned with
+    ``indices`` per matrix, so every matrix of one structure (every
+    iteration's K of one grid) shares one pattern and its maps.
     """
 
-    def __init__(self, matrix, bandwidth: int | None = None):
+    def __init__(self, indptr, indices, shape):
+        bound = max(len(indices), *shape)
+        self.indptr = _index_array(indptr, bound)
+        self.indices = _index_array(indices, bound)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._bandwidth = None
+        self._blocks = {}
+        self._band = None
+
+    def entry_rows(self) -> np.ndarray:
+        """Row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    @property
+    def bandwidth(self) -> int:
+        if self._bandwidth is None:
+            self._bandwidth = int(np.abs(self.entry_rows() - self.indices)
+                                  .max(initial=0))
+        return self._bandwidth
+
+    def block(self, rows: IndexSet, cols: IndexSet):
+        """``(pattern, positions)`` of the block at ``rows`` x ``cols``: its
+        own CSR structure, and where its entries sit among this pattern's."""
+        key = (rows, cols)
+        if key not in self._blocks:
+            self._blocks[key] = self._select(rows.ids, cols.ids)
+        return self._blocks[key]
+
+    def _select(self, rows, cols):
+        # positions of the selected rows' entries, then of those among them
+        # in selected columns, renumbered to the block's columns
+        starts = self.indptr[rows].astype(np.int64)
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            starts - ends + counts, counts)
+        where = np.full(self.shape[1], -1, dtype=np.int64)
+        where[cols] = np.arange(cols.size)
+        col = where[self.indices[pos]]
+        keep = col >= 0
+        row = np.repeat(np.arange(rows.size), counts)[keep]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=rows.size), out=indptr[1:])
+        sub = Pattern(indptr, col[keep], (rows.size, cols.size))
+        return sub, _index_array(pos[keep], len(self.indices))
+
+    def band(self) -> "Band":
+        """The banded-Cholesky order and slots of this (square) pattern."""
+        if self._band is None:
+            self._band = Band(self)
+        return self._band
+
+
+class SymmetricSparse:
+    """Symmetric sparse matrix: a :class:`Pattern` and the values of its
+    entries, with ``mat`` their CSR matrix.
+
+    The constructor checks external input and symmetrizes it numerically
+    (averaging with the transpose), so that stored entries satisfy
+    ``K[i, j] == K[j, i]`` exactly. Values symmetric by construction, an
+    assembled K or a principal block of one, are wrapped by :meth:`trusted`
+    on a pattern that is reused, without the check.
+    """
+
+    def __init__(self, matrix):
         mat = sp.csr_matrix(matrix)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
@@ -188,35 +275,30 @@ class SymmetricSparse:
         scale = max(abs(mat).max(), 1.0)
         if skew.nnz and skew.max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric")
-        mat = (mat + mat.T) * 0.5
+        mat = sp.csr_matrix((mat + mat.T) * 0.5)
         mat.sum_duplicates()
-        self.mat = sp.csr_matrix(mat)
-        self.n = mat.shape[0]
-        self._bandwidth = bandwidth
+        self._wrap(Pattern(mat.indptr, mat.indices, mat.shape), mat.data)
 
     @classmethod
     def from_dense(cls, arr) -> "SymmetricSparse":
         return cls(sp.csr_matrix(np.asarray(arr, dtype=float)))
 
     @classmethod
-    def principal(cls, block: sp.csr_matrix) -> "SymmetricSparse":
-        """Wrap ``extract(K, idx, idx)`` of an existing SymmetricSparse ``K``.
-
-        Such a block is exactly symmetric already, so the constructor's check
-        and averaging are skipped; external input goes through the constructor.
-        """
+    def trusted(cls, pattern: Pattern, data: np.ndarray) -> "SymmetricSparse":
+        """The matrix with ``data`` on ``pattern``, taken as symmetric."""
         self = cls.__new__(cls)
-        self.mat = block
-        self.n = block.shape[0]
-        self._bandwidth = None
+        self._wrap(pattern, data)
         return self
+
+    def _wrap(self, pattern, data):
+        self.pattern = pattern
+        self.n = pattern.shape[0]
+        self.mat = sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                                 shape=pattern.shape)
 
     @property
     def bandwidth(self) -> int:
-        if self._bandwidth is None:
-            coo = self.mat.tocoo()
-            self._bandwidth = int(np.abs(coo.row - coo.col).max(initial=0))
-        return self._bandwidth
+        return self.pattern.bandwidth
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
@@ -226,7 +308,18 @@ def extract(K: SymmetricSparse, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix
     """Block of ``K`` at the given row/column index sets (CSR, |rows| x |cols|)."""
     if rows.n != K.n or cols.n != K.n:
         raise ValueError("index sets sized for a different matrix dimension")
-    return sp.csr_matrix(K.mat[rows.ids][:, cols.ids])
+    sub, pos = K.pattern.block(rows, cols)
+    return sp.csr_matrix((K.mat.data[pos], sub.indices, sub.indptr),
+                         shape=sub.shape)
+
+
+def principal(K: SymmetricSparse, idx: IndexSet) -> SymmetricSparse:
+    """Principal block of ``K`` at ``idx``, on the block pattern that
+    ``K.pattern`` keeps, so the block's banded order is found only once."""
+    if idx.n != K.n:
+        raise ValueError("index set sized for a different matrix dimension")
+    sub, pos = K.pattern.block(idx, idx)
+    return SymmetricSparse.trusted(sub, K.mat.data[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +346,44 @@ def _flops_dense_solve(n, nrhs):
 # factorizations
 # ---------------------------------------------------------------------------
 
-def _to_banded_upper(row, col, data, n: int, k: int) -> np.ndarray:
-    """LAPACK upper-banded storage of the n x n matrix with entries
-    ``A[row, col] = data``: ab[k + i - j, j] = A[i, j] for i <= j."""
-    ab = np.zeros((k + 1, n))
-    mask = row <= col
-    ab[k + row[mask] - col[mask], col[mask]] = data[mask]
-    return ab
-
-
-def _narrower_order(K: SymmetricSparse, coo: sp.coo_matrix):
-    """``(row, col, bandwidth, perm)`` of ``K``'s entries ``coo`` in the
-    narrower of two orders.
+class Band:
+    """Banded-Cholesky layout of a square symmetric pattern, in the narrower
+    of two orders.
 
     Reverse Cuthill–McKee is taken only when its bandwidth is strictly
     smaller than the natural one (on square grids it is about twice as
-    wide); ``row``/``col`` are then its positions and ``perm`` maps them back
-    to natural order. Otherwise they are ``coo``'s own and ``perm`` is None.
+    wide); ``perm`` then maps its positions back to natural order, and is
+    None otherwise. ``slots`` are the flat positions, in LAPACK's upper
+    storage ``ab[k + i - j, j] = A[i, j]`` (i <= j) laid out column-major as
+    LAPACK reads it, of the upper entries, whose positions among the
+    pattern's values are ``upper``.
     """
-    perm = reverse_cuthill_mckee(K.mat, symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(K.n, dtype=perm.dtype)
-    row, col = inv[coo.row], inv[coo.col]
-    k_rcm = int(np.abs(row - col).max(initial=0))
-    if k_rcm < K.bandwidth:
-        return row, col, k_rcm, perm
-    return coo.row, coo.col, K.bandwidth, None
+
+    def __init__(self, pattern: Pattern):
+        n = self.n = pattern.shape[0]
+        row, col = pattern.entry_rows(), pattern.indices
+        self.perm = reverse_cuthill_mckee(
+            sp.csr_matrix((np.ones(len(col)), col, pattern.indptr),
+                          shape=pattern.shape), symmetric_mode=True)
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(n, dtype=self.perm.dtype)
+        self.bandwidth = int(np.abs(inv[row] - inv[col]).max(initial=0))
+        if self.bandwidth < pattern.bandwidth:
+            row, col = inv[row], inv[col]
+        else:
+            self.perm, self.bandwidth = None, pattern.bandwidth
+        upper = np.flatnonzero(row <= col)
+        k = self.bandwidth
+        self.upper = _index_array(upper, len(pattern.indices))
+        self.slots = _index_array(
+            k + row[upper] + col[upper].astype(np.int64) * k, (k + 1) * n)
+
+    def fill(self, data: np.ndarray) -> np.ndarray:
+        """The (k + 1) x n banded array of the matrix with values ``data``,
+        Fortran-ordered, so LAPACK factors it in place."""
+        ab = np.zeros((self.bandwidth + 1) * self.n)
+        ab[self.slots] = data[self.upper]
+        return ab.reshape((self.bandwidth + 1, self.n), order="F")
 
 
 class _Solver:
@@ -333,16 +438,16 @@ class Factorization(_Solver):
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
-        coo = K.mat.tocoo()
-        row, col, kbw, self._perm = _narrower_order(K, coo)
+        band = K.pattern.band()
+        kbw, self._perm = band.bandwidth, band.perm
         try:
-            ab = _to_banded_upper(row, col, coo.data, K.n, kbw)
+            ab = band.fill(K.mat.data)
         except MemoryError as exc:
             raise BandStorageError(
                 f"cannot allocate banded storage for n={K.n}, bandwidth "
                 f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
         try:
-            self._cb = cholesky_banded(ab, lower=False)
+            self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"

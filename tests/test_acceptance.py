@@ -85,7 +85,7 @@ def test_criterion_2_sensitivity_correctness():
                 # are held to the same bound scaled by the norm instead
                 floor = 1e-3 * np.abs(grads[pipe][k]).max()
                 err = fd_verify(lambda xv: g_all(xv)[k], x, grads[pipe][k],
-                                eps=1e-6, floor=floor)
+                                eps=1e-6)
                 worst_fd = max(worst_fd, err)
                 small = np.abs(grads[pipe][k]) <= floor
                 if np.any(small):

@@ -1,6 +1,7 @@
 """Element matrices, filtering, SIMP, assembly and the dK contraction."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mptop.fem import (
     DesignField,
@@ -179,6 +180,40 @@ class TestAssemble:
         K1 = assemble(grid, d1).toarray()
         K2 = assemble(grid, d2).toarray()
         np.testing.assert_allclose(K2, 0.125 * K1, atol=1e-14)
+
+
+def coo_assembly(grid, design):
+    """Reference K: every element's scaled ke scattered as COO triplets and
+    summed into CSR."""
+    k = grid.edof.shape[1]
+    rows = np.repeat(grid.edof, k, axis=1).ravel()
+    cols = np.tile(grid.edof, (1, k)).ravel()
+    vals = np.einsum("e,ij->eij", design.scales, grid.ke).ravel()
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(grid.n_dofs, grid.n_dofs)).tocsr()
+
+
+class TestFixedPatternAssembly:
+    @pytest.mark.parametrize("physics", ["conduction", "plane-stress"])
+    def test_matches_coo_reference(self, physics):
+        grid = Grid(9, 7, physics=physics)
+        x = np.random.default_rng(13).uniform(0.05, 1.0, grid.n_elems)
+        design = make_design(grid, x, radius=1.5)
+        K = assemble(grid, design).mat
+        ref = coo_assembly(grid, design)
+        assert (K != K.T).nnz == 0                  # exactly symmetric
+        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+        if physics == "conduction":
+            assert (K != ref).nnz == 0              # bit for bit
+
+    def test_pattern_is_built_once_per_grid(self):
+        grid = Grid(5, 4, physics="plane-stress")
+        K1 = assemble(grid, make_design(grid, np.full(20, 0.3)))
+        K2 = assemble(grid, make_design(grid, np.full(20, 0.8)))
+        assert K1.pattern is K2.pattern
+        assert K1.pattern.indices.dtype == np.int32
+        assert K1.bandwidth == int((grid.edof.max(axis=1)
+                                    - grid.edof.min(axis=1)).max())
 
 
 class TestDkContract:

@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import plan_and_secondary, random_conduction_problem
+from mptop import build_problem2, evaluate
 from mptop.analysis import solve_condensed, solve_elementary
 from mptop.condensation import condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
@@ -147,13 +148,17 @@ def _grid_model(grid, design, sec_loads=None, sec_values=None):
 
 class TestReducedLoadSensitivity:
     def test_vanishes_without_sources(self):
-        model, _ = chain_model()
-        grid = None  # unused when the load field is empty
-
-        class _G:
-            n_elems = 0
-        bundle = sens_reduced_load(Grid(1, 1), _design_1x1(), chain_model()[0],
-                                   np.ones((2, 2)))
+        # one element, opposite corners grounded in turn, no load: the two
+        # other corners are secondary free and carry no source
+        grid = Grid(1, 1)
+        n = grid.n_dofs
+        sets = [AnalysisSet(n, IndexSet([i], n), IndexSet([0, 2], n))
+                for i in (0, 2)]
+        plan = build_plan(sets, n)
+        model = condense(assemble(grid, _design_1x1()), plan)
+        assert plan.f_sec == 2 and not model.has_secondary_sources()
+        bundle = sens_reduced_load(grid, _design_1x1(), model,
+                                   np.ones((plan.m, plan.total_cases)))
         np.testing.assert_array_equal(bundle.dg_dx, 0.0)
 
     def test_secondary_load_map_is_minus_coupling_column(self):
@@ -272,10 +277,14 @@ class TestStateSensitivities:
         x = rng.uniform(0.3, 0.9, grid.n_elems)
         design = DesignField(grid, x, flt)
         n = grid.n_dofs
+        # a single grounded node and no load would leave each state uniform
+        # and the gradient identically zero: each set carries one heat load
         s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([12, 18], n),
-                         prescribed_values=np.array([[0.2]]))
+                         prescribed_values=np.array([[0.2]]),
+                         loads=sp.csc_matrix(([1.0], ([20], [0])), (n, 1)))
         s2 = AnalysisSet(n, IndexSet([24], n), IndexSet([12], n),
-                         prescribed_values=np.array([[-0.1]]))
+                         prescribed_values=np.array([[-0.1]]),
+                         loads=sp.csc_matrix(([-1.0], ([6], [0])), (n, 1)))
         sets = [s1, s2]
         plan = build_plan(sets, n)
         sec_loads, sec_values = gather_secondary(plan, sets)
@@ -542,6 +551,28 @@ class TestFdVerify:
             return float(c @ x)
 
         assert fd_verify(g, np.zeros(3), c, eps=0.1) <= 1e-10
+
+    def test_skips_components_below_roundoff_of_the_largest(self):
+        # a step of 1e-6 on the second variable moves g by 1e-17, under one
+        # ulp of g: central differences read 0 for its 1e-11 component
+        c = np.array([1.0, 1e-11])
+
+        def g(x):
+            return float(c @ x)
+
+        assert fd_verify(g, np.ones(2), c) <= 1e-9
+
+    def test_slender_mechanism_far_field(self):
+        # far from the ports of a 4 x 40 mechanism the components fall to
+        # ~1e-11 (component 33 of g[0] is 5.9e-11), where FD reads 0
+        p = build_problem2(4, 40, 2, [[0.5, 2.0], [1.0, -1.0]])
+        x = np.random.default_rng(8).uniform(0.3, 0.9, p.grid.n_elems)
+        grad = evaluate(p, x).d_constraints[0]
+        assert np.abs(grad).min() < 1e-10 * np.abs(grad).max()
+        err = fd_verify(
+            lambda xv: evaluate(p, xv, want_grads=False).constraints[0],
+            x, grad)
+        assert err <= 1e-5
 
     def test_detects_wrong_gradient(self):
         c = np.array([1.0, -2.0])

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 import mptop.sparse
+from mptop import build_problem2, optimize
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
     BandStorageError,
@@ -17,6 +18,7 @@ from mptop.sparse import (
     _flops_banded_solve,
     extract,
     factorize,
+    principal,
 )
 
 CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -28,7 +30,16 @@ def clamped_plane_stress(nelx, nely, seed=0):
     x = np.random.default_rng(seed).uniform(0.3, 1.0, grid.n_elems)
     K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
     free = IndexSet(np.arange(2 * (nely + 1)), grid.n_dofs).complement()
-    return SymmetricSparse.principal(extract(K, free, free))
+    return principal(K, free)
+
+
+def _to_banded_upper(row, col, data, n, k):
+    """Reference band fill, by masked fancy indexing: LAPACK upper storage
+    ab[k + i - j, j] = A[i, j] for i <= j."""
+    ab = np.zeros((k + 1, n))
+    mask = row <= col
+    ab[k + row[mask] - col[mask], col[mask]] = data[mask]
+    return ab
 
 
 def random_spd_banded(n, band, rng):
@@ -61,6 +72,13 @@ class TestIndexSet:
         assert a.union(b).ids.tolist() == [0, 1, 2, 3]
         assert a.minus(b).ids.tolist() == [0, 1]
         assert b.complement().ids.tolist() == [0, 1, 4, 5]
+
+    def test_equal_sets_hash_equal(self):
+        a = IndexSet([4, 1, 7], 10)
+        assert a == IndexSet([1, 4, 7], 10)
+        assert hash(a) == hash(IndexSet([1, 4, 7], 10))
+        assert len({a, IndexSet([7, 4, 1], 10), IndexSet([1, 4], 10)}) == 2
+        assert a != IndexSet([1, 4, 7], 11)
 
     def test_positions_in(self):
         sup = IndexSet([1, 4, 7, 9], 10)
@@ -102,6 +120,74 @@ class TestExtract:
             extract(K, IndexSet([0], 4), IndexSet([0], 3))
 
 
+class TestBlockMaps:
+    def test_gather_matches_fancy_indexing(self):
+        rng = np.random.default_rng(21)
+        grid = Grid(6, 5, physics="plane-stress")
+        x = rng.uniform(0.2, 1.0, grid.n_elems)
+        K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
+        for _ in range(25):
+            r = IndexSet(rng.choice(K.n, rng.integers(0, K.n + 1),
+                                    replace=False), K.n)
+            c = IndexSet(rng.choice(K.n, rng.integers(0, K.n + 1),
+                                    replace=False), K.n)
+            ref = K.mat[r.ids][:, c.ids]
+            for _ in range(2):      # the second call reads the kept map
+                blk = extract(K, r, c)
+                assert blk.shape == ref.shape
+                assert blk.has_sorted_indices
+                np.testing.assert_array_equal(blk.toarray(), ref.toarray())
+
+    def test_maps_are_kept_per_pattern_by_content(self):
+        grid = Grid(4, 3, physics="plane-stress")
+        flt = Filter(grid, 1.5)
+        K1 = assemble(grid, DesignField(grid, np.full(12, 0.4), flt))
+        K2 = assemble(grid, DesignField(grid, np.full(12, 0.9), flt))
+        assert K1.pattern is K2.pattern
+        idx = IndexSet(np.arange(5, K1.n), K1.n)
+        first = K1.pattern.block(idx, idx)
+        again = IndexSet(idx.ids.copy(), K1.n)     # equal, not identical
+        assert K2.pattern.block(again, again) is first
+        assert principal(K2, again).pattern is first[0]
+        np.testing.assert_array_equal(principal(K2, idx).toarray(),
+                                      K2.toarray()[5:, 5:])
+
+    @pytest.mark.parametrize("nelx, nely, reordered", [(24, 24, False),
+                                                       (5, 60, True)])
+    def test_slot_fill_matches_reference_band(self, nelx, nely, reordered):
+        K = clamped_plane_stress(nelx, nely, seed=4)
+        band = K.pattern.band()
+        assert (band.perm is not None) == reordered
+        coo = K.mat.tocoo()
+        row, col = coo.row, coo.col
+        if reordered:
+            inv = np.empty_like(band.perm)
+            inv[band.perm] = np.arange(K.n)
+            row, col = inv[row], inv[col]
+        assert band.bandwidth == np.abs(row - col).max()
+        ref = _to_banded_upper(row, col, coo.data, K.n, band.bandwidth)
+        np.testing.assert_array_equal(band.fill(K.mat.data), ref)
+
+    @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
+    def test_ordering_found_once_per_block(self, monkeypatch, pipeline):
+        rcm = mptop.sparse.reverse_cuthill_mckee
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return rcm(*args, **kwargs)
+        monkeypatch.setattr(mptop.sparse, "reverse_cuthill_mckee", counting)
+        p = build_problem2(4, 30, 2, [[0.5, 2.0], [1.0, -1.0]])
+        res = optimize(p, pipeline=pipeline, max_iters=3, tol=0.0,
+                       keep_ledgers=True)
+        blocks = (1 if pipeline == "condensed"
+                  else len({aset.free for aset in p.sets}))
+        factorized = sum(led.count(op="factorize", matrix="sparse")
+                         for led in res.ledgers)
+        assert factorized == 3 * blocks
+        assert len(calls) == blocks
+
+
 class TestSymmetricSparse:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -119,7 +205,7 @@ class TestSymmetricSparse:
         K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
         idx = IndexSet(np.arange(3, K.n, 2), K.n)
         checked = SymmetricSparse(extract(K, idx, idx))
-        trusted = SymmetricSparse.principal(extract(K, idx, idx))
+        trusted = principal(K, idx)
         assert trusted.n == checked.n == len(idx)
         assert trusted.bandwidth == checked.bandwidth
         for attr in ("indptr", "indices", "data"):
@@ -228,7 +314,7 @@ class TestOrdering:
 
         def no_memory(*args):
             raise MemoryError
-        monkeypatch.setattr(mptop.sparse, "_to_banded_upper", no_memory)
+        monkeypatch.setattr(mptop.sparse.Band, "fill", no_memory)
         with pytest.raises(BandStorageError) as err:
             factorize(K)
         assert isinstance(err.value, MemoryError)
