@@ -9,7 +9,7 @@ ready-made benchmark problems.
 """
 from .analysis import SetStates, StateSolution, solve_condensed, solve_elementary
 from .condensation import EmptyPrimarySetError, ReducedModel, condense, recover_secondary
-from .fem import DesignField, Filter, Grid, assemble, dk_contract, element_matrix, simp
+from .fem import DesignField, Filter, Grid, assemble, element_matrix, simp
 from .optimizer import MMA, MMADualError, OptResult, optimize
 from .partitions import (
     AnalysisSet,

@@ -44,7 +44,6 @@ class SetStates:
 class StateSolution:
     sets: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
-    ledger: CostLedger | None = None
 
     def primary_states(self, plan: PartitionPlan, i: int) -> np.ndarray:
         """State restricted to the primary DOFs, comparable across pipelines."""
@@ -58,7 +57,7 @@ def solve_elementary(K: SymmetricSparse, sets,
                      ledger: CostLedger | None = None,
                      want_reactions: bool = False) -> StateSolution:
     """Solve each analysis set against the full system matrix."""
-    out = StateSolution(ledger=ledger)
+    out = StateSolution()
     for aset in sets:
         fidx, pidx = aset.free, aset.prescribed
         fact = factorize(principal(K, fidx), ledger=ledger)
@@ -85,7 +84,7 @@ def solve_condensed(model: ReducedModel, sets,
     """Solve each analysis set against the shared reduced model."""
     plan = model.plan
     kt = model.reduced_matrix
-    out = StateSolution(ledger=ledger)
+    out = StateSolution()
     for i, aset in enumerate(sets):
         fpos = plan.free_primary_pos[i]
         ppos = plan.presc_primary_pos[i]

@@ -377,7 +377,8 @@ def cmd_gain(cfg: RunConfig) -> int:
             prob = build_problem1(side, side, int(round(m)),
                                   vbar=0.4, seed=cfg.seed)
             xi_t = _fmt(measure_runtime_gain(prob, repeats=2).xi_measured)
-        rows += [entry + (xi_t,) for entry in entries]
+        rows += [entry + (xi_t if entry[2] == "direct" else "",)
+                 for entry in entries]
     path = os.path.join(out, "gain.csv")
     with open(path, "w") as fh:
         fh.write("n,m,model,xi_beta,xi_t\n")

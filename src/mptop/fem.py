@@ -271,8 +271,3 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
         Re = Rc[grid.edof]
         out += np.einsum("ekq,kl,elq->e", Le, grid.ke, Re, optimize=True)
     return design.dscales * out
-
-
-def dk_contract(grid: Grid, design: DesignField, left, right) -> np.ndarray:
-    """Design-variable gradient of left^T K[x] right (filter chain included)."""
-    return design.flt.chain(contract_dk_raw(grid, design, left, right))

@@ -27,6 +27,9 @@ from .problems import ProblemSpec, evaluate
 from .sparse import CostLedger
 
 
+X_MIN = 1e-3   # lower bound of every design variable in optimize
+
+
 class MMADualError(RuntimeError):
     """The MMA subproblem dual did not converge within its sweep cap."""
 
@@ -34,29 +37,29 @@ class MMADualError(RuntimeError):
 class MMA:
     """Moving-asymptote update for min g0 s.t. g <= 0, bounds on x."""
 
+    # move limit and initial asymptote distance, as fractions of the box;
+    # asymptote growth and shrink factors on steady and oscillating steps
+    move = 0.2
+    asy_init = 0.5
+    asy_incr = 1.2
+    asy_decr = 0.7
+    # regularization of the convex approximation, relative to the box
+    raa0 = 1e-5
+    # elastic-constraint price: caps the dual variables, so temporarily
+    # infeasible subproblems (violated constraints under move limits)
+    # resolve to the steepest feasible push instead of diverging
+    penalty = 1000.0
     # the dual solve stops when every component of the projected dual
     # gradient is below dual_tol times the magnitude of its terms, and
     # raises MMADualError after max_sweeps coordinate passes
     dual_tol = 1e-12
     max_sweeps = 100
 
-    def __init__(self, n_vars: int, n_cons: int, lower, upper,
-                 move: float = 0.2, asy_init: float = 0.5,
-                 asy_incr: float = 1.2, asy_decr: float = 0.7,
-                 raa0: float = 1e-5, penalty: float = 1000.0):
+    def __init__(self, n_vars: int, n_cons: int, lower, upper):
         self.n = n_vars
         self.h = n_cons
-        # elastic-constraint price: caps the dual variables, so temporarily
-        # infeasible subproblems (violated constraints under move limits)
-        # resolve to the steepest feasible push instead of diverging
-        self.penalty = penalty
         self.lower = np.broadcast_to(np.asarray(lower, float), (n_vars,)).copy()
         self.upper = np.broadcast_to(np.asarray(upper, float), (n_vars,)).copy()
-        self.move = move
-        self.asy_init = asy_init
-        self.asy_incr = asy_incr
-        self.asy_decr = asy_decr
-        self.raa0 = raa0
         self.iteration = 0
         self.low = None
         self.upp = None
@@ -309,7 +312,6 @@ class OptResult:
 
 def optimize(problem: ProblemSpec, pipeline: str = "condensed",
              max_iters: int = 100, tol: float = 0.01,
-             x_min: float = 1e-3,
              callback=None, keep_ledgers: bool = False) -> OptResult:
     """Nested analysis-and-design loop: evaluate, update, repeat.
 
@@ -318,7 +320,7 @@ def optimize(problem: ProblemSpec, pipeline: str = "condensed",
     initial design untouched.
     """
     x = problem.x0.copy()
-    mma = MMA(problem.grid.n_elems, problem.n_constraints, x_min, 1.0)
+    mma = MMA(problem.grid.n_elems, problem.n_constraints, X_MIN, 1.0)
     result = OptResult(x=x)
     for k in range(1, max_iters + 1):
         t0 = time.perf_counter()

@@ -1,24 +1,27 @@
 """Design gradients for both pipelines, plus a finite-difference verifier.
 
 Every gradient here reduces to sums of element-level contractions
-``left^T (dK/dx_e) right``, directly or through the reduced derivatives below,
-chained through the density filter once at the end; the full derivative of
-the system matrix is never formed.
+``left^T (dK/dx_e) right``, chained through the density filter once at the
+end; the full derivative of the system matrix is never formed. The
+elementary pipeline contracts full-length adjoints and states with
+:func:`~mptop.fem.contract_dk_raw`.
 
-For the condensed pipeline the expansion operator (primary states to full
-states via the retained coupling solutions) and the secondary load field are
-reused from the condensation, so gradients of the reduced matrix need no
-linear solve at all, and state gradients need only small dense adjoint
-solves. Responses that read secondary states or secondary reactions are the
-exception: they cost one extra large solve against the retained
-factorization plus one small solve.
+The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
+sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
+chunk by chunk. Both bases start from E, the expansion of reduced vectors
+through the coupling solutions retained from the condensation; the field B
+of the secondary sources joins R as extra columns. The reduced matrix
+contracts with ``(E, E, W)``. Every other response, the state responses of
+``evaluate`` and the dependency cases of :func:`sens_case` alike, has left
+fields ``E a (+ X)`` and right fields ``B - E u`` for reduced adjoints a and
+primary states u (:func:`_state_gradient`). Gradients of the reduced matrix
+and loads need no solve, state gradients only small dense adjoint solves.
+Responses that read secondary states or reactions are the exception: their
+one large adjoint solve against the retained factorization is X.
 
-Condensed gradients of many responses share one contraction: their partials
-``W = dg/dK~`` (m x m) and ``F = dg/df~`` (m x cases) meet each element's
-reduced derivatives ``E_e^T k_e E_e`` and ``E_e^T k_e B_e``, chunk by chunk.
-State responses pass ``W = -A U^T`` and ``F = A``. Their products are einsums,
-not BLAS calls: a threaded BLAS call leaves OpenBLAS's workers spinning, and
-on two cores that doubled the next banded Cholesky (p1 99x99: 18 -> 40 ms).
+The kernel's products are einsums, not BLAS calls: a threaded BLAS call
+leaves OpenBLAS's workers spinning, and on two cores that doubled the next
+banded Cholesky (p1 99x99: 18 -> 40 ms).
 """
 from __future__ import annotations
 
@@ -31,23 +34,25 @@ from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
 
-ZERO_COLUMN_NORM = 1e-14
-
 
 # ---------------------------------------------------------------------------
 # operators retained from the condensation
 # ---------------------------------------------------------------------------
 
-def expand_primary(model: ReducedModel, y: np.ndarray) -> np.ndarray:
-    """Map reduced vectors to full-length fields (primary rows verbatim,
-    secondary-free rows through the retained coupling solutions)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float).T).T
+def _primary_basis(model: ReducedModel) -> np.ndarray:
+    """E (n x m): identity on the primary rows, minus the retained coupling
+    solutions on the secondary-free rows, zero on the secondary-prescribed."""
     plan = model.plan
-    out = np.zeros((plan.n, y.shape[1]))
-    out[plan.primary.ids, :] = y
-    if plan.f_sec:
-        out[plan.sec_free.ids, :] = -(model.static_modes @ y)
-    return out
+    E = np.zeros((plan.n, model.m))
+    E[plan.primary.ids, :] = np.eye(model.m)
+    E[plan.sec_free.ids, :] = -model.static_modes
+    return E
+
+
+def expand_primary(model: ReducedModel, y: np.ndarray) -> np.ndarray:
+    """Map reduced vectors to full-length fields, ``E y``."""
+    y = np.atleast_2d(np.asarray(y, dtype=float).T).T
+    return _primary_basis(model) @ y
 
 
 def load_field(model: ReducedModel):
@@ -65,46 +70,15 @@ def load_field(model: ReducedModel):
     return out
 
 
-def prescribed_coupling(model: ReducedModel, y: np.ndarray) -> np.ndarray:
-    """Sensitivity route from reduced quantities onto the secondary prescribed
-    values: rows live on the secondary prescribed DOFs."""
-    y = np.atleast_2d(np.asarray(y, dtype=float).T).T
-    out = -(model.k_pm @ y)
-    if model.plan.f_sec:
-        out += model.k_fp.T @ (model.static_modes @ y)
-    return np.asarray(out)
-
-
-def prescribed_coupling_t(model: ReducedModel, z: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`prescribed_coupling`: secondary-prescribed rows in,
-    reduced rows out."""
-    z = np.atleast_2d(np.asarray(z, dtype=float).T).T
-    out = -(model.k_pm.T @ z)
-    if model.plan.f_sec:
-        out += model.static_modes.T @ (model.k_fp @ z)
-    return np.asarray(out)
-
-
-def state_mismatch(model: ReducedModel, set_index: int,
-                   u_primary: np.ndarray) -> np.ndarray:
-    """Right-hand contraction field for state responses of one analysis set:
-    secondary-source field minus the expanded primary state."""
-    b = load_field(model)
-    d = -expand_primary(model, u_primary)
-    if b is not None:
-        d += b[:, model.plan.case_slices[set_index]]
-    return d
-
-
 # ---------------------------------------------------------------------------
 # adjoint bookkeeping
 # ---------------------------------------------------------------------------
 
 def _solve_adjoint(fact, rhs, ledger):
-    """Solve for the nonzero right-hand-side columns only."""
+    """Solve for the right-hand-side columns that are not exactly zero."""
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float).T).T
     lam = np.zeros_like(rhs)
-    live = np.linalg.norm(rhs, axis=0) > ZERO_COLUMN_NORM
+    live = rhs.any(axis=0)
     if np.any(live):
         with _adjoint_phase(ledger):
             lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
@@ -134,24 +108,44 @@ def _chain_rows(design: DesignField, raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(design.flt.chain(raw.T).T)
 
 
-def _contract_reduced(grid: Grid, design: DesignField, model: ReducedModel,
-                      W: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-    """Row r, element e: sum(W[r] * E_e^T dk_e E_e) + sum(F[r] * E_e^T dk_e B_e)
-    w.r.t. the filtered field; ``W`` (rows, m, m), ``F`` (rows, m, cases) or
-    None. E is expand_primary(model, I) without its product."""
-    E = np.zeros((model.plan.n, model.m))
-    E[model.plan.primary.ids, :] = np.eye(model.m)
-    E[model.plan.sec_free.ids, :] = -model.static_modes
-    B = None if F is None else load_field(model)
+def _contract_reduced(grid: Grid, design: DesignField, L: np.ndarray,
+                      R: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Row r, element e: sum(W[r] * L_e^T dk_e R_e) w.r.t. the filtered
+    field; ``L`` (n, a) and ``R`` (n, b) full-length bases, ``W`` (rows, a, b)."""
     out = np.empty((len(W), grid.n_elems))
     for e0 in range(0, grid.n_elems, ELEMENT_CHUNK):
         dofs = grid.edof[e0:e0 + ELEMENT_CHUNK]
-        Ee = E[dofs]                                     # (chunk, k, m)
-        EtK = Ee.transpose(0, 2, 1) @ grid.ke
-        out[:, e0:e0 + len(dofs)] = np.einsum("rij,eij->re", W, EtK @ Ee)
-        if B is not None:
-            out[:, e0:e0 + len(dofs)] += np.einsum("rij,eij->re", F, EtK @ B[dofs])
+        Le = L[dofs]                                     # (chunk, k, a)
+        Re = Le if R is L else R[dofs]
+        LtK = Le.transpose(0, 2, 1) @ grid.ke
+        out[:, e0:e0 + len(dofs)] = np.einsum("rij,eij->re", W, LtK @ Re)
     return design.dscales * out
+
+
+def _state_gradient(grid: Grid, design: DesignField, model: ReducedModel,
+                    A: np.ndarray, U: np.ndarray, cols,
+                    X: np.ndarray | None = None) -> np.ndarray:
+    """Row r: sum over columns c of (E a_c + X_c)^T dK (B_c - E u_c), chained.
+
+    ``A`` (rows, m, q) holds reduced adjoints, ``U`` (m, q) primary states,
+    ``cols`` the q load-field columns B, and ``X`` (n, q) a full-length left
+    term shared by the rows, or None. The fields stay on the bases
+    L = [E | X] and R = [E | B] with weights W[r] = [a; I] [-u; I]^T.
+    """
+    E = _primary_basis(model)
+    B = load_field(model)
+    q = U.shape[1]
+    L, alpha = E, A
+    if X is not None:
+        L = np.hstack([E, X])
+        alpha = np.concatenate(
+            [A, np.broadcast_to(np.eye(q), (len(A), q, q))], axis=1)
+    R, beta = E, -U
+    if B is not None:
+        R = np.hstack([E, B[:, cols]])
+        beta = np.vstack([beta, np.eye(q)])
+    W = np.einsum("rmc,nc->rmn", alpha, beta)
+    return _chain_rows(design, _contract_reduced(grid, design, L, R, W))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +189,7 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
         A[:, plan.free_primary_pos[i], plan.case_slices[i]] = \
             _resolve_adjoint(spec, sol.factorizations[i], ledger)
     U = np.hstack([sol.primary_states(plan, i) for i in range(len(sets))])
-    W = -np.einsum("rmc,nc->rmn", A, U)
-    return _chain_rows(design, _contract_reduced(grid, design, model, W, A))
+    return _state_gradient(grid, design, model, A, U, slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +214,19 @@ def sens_reduced_matrix(grid: Grid, design: DesignField, model: ReducedModel,
     dg_dkred = np.asarray(dg_dkred, dtype=float)
     if dg_dkred.shape != (model.m, model.m):
         raise ValueError("partial must be m x m")
+    E = _primary_basis(model)
     return design.flt.chain(
-        _contract_reduced(grid, design, model, dg_dkred[None])[0])
+        _contract_reduced(grid, design, E, E, dg_dkred[None])[0])
 
 
 def sens_reduced_load(grid: Grid, design: DesignField, model: ReducedModel,
                       dg_dfred: np.ndarray,
                       set_index: int | None = None) -> SensitivityBundle:
-    """Gradients of a response of the reduced loads. Zero solves."""
-    dg_dfred = np.atleast_2d(np.asarray(dg_dfred, dtype=float).T).T
-    cols = slice(None) if set_index is None else model.plan.case_slices[set_index]
-    b = load_field(model)
-    if b is None:
-        dgdx = np.zeros(grid.n_elems)
-    else:
-        left = expand_primary(model, dg_dfred)
-        dgdx = design.flt.chain(contract_dk_raw(grid, design, left, b[:, cols]))
-    d_loads = -(model.static_modes @ dg_dfred) if model.plan.f_sec else \
-        np.zeros((0, dg_dfred.shape[1]))
-    d_values = prescribed_coupling(model, dg_dfred)
-    return SensitivityBundle(dgdx, d_loads, d_values)
+    """Gradients of a response of the reduced loads of set ``set_index``, or
+    of every case when it is None: :func:`sens_case`'s reduced-load case.
+    Zero solves."""
+    return sens_case("reduced-load", grid, design, model, dg_dfred,
+                     set_index=set_index)
 
 
 CASES = ("reduced-matrix", "reduced-load", "primary-state", "primary-reaction",
@@ -248,74 +234,65 @@ CASES = ("reduced-matrix", "reduced-load", "primary-state", "primary-reaction",
 
 
 def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
-              partial, sol=None, set_index: int = 0,
+              partial, sol=None, set_index: int | None = 0,
               ledger: CostLedger | None = None) -> SensitivityBundle:
     """Full sensitivity bundle for one response dependency.
 
-    ``partial`` is dg/d(quantity); set-specific cases also need the condensed
-    solution ``sol`` for the retained dense factorization and the states.
+    ``partial`` is dg/d(quantity); set-specific state cases also need the
+    condensed solution ``sol`` for the retained dense factorization and the
+    states. The reduced-load case takes every case when ``set_index`` is None.
+    Every case but the reduced matrix is one reduced adjoint ``a`` plus a
+    full-length term ``X``, the large adjoint of the secondary cases: the
+    design gradient is :func:`_state_gradient`'s, and the input-space
+    partials are read off the full adjoint ``E a + X``.
     """
     if case == "reduced-matrix":
         return SensitivityBundle(sens_reduced_matrix(grid, design, model, partial))
-    if case == "reduced-load":
-        return sens_reduced_load(grid, design, model, partial, set_index)
     if case not in CASES:
         raise ValueError(f"unknown dependency case {case!r}")
 
     plan = model.plan
     partial = np.atleast_2d(np.asarray(partial, dtype=float).T).T
-    fpos = plan.free_primary_pos[set_index]
-    ppos = plan.presc_primary_pos[set_index]
-    kt = model.reduced_matrix
-    ktpf = kt[np.ix_(ppos, fpos)]
-    fact = sol.factorizations[set_index]
-    u_primary = sol.sets[set_index].u_full
-    lam_check = None
-    extra_presc = None
+    q = partial.shape[1]
+    cols = slice(None) if set_index is None else plan.case_slices[set_index]
+    a = np.zeros((plan.m, q))
+    X = np.zeros((plan.n, q))
+    lam_hat = d_presc = None
 
-    if case == "primary-state":
-        lam_hat = _solve_adjoint(fact, partial, ledger)
-        d_presc = -(ktpf @ lam_hat)
-    elif case == "primary-reaction":
-        lam_hat = _solve_adjoint(fact, ktpf.T @ partial, ledger)
-        d_presc = -(ktpf @ lam_hat) + kt[np.ix_(ppos, ppos)] @ partial
-    elif case == "secondary-state":
-        with _adjoint_phase(ledger):
-            lam_check = model.kff_fact.solve(-partial, ledger=ledger)
-        xtq = model.static_modes.T @ partial
-        lam_hat = _solve_adjoint(fact, -xtq[fpos], ledger)
-        d_presc = -(ktpf @ lam_hat) - xtq[ppos]
-    else:  # secondary-reaction
-        with _adjoint_phase(ledger):
-            lam_check = model.kff_fact.solve(
-                -np.asarray(model.k_fp @ partial), ledger=ledger)
-        ctq = prescribed_coupling_t(model, partial)
-        lam_hat = _solve_adjoint(fact, -ctq[fpos], ledger)
-        d_presc = -(ktpf @ lam_hat) - ctq[ppos]
-        extra_presc = partial
+    if case == "reduced-load":
+        a[:] = partial
+        u = np.zeros((plan.m, q))
+    else:
+        fpos = plan.free_primary_pos[set_index]
+        ppos = plan.presc_primary_pos[set_index]
+        kt = model.reduced_matrix
+        ktpf = kt[np.ix_(ppos, fpos)]
+        u = sol.sets[set_index].u_full
+        if case == "primary-state":
+            rhs, extra = partial, 0.0
+        elif case == "primary-reaction":
+            rhs, extra = ktpf.T @ partial, kt[np.ix_(ppos, ppos)] @ partial
+            a[ppos, :] = -partial
+        else:
+            if case == "secondary-state":
+                large, direct = partial, 0.0
+            else:   # secondary-reaction
+                large = np.asarray(model.k_fp @ partial)
+                direct = model.k_pm.T @ partial
+                X[plan.sec_prescribed.ids, :] = -partial
+            with _adjoint_phase(ledger):
+                X[plan.sec_free.ids, :] = model.kff_fact.solve(large,
+                                                               ledger=ledger)
+            ctq = model.static_modes.T @ large - direct
+            rhs, extra = -ctq[fpos], -ctq[ppos]
+        lam_hat = _solve_adjoint(sol.factorizations[set_index], rhs, ledger)
+        d_presc = extra - ktpf @ lam_hat
+        a[fpos, :] = lam_hat
 
-    a = np.zeros((plan.m, partial.shape[1]))
-    a[fpos, :] = lam_hat
-    if case == "primary-reaction":
-        a[ppos, :] -= partial
-    left = expand_primary(model, a)
-    if lam_check is not None:
-        left[plan.sec_free.ids, :] -= lam_check
-    if extra_presc is not None:
-        left[plan.sec_prescribed.ids, :] -= extra_presc
-    right = state_mismatch(model, set_index, u_primary)
-    dgdx = design.flt.chain(contract_dk_raw(grid, design, left, right))
-
-    d_loads = -(model.static_modes @ a) if plan.f_sec else \
-        np.zeros((0, a.shape[1]))
-    d_values = prescribed_coupling(model, a)
-    if case == "secondary-state":
-        d_loads = d_loads - lam_check
-        d_values = d_values + model.k_fp.T @ lam_check
-    elif case == "secondary-reaction":
-        d_loads = d_loads - lam_check
-        d_values = (d_values + model.k_fp.T @ lam_check
-                    + model.k_pp @ partial)
+    dgdx = _state_gradient(grid, design, model, a[None], u, cols, X)[0]
+    x_presc = X[plan.sec_prescribed.ids]
+    d_loads = X[plan.sec_free.ids] - model.static_modes @ a
+    d_values = -(model.k_pm @ a + model.k_fp.T @ d_loads + model.k_pp @ x_presc)
     return SensitivityBundle(dgdx, d_loads, d_values, lam_hat, d_presc)
 
 

@@ -242,8 +242,10 @@ class TestGain:
         cmd_gain(cfg)
         lines = (tmp_path / "gain.csv").read_text().splitlines()
         assert len(lines) == 3
-        xi_t = lines[1].split(",")[4]
-        assert xi_t and float(xi_t) > 0
+        direct, iterative = (line.split(",") for line in lines[1:])
+        assert direct[2] == "direct" and float(direct[4]) > 0
+        # the iterative model is predicted only
+        assert iterative[2] == "iterative" and iterative[4] == ""
 
 
 class TestMain:

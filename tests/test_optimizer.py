@@ -66,7 +66,7 @@ class TestMMA:
         assert abs(x[0] - 1e-3) <= 1e-9
 
     def test_move_limit(self):
-        mma = MMA(1, 0, lower=0.0, upper=1.0, move=0.2)
+        mma = MMA(1, 0, lower=0.0, upper=1.0)
         x0 = np.array([0.9])
         x1 = mma.step(x0, x0[0], np.array([1.0]))
         assert x0[0] - x1[0] <= 0.2 + 1e-12

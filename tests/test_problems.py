@@ -175,6 +175,19 @@ class TestBuildProblem2:
             x, ev_c.d_objective)
         assert err <= 1e-6
 
+    @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
+    def test_constraint_gradients_scale_with_target(self, pipeline):
+        # the adjoint right-hand sides are 1/jbar: scaling the target by s
+        # scales every constraint gradient by 1/s, however small it gets
+        p = build_problem2(6, 6, 2, JBAR)
+        x = np.random.default_rng(9).uniform(0.3, 0.9, p.grid.n_elems)
+        ref = evaluate(p, x, pipeline=pipeline).d_constraints
+        for s in (1e13, 1e15, 1e20):
+            ps = build_problem2(6, 6, 2, JBAR * s)
+            got = s * evaluate(ps, x, pipeline=pipeline).d_constraints
+            np.testing.assert_allclose(got, ref, rtol=1e-9,
+                                       atol=1e-12 * np.abs(ref).max())
+
     def test_slender_grid_reordered_pipelines_agree(self):
         # 4 x 40 bands along the long side (natural bandwidth 85), so both
         # pipelines factorize in reverse Cuthill-McKee order
