@@ -1,13 +1,21 @@
 """End-to-end response pipelines over the analysis sets.
 
 ``solve_elementary`` treats every boundary-condition pattern as its own
-large constrained system: one sparse factorization per set. ``solve_condensed``
-runs every pattern against one shared reduced model: a single large
-factorization total, then small dense solves per set. Both produce the same
-primary states; the cost ledgers differ.
+large constrained system and streams through them: per set, one sparse
+factorization, the state solve, the solve of the set's adjoint right-hand
+sides, then release, so one factorization is alive at a time.
+``solve_condensed`` runs every pattern against one shared reduced model: a
+single large factorization total, then small dense solves per set, whose
+handles it keeps for later adjoint solves. Both produce the same primary
+states; the cost ledgers differ.
+
+Adjoint right-hand sides and solved adjoints travel as stacks, one
+(rows, free, cases) array per set with one row per response;
+:func:`check_stacks` rejects a stack of any other shape.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +50,17 @@ class SetStates:
 
 @dataclass
 class StateSolution:
+    """States of every analysis set.
+
+    ``factorizations`` holds the condensed pipeline's dense handles, one per
+    set; ``adjoints`` the elementary pipeline's solved adjoint stacks, one
+    per set when right-hand sides were given. The elementary pipeline keeps
+    no factorization.
+    """
+
     sets: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
+    adjoints: list = field(default_factory=list)
 
     def primary_states(self, plan: PartitionPlan, i: int) -> np.ndarray:
         """State restricted to the primary DOFs, comparable across pipelines."""
@@ -53,17 +70,31 @@ class StateSolution:
         return s.u_full[plan.primary.ids, :]
 
 
-def solve_elementary(K: SymmetricSparse, sets,
+def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
                      ledger: CostLedger | None = None,
                      want_reactions: bool = False) -> StateSolution:
-    """Solve each analysis set against the full system matrix."""
+    """Solve each analysis set against the full system matrix, one set at a
+    time: factorize, solve the states, solve the adjoints, release.
+
+    ``adjoint_rhs`` holds one (rows, free, cases) stack of adjoint
+    right-hand sides per set, or is None for self-adjoint responses, which
+    need no adjoint solve. Each stack is solved with its set's factorization
+    right after the states, and the solved stacks are returned as
+    ``adjoints``.
+    """
+    if adjoint_rhs is not None:
+        adjoint_rhs = check_stacks(adjoint_rhs,
+                                   [(len(s.free), s.cases) for s in sets])
     out = StateSolution()
-    for aset in sets:
+    for i, aset in enumerate(sets):
         fidx, pidx = aset.free, aset.prescribed
         fact = factorize(principal(K, fidx), ledger=ledger)
         k_fp = extract(K, fidx, pidx)
         rhs = aset.loads_free() - k_fp @ aset.prescribed_values
         u_free = fact.solve(rhs, ledger=ledger)
+        if adjoint_rhs is not None:
+            out.adjoints.append(solve_stack(fact, adjoint_rhs[i], ledger))
+        del fact    # release the band before the next set factorizes
         u_full = np.zeros((K.n, aset.cases))
         u_full[fidx.ids, :] = u_free
         u_full[pidx.ids, :] = aset.prescribed_values
@@ -74,7 +105,6 @@ def solve_elementary(K: SymmetricSparse, sets,
         out.sets.append(SetStates("full", u_free,
                                   aset.prescribed_values.copy(), u_full,
                                   reactions))
-        out.factorizations.append(fact)
     return out
 
 
@@ -121,3 +151,45 @@ def _primary_prescribed_values(plan: PartitionPlan, aset, i: int) -> np.ndarray:
     phat = plan.presc_primary[i]
     rows = phat.positions_in(aset.prescribed)
     return aset.prescribed_values[rows, :]
+
+
+# ---------------------------------------------------------------------------
+# adjoint stacks
+# ---------------------------------------------------------------------------
+
+def check_stacks(stacks, sizes) -> list:
+    """``stacks`` as float arrays, checked to be one (rows, free, cases)
+    stack per analysis set, where ``sizes[i]`` is set i's (free, cases) and
+    every set has the row count of the first."""
+    if len(stacks) != len(sizes):
+        raise ValueError(f"{len(stacks)} adjoint stacks for {len(sizes)} "
+                         "analysis sets")
+    stacks = [np.asarray(s, dtype=float) for s in stacks]
+    rows = stacks[0].shape[:1] if stacks else ()
+    for i, (stack, size) in enumerate(zip(stacks, sizes)):
+        if stack.shape != (*rows, *size):
+            raise ValueError(f"adjoint stack of set {i} has shape "
+                             f"{stack.shape}, expected {(*rows, *size)}")
+    return stacks
+
+
+def adjoint_phase(ledger):
+    return ledger.phase("adjoint") if ledger is not None else nullcontext()
+
+
+def solve_adjoint(fact, rhs, ledger=None) -> np.ndarray:
+    """Solve for the right-hand-side columns that are not exactly zero."""
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float).T).T
+    lam = np.zeros_like(rhs)
+    live = rhs.any(axis=0)
+    if np.any(live):
+        with adjoint_phase(ledger):
+            lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
+    return lam
+
+
+def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
+    """Solve a (rows, free, cases) stack in one call, every response's
+    columns side by side."""
+    return np.stack(np.hsplit(solve_adjoint(fact, np.hstack(stack), ledger),
+                              len(stack)))

@@ -156,31 +156,40 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     The pipeline is chosen here only: it fixes the free DOFs each set's states
     live on and the gradient route (``sens_condensed_state``, one contraction
     through the reduced model, or ``sens_elementary``, one per set and
-    response). The responses read states through those free DOFs and the
-    primary states; one ``gradient`` call covers every response.
+    response). The responses' adjoint right-hand sides depend only on those
+    free DOFs, so they are built before the solve, and the elementary
+    pipeline solves them while each set's factorization is alive. One
+    ``gradient`` call covers every response: with the adjoints of
+    self-adjoint responses, or with None for the right-hand sides built here.
     """
     grid = problem.grid
     design = problem.design(np.asarray(x, dtype=float))
     K = assemble(grid, design)
     if pipeline == "condensed":
+        free_sets = problem.plan.free_primary
+    elif pipeline == "elementary":
+        free_sets = [aset.free for aset in problem.sets]
+    else:
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    adjoint_rhs = _adjoint_rhs(problem, free_sets) if want_grads else None
+
+    if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
                          problem.sec_values, ledger=ledger)
         sol = solve_condensed(model, problem.sets, ledger=ledger)
-        free_sets = problem.plan.free_primary
 
-        def gradient(adjoints):
+        def gradient(lams):
+            adjoints = ([("rhs", rhs) for rhs in adjoint_rhs] if lams is None
+                        else [("lam", lam) for lam in lams])
             return sens_condensed_state(grid, design, model, sol,
                                         problem.sets, adjoints, ledger=ledger)
-    elif pipeline == "elementary":
-        model = None
-        sol = solve_elementary(K, problem.sets, ledger=ledger)
-        free_sets = [aset.free for aset in problem.sets]
-
-        def gradient(adjoints):
-            return sens_elementary(grid, design, sol, problem.sets, adjoints,
-                                   ledger=ledger)
     else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+        model = None
+        sol = solve_elementary(K, problem.sets, adjoint_rhs, ledger=ledger)
+
+        def gradient(lams):
+            return sens_elementary(grid, design, sol, problem.sets,
+                                   sol.adjoints if lams is None else lams)
 
     if problem.kind == "problem1":
         responses = _evaluate_p1(problem, design, sol, gradient, want_grads)
@@ -188,6 +197,24 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
         responses = _evaluate_p2(problem, design, sol, free_sets, gradient,
                                  want_grads)
     return Evaluation(*responses, sol, model)
+
+
+def _adjoint_rhs(problem, free_sets):
+    """One (rows, free, cases) stack of adjoint right-hand sides per set, or
+    None for problem 1, whose compliance is self-adjoint."""
+    if problem.kind == "problem1":
+        return None
+    jbar = problem.params["jbar"]
+    x_in = problem.params["n_inputs"]
+    outputs = IndexSet(problem.params["out_dofs"], problem.plan.n)
+    # constraint row i * x_in + j reads output i of set j
+    stacks = []
+    for j, free in enumerate(free_sets):
+        rhs = np.zeros((x_in * x_in, len(free), 1))
+        rhs[np.arange(x_in) * x_in + j, outputs.positions_in(free), 0] = \
+            1.0 / jbar[:, j]
+        stacks.append(rhs)
+    return stacks
 
 
 def _evaluate_p1(problem, design, sol, gradient, want_grads):
@@ -207,7 +234,7 @@ def _evaluate_p1(problem, design, sol, gradient, want_grads):
         # grounded ports (zero prescribed values) make the compliance
         # self-adjoint: the explicit matrix dependence folds into the adjoint
         # term, leaving adjoint == state and no adjoint solve at all
-        d0 = gradient([("lam", s.u_free[None]) for s in sol.sets])[0]
+        d0 = gradient([s.u_free[None] for s in sol.sets])[0]
         d1 = design.flt.chain(np.full(n_elems, 1.0 / (n_elems * vbar)))
         d1 = d1[None, :]
     return g0, np.array([g1]), d0, d1
@@ -230,11 +257,5 @@ def _evaluate_p2(problem, design, sol, free_sets, gradient, want_grads):
     d0 = dcons = None
     if want_grads:
         d0 = -design.flt.chain(np.ones(n_elems)) / n_elems
-        # constraint row i * x_in + j reads output i of set j
-        adjoints = []
-        for j in range(x_in):
-            rhs = np.zeros((x_in * x_in, len(sol.sets[j].u_free), 1))
-            rhs[np.arange(x_in) * x_in + j, out_pos[j], 0] = 1.0 / jbar[:, j]
-            adjoints.append(("rhs", rhs))
-        dcons = gradient(adjoints)
+        dcons = gradient(None)
     return g0, cons, d0, dcons

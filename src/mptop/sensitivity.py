@@ -4,7 +4,9 @@ Every gradient here reduces to sums of element-level contractions
 ``left^T (dK/dx_e) right``, chained through the density filter once at the
 end; the full derivative of the system matrix is never formed. The
 elementary pipeline contracts full-length adjoints and states with
-:func:`~mptop.fem.contract_dk_raw`.
+:func:`~mptop.fem.contract_dk_raw`; it solves nothing here, since
+:func:`~mptop.analysis.solve_elementary` solved every adjoint while its
+set's factorization was alive.
 
 The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
 sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
@@ -25,11 +27,11 @@ banded Cholesky (p1 99x99: 18 -> 40 ms).
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import adjoint_phase, check_stacks, solve_adjoint, solve_stack
 from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
@@ -68,39 +70,6 @@ def load_field(model: ReducedModel):
     if has_u:
         out[plan.sec_prescribed.ids, :] -= model.sec_values
     return out
-
-
-# ---------------------------------------------------------------------------
-# adjoint bookkeeping
-# ---------------------------------------------------------------------------
-
-def _solve_adjoint(fact, rhs, ledger):
-    """Solve for the right-hand-side columns that are not exactly zero."""
-    rhs = np.atleast_2d(np.asarray(rhs, dtype=float).T).T
-    lam = np.zeros_like(rhs)
-    live = rhs.any(axis=0)
-    if np.any(live):
-        with _adjoint_phase(ledger):
-            lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
-    return lam
-
-
-def _adjoint_phase(ledger):
-    return ledger.phase("adjoint") if ledger is not None else nullcontext()
-
-
-def _resolve_adjoint(spec, fact, ledger):
-    """An adjoint spec is ('rhs', stack) to be solved, all rows in one call,
-    or ('lam', stack); a stack holds one (free, cases) block per response."""
-    kind, mat = spec
-    mat = np.asarray(mat, dtype=float)
-    rows, _, _ = mat.shape          # (rows, free, cases)
-    if kind == "lam":
-        return mat
-    if kind == "rhs":   # every response's columns side by side
-        return np.stack(np.hsplit(_solve_adjoint(fact, np.hstack(mat), ledger),
-                                  rows))
-    raise ValueError(f"unknown adjoint spec {kind!r}")
 
 
 def _chain_rows(design: DesignField, raw: np.ndarray) -> np.ndarray:
@@ -152,20 +121,20 @@ def _state_gradient(grid: Grid, design: DesignField, model: ReducedModel,
 # pipeline gradients for state-dependent responses
 # ---------------------------------------------------------------------------
 
-def sens_elementary(grid: Grid, design: DesignField, sol, sets, adjoints,
-                    ledger: CostLedger | None = None) -> np.ndarray:
+def sens_elementary(grid: Grid, design: DesignField, sol, sets,
+                    adjoints) -> np.ndarray:
     """Gradients of several responses, full-system route: (rows, n_elems).
 
-    ``adjoints[i]`` is ``('rhs', dg_dUfree)`` or, for self-adjoint responses,
-    ``('lam', lam_free)``: a (rows, free, cases) stack on set i's free DOFs,
-    zero where a response ignores the set. The retained factorizations of the
-    response evaluation are reused, so no new preprocessing happens here.
+    ``adjoints[i]`` is set i's solved adjoint stack, (rows, free, cases) on
+    its free DOFs and zero where a response ignores the set: the ``adjoints``
+    that :func:`~mptop.analysis.solve_elementary` returned, or the states
+    themselves for self-adjoint responses. Nothing is solved here.
     """
-    if len(sol.factorizations) != len(sets):
+    if len(sol.sets) != len(sets):
         raise ValueError("solution does not match the analysis sets")
-    acc = np.zeros((len(adjoints[0][1]), grid.n_elems))
-    for i, (aset, spec) in enumerate(zip(sets, adjoints)):
-        lam_free = _resolve_adjoint(spec, sol.factorizations[i], ledger)
+    adjoints = check_stacks(adjoints, [(len(s.free), s.cases) for s in sets])
+    acc = np.zeros((len(adjoints[0]), grid.n_elems))
+    for i, (aset, lam_free) in enumerate(zip(sets, adjoints)):
         for r in np.flatnonzero(lam_free.any(axis=(1, 2))):
             lam = np.zeros((grid.n_dofs, aset.cases))
             lam[aset.free.ids, :] = lam_free[r]
@@ -179,15 +148,23 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
     """Gradients of several responses of the reduced free states, condensed
     route: (rows, n_elems).
 
-    ``adjoints`` as for :func:`sens_elementary`, on the free primary DOFs.
-    Adjoint systems are the small dense blocks retained by the condensed
-    response evaluation; no large system is solved.
+    ``adjoints[i]`` is ``('rhs', dg_dUfree)`` or, for self-adjoint
+    responses, ``('lam', lam_free)``: a (rows, free, cases) stack on set i's
+    free primary DOFs, zero where a response ignores the set. A set's
+    right-hand sides are one solve against the small dense block retained by
+    the condensed response evaluation; no large system is solved.
     """
     plan = model.plan
-    A = np.zeros((len(adjoints[0][1]), plan.m, plan.total_cases))
-    for i, spec in enumerate(adjoints):
-        A[:, plan.free_primary_pos[i], plan.case_slices[i]] = \
-            _resolve_adjoint(spec, sol.factorizations[i], ledger)
+    stacks = check_stacks([stack for _, stack in adjoints],
+                          [(len(f), s.cases)
+                           for f, s in zip(plan.free_primary, sets)])
+    A = np.zeros((len(stacks[0]), plan.m, plan.total_cases))
+    for i, ((kind, _), stack) in enumerate(zip(adjoints, stacks)):
+        if kind == "rhs":
+            stack = solve_stack(sol.factorizations[i], stack, ledger)
+        elif kind != "lam":
+            raise ValueError(f"unknown adjoint spec {kind!r}")
+        A[:, plan.free_primary_pos[i], plan.case_slices[i]] = stack
     U = np.hstack([sol.primary_states(plan, i) for i in range(len(sets))])
     return _state_gradient(grid, design, model, A, U, slice(None))
 
@@ -280,12 +257,12 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
                 large = np.asarray(model.k_fp @ partial)
                 direct = model.k_pm.T @ partial
                 X[plan.sec_prescribed.ids, :] = -partial
-            with _adjoint_phase(ledger):
+            with adjoint_phase(ledger):
                 X[plan.sec_free.ids, :] = model.kff_fact.solve(large,
                                                                ledger=ledger)
             ctq = model.static_modes.T @ large - direct
             rhs, extra = -ctq[fpos], -ctq[ppos]
-        lam_hat = _solve_adjoint(sol.factorizations[set_index], rhs, ledger)
+        lam_hat = solve_adjoint(sol.factorizations[set_index], rhs, ledger)
         d_presc = extra - ktpf @ lam_hat
         a[fpos, :] = lam_hat
 

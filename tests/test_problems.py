@@ -1,10 +1,16 @@
 """Benchmark problem builders, response values and gradients."""
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import mptop.analysis
+from mptop.fem import assemble
 from mptop.problems import build_problem1, build_problem2, evaluate
 from mptop.sensitivity import fd_verify
-from mptop.sparse import CostLedger
+from mptop.sparse import CostLedger, principal
 
 JBAR = np.array([[0.5, 2.0], [1.0, -1.0]])
 
@@ -197,7 +203,9 @@ class TestBuildProblem2:
         ev_c = evaluate(p, x, pipeline="condensed")
         ev_e = evaluate(p, x, pipeline="elementary")
         assert ev_c.model.kff_fact.bandwidth < 40
-        assert all(f.bandwidth < 40 for f in ev_e.states.factorizations)
+        K = assemble(p.grid, p.design(x))
+        assert all(principal(K, aset.free).pattern.band().bandwidth < 40
+                   for aset in p.sets)
         np.testing.assert_allclose(ev_c.constraints, ev_e.constraints,
                                    rtol=1e-9, atol=1e-12)
         assert abs(ev_c.objective - ev_e.objective) \
@@ -267,3 +275,74 @@ class TestBuildProblem2:
                                         want_grads=False).constraints[k],
                     x, ev.d_constraints[k])
                 assert err <= 1e-5, f"{pipe} g[{k}] FD error {err:.2e}"
+
+
+class TestElementaryStreaming:
+    """The elementary pipeline runs factorize -> state solve -> adjoint solve
+    -> release per pattern, as the paper's cost model charges it."""
+
+    # b: adjoint right-hand sides per set, none for the self-adjoint problem 1
+    # and one per constraint that reads the set for problem 2
+    @pytest.mark.parametrize("build, b", [
+        (lambda: build_problem1(6, 6, m=4, seed=4), 0),
+        (lambda: build_problem2(6, 6, 2, JBAR), 2),
+    ], ids=["problem1", "problem2"])
+    def test_one_factorization_alive_at_a_time(self, monkeypatch, build, b):
+        p = build()
+        honest = mptop.analysis.factorize
+        handles, alive = [], []
+
+        def recording(K, **kwargs):
+            alive.append(sum(ref() is not None for ref in handles))
+            fact = honest(K, **kwargs)
+            handles.append(weakref.ref(fact))
+            return fact
+
+        monkeypatch.setattr(mptop.analysis, "factorize", recording)
+        ledger = CostLedger()
+        ev = evaluate(p, p.x0, pipeline="elementary", ledger=ledger)
+        gc.collect()
+        assert len(handles) == len(p.sets)
+        assert alive == [0] * len(p.sets)
+        assert all(ref() is None for ref in handles)
+        assert ev.d_constraints is not None     # the evaluation is still alive
+
+        # each set's events are contiguous: its factorization, then its
+        # solves, l + b right-hand sides, before the next set factorizes
+        groups = []
+        for e in ledger.events:
+            assert e.matrix == "sparse"
+            if e.op == "factorize":
+                groups.append([])
+            else:
+                groups[-1].append(e)
+        assert len(groups) == len(p.sets)
+        for aset, solves in zip(p.sets, groups):
+            assert sum(e.nrhs for e in solves) == aset.cases + b
+            assert [e.phase for e in solves] == \
+                ["response"] + ["adjoint"] * (len(solves) - 1)
+
+    def test_peak_memory_holds_two_bands(self):
+        # the pattern's block maps and band layouts are built by the first
+        # evaluate and kept; the traced one allocates numerical work only
+        p = build_problem1(40, 40, m=16)
+        evaluate(p, p.x0, pipeline="elementary")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate(p, p.x0, pipeline="elementary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        grid = p.grid
+        K = assemble(grid, p.design(p.x0))
+        states = sum(8 * (len(s.free) + grid.n_dofs) * s.cases
+                     for s in p.sets)
+        band = max(8 * (principal(K, s.free).pattern.band().bandwidth + 1)
+                   * len(s.free) for s in p.sets)
+        # the gradient of one set: its full-length adjoint and the three
+        # (elements, element DOFs, cases) gathers of contract_dk_raw
+        cases = max(s.cases for s in p.sets)
+        contraction = 8 * cases * (grid.n_dofs + 3 * grid.edof.size)
+        assert peak < states + 2 * band + contraction

@@ -233,7 +233,7 @@ class TestStateSensitivities:
         for i, (aset, w) in enumerate(zip(sets, weights)):
             rhs = np.zeros((len(w), len(aset.free), aset.cases))
             rhs[:, plan.free_primary[i].positions_in(aset.free), :] = w
-            stacks.append(("rhs", rhs))
+            stacks.append(rhs)
         return stacks
 
     def test_cross_pipeline_gradient_equality(self):
@@ -253,15 +253,15 @@ class TestStateSensitivities:
             if load_field(model) is not None:
                 bases.add(plan.total_cases > plan.m)
             cond = solve_condensed(model, sets)
-            elem = solve_elementary(K, sets)
             weights = self._rand_state_response(rng, sets, plan)
+            elem = solve_elementary(K, sets,
+                                    self._elementary_stacks(sets, plan,
+                                                            weights))
 
             cond_adj = [("rhs", w) for w in weights]
             g_cond = sens_condensed_state(grid, design, model, cond, sets,
                                           cond_adj)
-            g_elem = sens_elementary(grid, design, elem, sets,
-                                     self._elementary_stacks(sets, plan,
-                                                             weights))
+            g_elem = sens_elementary(grid, design, elem, sets, elem.adjoints)
             assert g_cond.shape == g_elem.shape == (2, grid.n_elems)
             for gc, ge in zip(g_cond, g_elem):
                 scale = max(np.abs(ge).max(), 1e-30)
@@ -311,25 +311,53 @@ class TestStateSensitivities:
         cond = solve_condensed(model, sets)
         grad_c = sens_condensed_state(grid, design, model, cond, sets,
                                       [("rhs", w) for w in weights])[0]
-        elem = solve_elementary(assemble(grid, design), sets)
-        grad_e = sens_elementary(grid, design, elem, sets,
-                                 self._elementary_stacks(sets, plan,
-                                                         weights))[0]
+        elem = solve_elementary(assemble(grid, design), sets,
+                                self._elementary_stacks(sets, plan, weights))
+        grad_e = sens_elementary(grid, design, elem, sets, elem.adjoints)[0]
 
         assert fd_verify(g_cond, x, grad_c) <= 1e-5
         assert fd_verify(g_elem, x, grad_e) <= 1e-5
 
     def test_zero_partial_zero_gradient(self):
         # an all-zero adjoint stack gives exactly zero and records no solve
+        # beyond each set's state solve
         rng = np.random.default_rng(38)
         K, sets, grid, design = random_conduction_problem(rng, max_grid=5)
-        elem = solve_elementary(K, sets)
         ledger = CostLedger()
-        zero = [("rhs", np.zeros((2, len(s.free), s.cases))) for s in sets]
-        g = sens_elementary(grid, design, elem, sets, zero, ledger=ledger)
+        zero = [np.zeros((2, len(s.free), s.cases)) for s in sets]
+        elem = solve_elementary(K, sets, zero, ledger=ledger)
+        g = sens_elementary(grid, design, elem, sets, elem.adjoints)
         assert g.shape == (2, grid.n_elems)
         np.testing.assert_array_equal(g, 0.0)
-        assert ledger.count(op="solve") == 0
+        assert ledger.count(op="solve") == len(sets)
+        assert ledger.count(op="solve", phase="adjoint") == 0
+
+    def test_stack_of_wrong_shape_names_its_set(self):
+        # a (1, 1, 1) stack used to broadcast into a gradient on both routes
+        p = build_problem2(6, 6, 2, np.array([[0.5, 2.0], [1.0, -1.0]]))
+        design = p.design(p.x0)
+        K = assemble(p.grid, design)
+        model = condense(K, p.plan, p.sec_loads, p.sec_values)
+        cond = solve_condensed(model, p.sets)
+        elem = solve_elementary(K, p.sets)
+        tiny = np.ones((1, 1, 1))
+        ok_c = np.zeros((1, len(p.plan.free_primary[0]), 1))
+        ok_e = np.zeros((1, len(p.sets[0].free), 1))
+        for kind in ("lam", "rhs"):
+            for adjoints, i in (([(kind, tiny)] * 2, 0),
+                                ([(kind, ok_c), (kind, tiny)], 1),
+                                ([(kind, ok_c), (kind, ok_c[[0, 0]])], 1)):
+                with pytest.raises(ValueError, match=f"set {i} "):
+                    sens_condensed_state(p.grid, design, model, cond, p.sets,
+                                         adjoints)
+        for stacks, i in (([tiny] * 2, 0), ([ok_e, tiny], 1),
+                          ([ok_e, ok_e[[0, 0]]], 1)):
+            with pytest.raises(ValueError, match=f"set {i} "):
+                sens_elementary(p.grid, design, elem, p.sets, stacks)
+            with pytest.raises(ValueError, match=f"set {i} "):
+                solve_elementary(K, p.sets, stacks)
+        with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
+            sens_elementary(p.grid, design, elem, p.sets, [ok_e])
 
     def test_no_large_solves_in_condensed_adjoint(self):
         rng = np.random.default_rng(39)
