@@ -36,8 +36,6 @@ from .sensitivity import (
     sens_case,
     sens_condensed_state,
     sens_elementary,
-    sens_reduced_load,
-    sens_reduced_matrix,
 )
 from .sparse import (
     BandStorageError,

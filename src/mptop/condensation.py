@@ -40,7 +40,6 @@ class ReducedModel:
     load_states: np.ndarray | None    # f_sec x cases, None when no secondary sources
     kff_fact: Factorization | DenseCholesky   # 0 x 0 dense when f_sec == 0
     k_fp: sp.csr_matrix               # secondary-free rows, secondary-prescribed cols
-    k_fm: sp.csr_matrix               # secondary-free rows, primary cols
     k_pm: sp.csr_matrix               # secondary-prescribed rows, primary cols
     k_pp: sp.csr_matrix
     sec_values: np.ndarray            # prescribed magnitudes on secondary DOFs
@@ -114,7 +113,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
         reduced_loads = np.zeros((plan.m, l_tot))
 
     return ReducedModel(plan, reduced, reduced_loads, static_modes,
-                        load_states, fact, k_fp, k_fm, k_pm, k_pp, sec_values)
+                        load_states, fact, k_fp, k_pm, k_pp, sec_values)
 
 
 def recover_secondary(model: ReducedModel, u_primary,

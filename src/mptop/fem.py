@@ -2,19 +2,20 @@
 
 Conventions (fixed, relied on throughout):
 
-* nodes are numbered column-major: ``node(r, c) = r + c * (nely + 1)`` with
-  row ``r`` counted from the top of the grid and column ``c`` from the left;
-* elements likewise: ``elem(r, c) = r + c * nely``;
+* nodes are numbered along the grid's shorter side: column-major,
+  ``node(r, c) = r + c * (nely + 1)``, when ``nely <= nelx``, and row-major,
+  ``node(r, c) = c + r * (nelx + 1)``, on taller grids, with row ``r``
+  counted from the top of the grid and column ``c`` from the left;
+* elements are numbered column-major on every grid,
+  ``elem(r, c) = r + c * nely``;
 * elastic DOFs are interleaved, ``(2 * node, 2 * node + 1)`` for the
   horizontal and vertical components;
 * elements are unit squares with unit conductivity / unit Young's modulus,
   Poisson ratio 0.3, unit thickness, full 2x2 Gauss integration.
 
-This numbering makes the assembled bandwidth proportional to the grid height,
-i.e. of order sqrt(n) for square grids. The sparse factorization bands in
-whichever of this order and reverse Cuthill–McKee gives the smaller
-bandwidth, so its cost follows the better of the two, not the grid's
-orientation.
+This numbering makes the assembled bandwidth proportional to the grid's
+shorter side, of order sqrt(n) for square grids, whatever its orientation;
+the sparse factorization bands every matrix in this order.
 
 Assembly is split like a sparse direct solver's work: the first
 :func:`assemble` on a grid builds K's CSR pattern and the operator P from
@@ -121,8 +122,11 @@ class Grid:
             "conduction" if physics == "conduction" else "plane-stress")
         self.edof = self._edof_table()
 
-    def node(self, r: int, c: int) -> int:
-        return r + c * (self.nely + 1)
+    def node(self, r, c):
+        """Node number at row ``r``, column ``c`` (scalars or arrays)."""
+        if self.nely <= self.nelx:
+            return r + c * (self.nely + 1)
+        return c + r * (self.nelx + 1)
 
     @cached_property
     def _assembly(self):
@@ -146,16 +150,11 @@ class Grid:
         return pattern, P
 
     def _edof_table(self) -> np.ndarray:
-        nely = self.nely
-        eid = np.arange(self.n_elems)
-        er = eid % nely
-        ec = eid // nely
+        ec, er = np.divmod(np.arange(self.n_elems), self.nely)
         # corner nodes counterclockwise from the lower-left (rows grow downward)
-        n_ll = (er + 1) + ec * (nely + 1)
-        n_lr = (er + 1) + (ec + 1) * (nely + 1)
-        n_ur = er + (ec + 1) * (nely + 1)
-        n_ul = er + ec * (nely + 1)
-        nodes = np.column_stack([n_ll, n_lr, n_ur, n_ul])
+        nodes = np.column_stack([self.node(er + 1, ec),
+                                 self.node(er + 1, ec + 1),
+                                 self.node(er, ec + 1), self.node(er, ec)])
         if self.dofs_per_node == 1:
             return nodes.astype(np.int64)
         edof = np.empty((self.n_elems, 8), dtype=np.int64)

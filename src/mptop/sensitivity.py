@@ -184,28 +184,6 @@ class SensitivityBundle:
     dg_dpresc_values: np.ndarray | None = None  # prescribed primary values
 
 
-def sens_reduced_matrix(grid: Grid, design: DesignField, model: ReducedModel,
-                        dg_dkred: np.ndarray) -> np.ndarray:
-    """Gradient of a response of the reduced matrix alone. Zero solves: both
-    contraction sides come from the retained coupling solutions."""
-    dg_dkred = np.asarray(dg_dkred, dtype=float)
-    if dg_dkred.shape != (model.m, model.m):
-        raise ValueError("partial must be m x m")
-    E = _primary_basis(model)
-    return design.flt.chain(
-        _contract_reduced(grid, design, E, E, dg_dkred[None])[0])
-
-
-def sens_reduced_load(grid: Grid, design: DesignField, model: ReducedModel,
-                      dg_dfred: np.ndarray,
-                      set_index: int | None = None) -> SensitivityBundle:
-    """Gradients of a response of the reduced loads of set ``set_index``, or
-    of every case when it is None: :func:`sens_case`'s reduced-load case.
-    Zero solves."""
-    return sens_case("reduced-load", grid, design, model, dg_dfred,
-                     set_index=set_index)
-
-
 CASES = ("reduced-matrix", "reduced-load", "primary-state", "primary-reaction",
          "secondary-state", "secondary-reaction")
 
@@ -224,7 +202,14 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
     partials are read off the full adjoint ``E a + X``.
     """
     if case == "reduced-matrix":
-        return SensitivityBundle(sens_reduced_matrix(grid, design, model, partial))
+        # zero solves: both contraction sides are the retained coupling
+        # solutions
+        W = np.asarray(partial, dtype=float)
+        if W.shape != (model.m, model.m):
+            raise ValueError("partial must be m x m")
+        E = _primary_basis(model)
+        return SensitivityBundle(design.flt.chain(
+            _contract_reduced(grid, design, E, E, W[None])[0]))
     if case not in CASES:
         raise ValueError(f"unknown dependency case {case!r}")
 

@@ -3,19 +3,20 @@
 Work that depends on a matrix's structure only is done once per structure,
 George & Liu's analyse step: a :class:`Pattern` holds the CSR structure and
 keeps, built on first use, the map of every block extracted from it and
-the banded order of every block factorized. Per matrix, extraction is then
+the band layout of every block factorized. Per matrix, extraction is then
 one gather of values and filling the band one scatter.
 
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
-Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the better of two orders, the
-natural one or reverse Cuthill–McKee (Cuthill & McKee 1969) when that gives
-a strictly smaller bandwidth. The permutation stays inside the handle, so
-callers pass and receive vectors in natural order, and the cost tracks the
-smaller bandwidth, whatever the grid's orientation. A band too large to
-allocate raises :class:`BandStorageError` with its size. There is no
-CG solver: with an ichol0 preconditioner it condensed the three benchmark
-problems 48-232x slower than this one, so its cost is only a predicted
-curve in :mod:`mptop.perfmodel`.
+Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the matrix's own order. A
+:class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
+order already has a band of the grid's short side, whatever its
+orientation, and every block taken from it inherits the band. A band
+narrower than LAPACK's blocked width is stored at that width
+(:data:`BLOCKED_BAND`). A band too large to allocate raises
+:class:`BandStorageError` with its size. There is no CG solver: with an
+ichol0 preconditioner it condensed the three benchmark problems 48-232x
+slower than this one, so its cost is only a predicted curve in
+:mod:`mptop.perfmodel`.
 
 Dense blocks arising from condensed systems use a dense Cholesky
 (:class:`DenseCholesky`).
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularMatrixError(RuntimeError):
@@ -194,10 +194,10 @@ class Pattern:
 
     That is the half-bandwidth, the pattern of every block extracted and the
     positions of its entries in this pattern's values (:meth:`block`), and
-    for a square pattern the order and slots of its banded Cholesky
-    (:meth:`band`). Values live beside it, one array aligned with
-    ``indices`` per matrix, so every matrix of one structure (every
-    iteration's K of one grid) shares one pattern and its maps.
+    for a square pattern the slots of its banded Cholesky (:meth:`band`).
+    Values live beside it, one array aligned with ``indices`` per matrix,
+    so every matrix of one structure (every iteration's K of one grid)
+    shares one pattern and its maps.
     """
 
     def __init__(self, indptr, indices, shape):
@@ -248,7 +248,7 @@ class Pattern:
         return sub, _index_array(pos[keep], len(self.indices))
 
     def band(self) -> "Band":
-        """The banded-Cholesky order and slots of this (square) pattern."""
+        """The banded-Cholesky layout of this (square) pattern."""
         if self._band is None:
             self._band = Band(self)
         return self._band
@@ -315,7 +315,7 @@ def extract(K: SymmetricSparse, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix
 
 def principal(K: SymmetricSparse, idx: IndexSet) -> SymmetricSparse:
     """Principal block of ``K`` at ``idx``, on the block pattern that
-    ``K.pattern`` keeps, so the block's banded order is found only once."""
+    ``K.pattern`` keeps, so the block's band layout is built only once."""
     if idx.n != K.n:
         raise ValueError("index set sized for a different matrix dimension")
     sub, pos = K.pattern.block(idx, idx)
@@ -346,34 +346,27 @@ def _flops_dense_solve(n, nrhs):
 # factorizations
 # ---------------------------------------------------------------------------
 
-class Band:
-    """Banded-Cholesky layout of a square symmetric pattern, in the narrower
-    of two orders.
+# LAPACK's ilaenv gives dpbtrf block size 1 for kd <= 64, and dpbtrf then
+# runs the unblocked dpbtf2: one dsyr per column, each of which OpenBLAS
+# threads, so a narrow band factors slower than one of this width.
+BLOCKED_BAND = 65
 
-    Reverse Cuthill–McKee is taken only when its bandwidth is strictly
-    smaller than the natural one (on square grids it is about twice as
-    wide); ``perm`` then maps its positions back to natural order, and is
-    None otherwise. ``slots`` are the flat positions, in LAPACK's upper
-    storage ``ab[k + i - j, j] = A[i, j]`` (i <= j) laid out column-major as
-    LAPACK reads it, of the upper entries, whose positions among the
-    pattern's values are ``upper``.
+
+class Band:
+    """Banded-Cholesky layout of a square symmetric pattern, in its own order.
+
+    ``bandwidth`` is the half-bandwidth stored: the pattern's, or
+    :data:`BLOCKED_BAND` when that is wider. ``slots`` are the flat
+    positions, in LAPACK's upper storage ``ab[k + i - j, j] = A[i, j]``
+    (i <= j) laid out column-major as LAPACK reads it, of the upper entries,
+    whose positions among the pattern's values are ``upper``.
     """
 
     def __init__(self, pattern: Pattern):
         n = self.n = pattern.shape[0]
+        k = self.bandwidth = max(pattern.bandwidth, BLOCKED_BAND)
         row, col = pattern.entry_rows(), pattern.indices
-        self.perm = reverse_cuthill_mckee(
-            sp.csr_matrix((np.ones(len(col)), col, pattern.indptr),
-                          shape=pattern.shape), symmetric_mode=True)
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(n, dtype=self.perm.dtype)
-        self.bandwidth = int(np.abs(inv[row] - inv[col]).max(initial=0))
-        if self.bandwidth < pattern.bandwidth:
-            row, col = inv[row], inv[col]
-        else:
-            self.perm, self.bandwidth = None, pattern.bandwidth
         upper = np.flatnonzero(row <= col)
-        k = self.bandwidth
         self.upper = _index_array(upper, len(pattern.indices))
         self.slots = _index_array(
             k + row[upper] + col[upper].astype(np.int64) * k, (k + 1) * n)
@@ -428,7 +421,7 @@ class Factorization(_Solver):
     The matrix is factorized exactly once at construction; any number of
     right-hand sides can then be solved without re-factorizing. Instances are
     immutable and safe to share. ``bandwidth`` is the half-bandwidth
-    factorized, in the order chosen (None for an empty block).
+    stored and factorized, :class:`Band`'s (None for an empty block).
     """
 
     matrix = "sparse"
@@ -439,7 +432,7 @@ class Factorization(_Solver):
 
     def _factor(self, K):
         band = K.pattern.band()
-        kbw, self._perm = band.bandwidth, band.perm
+        kbw = band.bandwidth
         try:
             ab = band.fill(K.mat.data)
         except MemoryError as exc:
@@ -456,12 +449,8 @@ class Factorization(_Solver):
         return _flops_banded_factor(K.n, kbw)
 
     def _kernel(self, B):
-        fl = _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
-        if self._perm is None:
-            return cho_solve_banded((self._cb, False), B), fl
-        X = np.empty_like(B)
-        X[self._perm] = cho_solve_banded((self._cb, False), B[self._perm])
-        return X, fl
+        return (cho_solve_banded((self._cb, False), B),
+                _flops_banded_solve(self.n, self.bandwidth, B.shape[1]))
 
 
 def factorize(K: SymmetricSparse, *,

@@ -195,17 +195,14 @@ class TestBuildProblem2:
                                        atol=1e-12 * np.abs(ref).max())
 
     def test_slender_grid_reordered_pipelines_agree(self):
-        # 4 x 40 bands along the long side (natural bandwidth 85), so both
-        # pipelines factorize in reverse Cuthill-McKee order
+        # a 4 x 40 grid numbers its nodes row by row (column by column it
+        # would band at 85), and both pipelines factorize in that order
         p = build_problem2(4, 40, 2, JBAR)
         rng = np.random.default_rng(8)
         x = rng.uniform(0.3, 0.9, p.grid.n_elems)
         ev_c = evaluate(p, x, pipeline="condensed")
         ev_e = evaluate(p, x, pipeline="elementary")
-        assert ev_c.model.kff_fact.bandwidth < 40
-        K = assemble(p.grid, p.design(x))
-        assert all(principal(K, aset.free).pattern.band().bandwidth < 40
-                   for aset in p.sets)
+        assert assemble(p.grid, p.design(x)).bandwidth < 40
         np.testing.assert_allclose(ev_c.constraints, ev_e.constraints,
                                    rtol=1e-9, atol=1e-12)
         assert abs(ev_c.objective - ev_e.objective) \

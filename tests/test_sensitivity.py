@@ -17,8 +17,6 @@ from mptop.sensitivity import (
     sens_case,
     sens_condensed_state,
     sens_elementary,
-    sens_reduced_load,
-    sens_reduced_matrix,
 )
 from mptop.sparse import CostLedger, IndexSet, SymmetricSparse
 
@@ -99,8 +97,12 @@ class TestReducedMatrixSensitivity:
         rng = np.random.default_rng(32)
         design = DesignField(grid, rng.uniform(0.3, 0.9, 9), Filter(grid, 2.0))
         model, _ = _grid_model(grid, design)
-        out = sens_reduced_matrix(grid, design, model, np.zeros((model.m, model.m)))
+        out = sens_case("reduced-matrix", grid, design, model,
+                        np.zeros((model.m, model.m))).dg_dx
         np.testing.assert_array_equal(out, 0.0)
+        with pytest.raises(ValueError, match="m x m"):
+            sens_case("reduced-matrix", grid, design, model,
+                      np.zeros((model.m, model.m + 1)))
 
     def test_design_fd(self):
         rng = np.random.default_rng(33)
@@ -110,7 +112,7 @@ class TestReducedMatrixSensitivity:
         design = DesignField(grid, x, flt)
         model, sets = _grid_model(grid, design)
         W = rng.normal(size=(model.m, model.m))
-        grad = sens_reduced_matrix(grid, design, model, W)
+        grad = sens_case("reduced-matrix", grid, design, model, W).dg_dx
 
         def g(xv):
             d = DesignField(grid, xv, flt)
@@ -125,7 +127,8 @@ class TestReducedMatrixSensitivity:
         design = DesignField(grid, rng.uniform(0.3, 0.9, 9), Filter(grid, 2.0))
         model, _ = _grid_model(grid, design)
         model.kff_fact = None  # any solve against the retained factor would raise
-        sens_reduced_matrix(grid, design, model, rng.normal(size=(model.m, model.m)))
+        sens_case("reduced-matrix", grid, design, model,
+                  rng.normal(size=(model.m, model.m)))
 
 
 def _grid_model(grid, design, sec_loads=None, sec_values=None):
@@ -154,8 +157,8 @@ class TestReducedLoadSensitivity:
         plan = build_plan(sets, n)
         model = condense(assemble(grid, _design_1x1()), plan)
         assert plan.f_sec == 2 and not model.has_secondary_sources()
-        bundle = sens_reduced_load(grid, _design_1x1(), model,
-                                   np.ones((plan.m, plan.total_cases)))
+        bundle = sens_case("reduced-load", grid, _design_1x1(), model,
+                           np.ones((plan.m, plan.total_cases)), set_index=None)
         np.testing.assert_array_equal(bundle.dg_dx, 0.0)
 
     def test_secondary_load_map_is_minus_coupling_column(self):
@@ -185,7 +188,8 @@ class TestReducedLoadSensitivity:
         K = assemble(grid, design)
         model = condense(K, plan, sec_loads, sec_values)
         W = rng.normal(size=(plan.m, plan.total_cases))
-        bundle = sens_reduced_load(grid, design, model, W)
+        bundle = sens_case("reduced-load", grid, design, model, W,
+                           set_index=None)
 
         def g(xv=None, dloads=None, dvals=None):
             d = design if xv is None else DesignField(grid, xv, flt)
@@ -577,15 +581,6 @@ def test_condensed_gradients_use_only_the_reduced_contraction(monkeypatch):
                for i, s in enumerate(sets)]
     sens_condensed_state(rig.grid, design, model, sol, sets,
                          [("rhs", w) for w in weights])
-
-
-def test_reduced_matrix_case_same_as_direct_call():
-    rig = CaseRig()
-    design, model, sol, _ = rig.pipeline()
-    W = rig.rng.normal(size=(model.m, model.m))
-    a = sens_case("reduced-matrix", rig.grid, design, model, W, sol=sol).dg_dx
-    b = sens_reduced_matrix(rig.grid, design, model, W)
-    np.testing.assert_array_equal(a, b)
 
 
 class TestFdVerify:

@@ -1,4 +1,9 @@
 """Storage, extraction and the sparse and dense solvers."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +13,7 @@ import mptop.sparse
 from mptop import build_problem2, optimize
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
+    BLOCKED_BAND,
     BandStorageError,
     CostLedger,
     DenseCholesky,
@@ -29,7 +35,9 @@ def clamped_plane_stress(nelx, nely, seed=0):
     grid = Grid(nelx, nely, physics="plane-stress")
     x = np.random.default_rng(seed).uniform(0.3, 1.0, grid.n_elems)
     K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
-    free = IndexSet(np.arange(2 * (nely + 1)), grid.n_dofs).complement()
+    left = grid.node(np.arange(nely + 1), 0)
+    free = IndexSet(np.concatenate([2 * left, 2 * left + 1]),
+                    grid.n_dofs).complement()
     return principal(K, free)
 
 
@@ -152,31 +160,26 @@ class TestBlockMaps:
         np.testing.assert_array_equal(principal(K2, idx).toarray(),
                                       K2.toarray()[5:, 5:])
 
-    @pytest.mark.parametrize("nelx, nely, reordered", [(24, 24, False),
-                                                       (5, 60, True)])
-    def test_slot_fill_matches_reference_band(self, nelx, nely, reordered):
+    @pytest.mark.parametrize("nelx, nely, padded", [(40, 40, False),
+                                                    (5, 60, True)])
+    def test_slot_fill_matches_reference_band(self, nelx, nely, padded):
         K = clamped_plane_stress(nelx, nely, seed=4)
         band = K.pattern.band()
-        assert (band.perm is not None) == reordered
+        assert (K.bandwidth < BLOCKED_BAND) == padded
+        assert band.bandwidth == max(K.bandwidth, BLOCKED_BAND)
         coo = K.mat.tocoo()
-        row, col = coo.row, coo.col
-        if reordered:
-            inv = np.empty_like(band.perm)
-            inv[band.perm] = np.arange(K.n)
-            row, col = inv[row], inv[col]
-        assert band.bandwidth == np.abs(row - col).max()
-        ref = _to_banded_upper(row, col, coo.data, K.n, band.bandwidth)
+        ref = _to_banded_upper(coo.row, coo.col, coo.data, K.n, band.bandwidth)
         np.testing.assert_array_equal(band.fill(K.mat.data), ref)
 
     @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
     def test_ordering_found_once_per_block(self, monkeypatch, pipeline):
-        rcm = mptop.sparse.reverse_cuthill_mckee
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return rcm(*args, **kwargs)
-        monkeypatch.setattr(mptop.sparse, "reverse_cuthill_mckee", counting)
+        class CountingBand(mptop.sparse.Band):
+            def __init__(self, pattern):
+                calls.append(pattern.shape[0])
+                super().__init__(pattern)
+        monkeypatch.setattr(mptop.sparse, "Band", CountingBand)
         p = build_problem2(4, 30, 2, [[0.5, 2.0], [1.0, -1.0]])
         res = optimize(p, pipeline=pipeline, max_iters=3, tol=0.0,
                        keep_ledgers=True)
@@ -272,22 +275,24 @@ class TestFactorize:
 
 class TestOrdering:
     def test_orientation_does_not_set_the_band(self):
-        tall = clamped_plane_stress(20, 400)
-        wide = clamped_plane_stress(400, 20)
-        assert tall.bandwidth > 10 * wide.bandwidth      # natural orders
-        k_tall = factorize(tall).bandwidth
-        k_wide = factorize(wide).bandwidth
-        assert max(k_tall, k_wide) <= 2 * min(k_tall, k_wide)
-        assert max(k_tall, k_wide) <= 2 * wide.bandwidth
+        # nodes along the short side: 21 per line, neighbours 22 apart
+        x = np.full(20 * 400, 0.5)
+        for physics, short_band in (("conduction", 22), ("plane-stress", 45)):
+            tall, wide = (assemble(g, DesignField(g, x, Filter(g, 1.5)))
+                          for g in (Grid(20, 400, physics),
+                                    Grid(400, 20, physics)))
+            assert tall.bandwidth == wide.bandwidth == short_band
 
     def test_square_grid_keeps_natural_order(self):
-        K = clamped_plane_stress(24, 24)
-        assert factorize(K).bandwidth == K.bandwidth
+        for size, natural in ((24, 53), (40, 85)):
+            K = clamped_plane_stress(size, size)
+            assert K.bandwidth == natural
+            assert factorize(K).bandwidth == max(natural, BLOCKED_BAND)
 
-    def test_permuted_solves_match_spsolve(self):
+    def test_padded_solves_match_spsolve(self):
         K = clamped_plane_stress(5, 60, seed=3)
         f = factorize(K)
-        assert f.bandwidth < K.bandwidth
+        assert f.bandwidth == BLOCKED_BAND > K.bandwidth
         rng = np.random.default_rng(12)
         A = K.mat.tocsc()
         b = rng.normal(size=K.n)
@@ -302,11 +307,11 @@ class TestOrdering:
         ledger = CostLedger()
         f = factorize(K, ledger=ledger)
         f.solve(np.ones((K.n, 3)), ledger=ledger)
-        assert f.bandwidth < K.bandwidth
+        assert f.bandwidth == BLOCKED_BAND > K.bandwidth
         assert ledger.flops_total(op="factorize") == \
-            _flops_banded_factor(K.n, f.bandwidth)
+            _flops_banded_factor(K.n, BLOCKED_BAND)
         assert ledger.flops_total(op="solve") == \
-            _flops_banded_solve(K.n, f.bandwidth, 3)
+            _flops_banded_solve(K.n, BLOCKED_BAND, 3)
 
     def test_band_allocation_failure_is_named(self, monkeypatch):
         K = clamped_plane_stress(3, 30)
@@ -352,3 +357,14 @@ class TestLedgerPhases:
         f.solve(np.ones(3), ledger=ledger)
         assert ledger.count(op="solve", phase="adjoint") == 1
         assert ledger.count(op="solve", phase="response") == 1
+
+
+def test_import_leaves_out_the_graph_module():
+    # the grid numbers its DOFs in banded order: no graph reordering loads
+    src = Path(mptop.sparse.__file__).resolve().parents[1]
+    code = ("import sys, mptop; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
