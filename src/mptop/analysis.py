@@ -123,8 +123,7 @@ def solve_condensed(model: ReducedModel, sets,
         ktfp = kt[np.ix_(fpos, ppos)]
         fact = DenseCholesky(ktff, ledger=ledger)
 
-        f_free = np.asarray(
-            aset.loads[plan.free_primary[i].ids, :].toarray())
+        f_free = aset.loads_at(plan.primary)[fpos]
         u_presc = _primary_prescribed_values(plan, aset, i)
         ft_free = model.reduced_loads[np.ix_(fpos, range(cols.start, cols.stop))]
         rhs = f_free - ktfp @ u_presc + ft_free

@@ -251,22 +251,21 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
     """Per-element contraction left^T (dK/d x-filtered_e) right, summed over columns.
 
     ``left`` and ``right`` are full-length vectors or matrices with matching
-    column counts. Returns the gradient w.r.t. the *filtered* field; callers
-    chain through the filter to reach the design variables.
+    column counts; when they are one object (a self-adjoint response), its
+    element gathers are made once. Returns the gradient w.r.t. the *filtered*
+    field; callers chain through the filter to reach the design variables.
     """
     L = np.asarray(left, dtype=float)
-    R = np.asarray(right, dtype=float)
     if L.ndim == 1:
         L = L[:, None]
+    R = L if right is left else np.asarray(right, dtype=float)
     if R.ndim == 1:
         R = R[:, None]
     if L.shape != R.shape or L.shape[0] != grid.n_dofs:
         raise ValueError("left/right must be n x q with matching shapes")
     out = np.zeros(grid.n_elems)
     for c0 in range(0, L.shape[1], COLUMN_CHUNK):
-        Lc = L[:, c0:c0 + COLUMN_CHUNK]
-        Rc = R[:, c0:c0 + COLUMN_CHUNK]
-        Le = Lc[grid.edof]          # (n_elems, k, q)
-        Re = Rc[grid.edof]
+        Le = L[:, c0:c0 + COLUMN_CHUNK][grid.edof]     # (n_elems, k, q)
+        Re = Le if R is L else R[:, c0:c0 + COLUMN_CHUNK][grid.edof]
         out += np.einsum("ekq,kl,elq->e", Le, grid.ke, Re, optimize=True)
     return design.dscales * out

@@ -72,10 +72,20 @@ class AnalysisSet:
             if abs(loads[prescribed.ids, :]).max() > 0.0:
                 raise ValueError("loads at prescribed DOFs must be zero")
         self.loads = loads
+        self._load_blocks = {}
 
     def loads_free(self) -> np.ndarray:
         """Dense applied-load block over the free DOFs, (|free|, cases)."""
         return self.loads[self.free.ids, :].toarray()
+
+    def loads_at(self, rows: IndexSet) -> np.ndarray:
+        """Dense applied loads on ``rows``, (|rows|, cases): built on the
+        first call for a row set, then kept and returned read-only."""
+        block = self._load_blocks.get(rows)
+        if block is None:
+            block = self._load_blocks[rows] = self.loads[rows.ids, :].toarray()
+            block.flags.writeable = False
+        return block
 
 
 @dataclass

@@ -75,13 +75,13 @@ def build_problem1(nelx: int, nely: int, m: int, vbar: float = 0.2,
     interest = IndexSet(ports, n)
     sets = []
     for i in range(m):
-        others = [j for j in range(m) if j != i]
-        loads = sp.lil_matrix((n, m - 1))
-        for case, j in enumerate(others):
-            loads[ports[j], case] = magnitudes[j]
+        others = np.delete(np.arange(m), i)   # load case c heats port others[c]
+        loads = sp.csc_matrix((magnitudes[others],
+                               (ports[others], np.arange(m - 1))),
+                              shape=(n, m - 1))
         sets.append(AnalysisSet(n, IndexSet([ports[i]], n), interest,
                                 prescribed_values=np.zeros((1, m - 1)),
-                                loads=loads.tocsc()))
+                                loads=loads))
     plan = build_plan(sets, n)
     sec_loads, sec_values = gather_secondary(plan, sets)
     return ProblemSpec(
@@ -224,7 +224,7 @@ def _evaluate_p1(problem, design, sol, gradient, want_grads):
 
     # compliance u^T K u is the work of the port loads: the grounded port
     # carries zero temperature, every other port is loaded and primary
-    g0 = sum(float(np.sum(aset.loads[plan.primary.ids, :].toarray()
+    g0 = sum(float(np.sum(aset.loads_at(plan.primary)
                           * sol.primary_states(plan, i)))
              for i, aset in enumerate(problem.sets))
     g1 = float(design.filtered.sum() / (n_elems * vbar) - 1.0)

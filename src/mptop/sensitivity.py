@@ -23,7 +23,11 @@ one large adjoint solve against the retained factorization is X.
 
 The kernel's products are einsums, not BLAS calls: a threaded BLAS call
 leaves OpenBLAS's workers spinning, and on two cores that doubled the next
-banded Cholesky (p1 99x99: 18 -> 40 ms).
+banded Cholesky (p1 99x99: 18 -> 40 ms). The level-3 BLAS calls live in
+:mod:`mptop.sparse`'s block solve, through scipy's f2py ``trmm``/``trsm`` on
+views of the band factor: numpy's ``@`` has no triangular product, so on
+those views it needs a masked copy per block, which at n = 4e4, k = 201 and
+32 columns cost 52 ms against 13 ms for the ``trmm`` calls in place.
 """
 from __future__ import annotations
 
@@ -128,17 +132,23 @@ def sens_elementary(grid: Grid, design: DesignField, sol, sets,
     ``adjoints[i]`` is set i's solved adjoint stack, (rows, free, cases) on
     its free DOFs and zero where a response ignores the set: the ``adjoints``
     that :func:`~mptop.analysis.solve_elementary` returned, or the states
-    themselves for self-adjoint responses. Nothing is solved here.
+    themselves for self-adjoint responses. An adjoint equal to its set's
+    state, with zero prescribed values, is that state's full field, and the
+    contraction takes it as both sides. Nothing is solved here.
     """
     if len(sol.sets) != len(sets):
         raise ValueError("solution does not match the analysis sets")
     adjoints = check_stacks(adjoints, [(len(s.free), s.cases) for s in sets])
     acc = np.zeros((len(adjoints[0]), grid.n_elems))
-    for i, (aset, lam_free) in enumerate(zip(sets, adjoints)):
+    for aset, state, lam_free in zip(sets, sol.sets, adjoints):
         for r in np.flatnonzero(lam_free.any(axis=(1, 2))):
-            lam = np.zeros((grid.n_dofs, aset.cases))
-            lam[aset.free.ids, :] = lam_free[r]
-            acc[r] -= contract_dk_raw(grid, design, lam, sol.sets[i].u_full)
+            if (np.array_equal(lam_free[r], state.u_free)
+                    and not state.u_presc.any()):
+                lam = state.u_full      # self-adjoint: gathered once
+            else:
+                lam = np.zeros((grid.n_dofs, aset.cases))
+                lam[aset.free.ids, :] = lam_free[r]
+            acc[r] -= contract_dk_raw(grid, design, lam, state.u_full)
     return _chain_rows(design, acc)
 
 

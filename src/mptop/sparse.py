@@ -7,13 +7,19 @@ the band layout of every block factorized. Per matrix, extraction is then
 one gather of values and filling the band one scatter.
 
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
-Cholesky (LAPACK ``pbtrf``/``pbtrs``) in the matrix's own order. A
+Cholesky (LAPACK ``pbtrf``) in the matrix's own order. A
 :class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
 order already has a band of the grid's short side, whatever its
 orientation, and every block taken from it inherits the band. A band
 narrower than LAPACK's blocked width is stored at that width
 (:data:`BLOCKED_BAND`). A band too large to allocate raises
-:class:`BandStorageError` with its size. There is no CG solver: with an
+:class:`BandStorageError` with its size. Few right-hand sides are solved by
+LAPACK's ``pbtrs``, which reads the whole factor once per column; from
+:data:`BLOCKED_SOLVE_COLUMNS` columns on, the solve runs block by block on
+the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per k x k block and
+direction, reading the factor once per direction for all columns
+(Golub & Van Loan, *Matrix Computations*, section 4.3: a band of half-width
+k is block bidiagonal at block size k). There is no CG solver: with an
 ichol0 preconditioner it condensed the three benchmark problems 48-232x
 slower than this one, so its cost is only a predicted curve in
 :mod:`mptop.perfmodel`.
@@ -34,7 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
+from scipy.linalg.blas import dtrmm as trmm, dtrsm as trsm
 
 
 class SingularMatrixError(RuntimeError):
@@ -96,19 +104,31 @@ class IndexSet:
     def __repr__(self):
         return f"IndexSet({self.ids.tolist()}, n={self.n})"
 
+    @classmethod
+    def _sorted(cls, ids: np.ndarray, n: int) -> "IndexSet":
+        """Wrap ``ids``, already sorted, unique and in ``[0, n)``, as they
+        are: the set operations below produce such arrays."""
+        self = cls.__new__(cls)
+        self.ids = ids.astype(np.int64, copy=False)
+        self.n = n
+        self._hash = None
+        return self
+
     def complement(self) -> "IndexSet":
         mask = np.ones(self.n, dtype=bool)
         mask[self.ids] = False
-        return IndexSet(np.nonzero(mask)[0], self.n)
+        return IndexSet._sorted(np.flatnonzero(mask), self.n)
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(np.intersect1d(self.ids, other.ids), self.n)
+        return IndexSet._sorted(
+            np.intersect1d(self.ids, other.ids, assume_unique=True), self.n)
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(np.union1d(self.ids, other.ids), self.n)
+        return IndexSet._sorted(np.union1d(self.ids, other.ids), self.n)
 
     def minus(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(np.setdiff1d(self.ids, other.ids), self.n)
+        return IndexSet._sorted(
+            np.setdiff1d(self.ids, other.ids, assume_unique=True), self.n)
 
     def positions_in(self, other: "IndexSet") -> np.ndarray:
         """Positions of this set's members inside ``other`` (must be a superset)."""
@@ -351,6 +371,13 @@ def _flops_dense_solve(n, nrhs):
 # threads, so a narrow band factors slower than one of this width.
 BLOCKED_BAND = 65
 
+# Right-hand-side columns from which a banded solve runs block by block at
+# level 3 (_solve_band_blocks) instead of LAPACK's pbtrs, which reads the
+# whole factor once per column. Measured crossover, 2-vCPU x86-64 VM,
+# OpenBLAS at 2 threads: 4-8 columns at k >= 100; at k = 65 the two are
+# within 10 % of each other from 12 to 18 columns, and blocks win from 20.
+BLOCKED_SOLVE_COLUMNS = 12
+
 
 class Band:
     """Banded-Cholesky layout of a square symmetric pattern, in its own order.
@@ -449,8 +476,64 @@ class Factorization(_Solver):
         return _flops_banded_factor(K.n, kbw)
 
     def _kernel(self, B):
-        return (cho_solve_banded((self._cb, False), B),
-                _flops_banded_solve(self.n, self.bandwidth, B.shape[1]))
+        X = (cho_solve_banded((self._cb, False), B)
+             if B.shape[1] < BLOCKED_SOLVE_COLUMNS
+             else _solve_band_blocks(self._cb, B))
+        return X, _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
+
+
+def _solve_band_blocks(cb: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``U^T U X = B`` for the ``pbtrf`` factor ``cb``, every column of
+    ``B`` in each BLAS-3 call.
+
+    In the upper band storage (``cb`` is (k + 1) x n, Fortran order),
+    ``U[i, j]`` sits at flat offset ``k + i + j * k``: the k x k diagonal
+    block at row s (upper triangle valid) and the coupling block to its right
+    (lower triangle valid) are Fortran matrices of leading dimension k in
+    place, read through strided views. A band of half-width k is block
+    bidiagonal at block size k, so each direction is one ``trmm`` (coupling)
+    and one ``trsm`` (diagonal) per block. ``X`` is row-major, which makes
+    every row block of ``X^T`` a Fortran operand too, so the calls take the
+    right side: ``Y^T U = B^T`` forward and ``X^T U^T = Y^T`` backward. A
+    last block of r < k rows couples through a k x r lower-trapezoidal block,
+    copied and masked. The factor is read once per direction for all columns,
+    where ``pbtrs`` reads it once per column.
+    """
+    X = np.array(B, dtype=float, order="C")
+    if not np.isfinite(X).all():
+        raise ValueError("array must not contain infs or NaNs")
+    k, n = cb.shape[0] - 1, cb.shape[1]
+    flat = cb.reshape(-1, order="F")
+    size = flat.itemsize
+    full, r = divmod(n, k)
+    strides = (size * k * (k + 1), size, size * k)
+    diag = as_strided(flat[k:], (full, k, k), strides)
+    coupling = as_strided(flat[k + k * k:], (max(full - 1, 0), k, k), strides)
+    Z = X.T
+    for i in range(full):
+        s = i * k
+        if i:
+            Z[:, s:s + k] -= trmm(1.0, coupling[i - 1], Z[:, s - k:s],
+                                  side=1, lower=1)
+        trsm(1.0, diag[i], Z[:, s:s + k], side=1, overwrite_b=1)
+    if r:
+        s = full * k
+        last = as_strided(flat[k + s * (k + 1):], (r, r), (size, size * k))
+        if full:
+            tail = np.tril(as_strided(flat[s * (k + 1):],
+                                      (k, r), (size, size * k)))
+            Z[:, s:] -= Z[:, s - k:s] @ tail
+        trsm(1.0, last, Z[:, s:], side=1, overwrite_b=1)
+        trsm(1.0, last, Z[:, s:], side=1, trans_a=1, overwrite_b=1)
+        if full:
+            Z[:, s - k:s] -= Z[:, s:] @ tail.T
+    for i in reversed(range(full)):
+        s = i * k
+        if i + 1 < full:
+            Z[:, s:s + k] -= trmm(1.0, coupling[i], Z[:, s + k:s + 2 * k],
+                                  side=1, lower=1, trans_a=1)
+        trsm(1.0, diag[i], Z[:, s:s + k], side=1, trans_a=1, overwrite_b=1)
+    return X
 
 
 def factorize(K: SymmetricSparse, *,

@@ -216,6 +216,19 @@ class TestFixedPatternAssembly:
 
 
 class TestDkContract:
+    def test_one_field_as_both_sides(self):
+        # a self-adjoint contraction gathers its one field once; the sums
+        # agree to roundoff (BLAS may sum aligned copies in another order)
+        grid = Grid(5, 4, physics="plane-stress")
+        rng = np.random.default_rng(9)
+        design = make_design(grid, rng.uniform(0.3, 0.9, grid.n_elems))
+        U = rng.normal(size=(grid.n_dofs, 70))      # two column chunks
+        for field in (U, U[:, 0]):
+            np.testing.assert_allclose(
+                contract_dk_raw(grid, design, field, field),
+                contract_dk_raw(grid, design, field, field.copy()),
+                rtol=1e-14, atol=0.0)
+
     def test_zero_left(self):
         grid = Grid(2, 2)
         design = make_design(grid, np.full(4, 0.6))

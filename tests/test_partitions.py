@@ -202,6 +202,18 @@ class TestAnalysisSet:
         s = make_set(6, [1, 4], [0])
         assert s.free.ids.tolist() == [0, 2, 3, 5]
 
+    def test_loads_at_is_kept_read_only(self):
+        n = 5
+        loads = np.zeros((n, 2))
+        loads[3, 0] = 2.0
+        loads[4, 1] = -1.0
+        s = make_set(n, [0], [], loads=loads)
+        rows = IndexSet([1, 3, 4], n)
+        block = s.loads_at(rows)
+        np.testing.assert_array_equal(block, loads[[1, 3, 4]])
+        assert s.loads_at(IndexSet([4, 3, 1], n)) is block
+        assert not block.flags.writeable
+
     def test_loads_free_view(self):
         n = 4
         loads = np.zeros((n, 2))

@@ -154,7 +154,10 @@ class TestRuntimeGain:
         assert out.xi_measured > 0
 
     def test_self_comparison_is_near_unity(self):
-        # the same workload timed twice lands within timer noise of ratio 1
+        # the same workload timed twice lands within timer noise of ratio 1.
+        # On a shared machine a millisecond-scale run is now and then
+        # 20-100x slower, in bursts over consecutive runs, so the two timings
+        # are the medians of interleaved runs: a burst slows both alike
         from mptop.analysis import solve_elementary
         from mptop.fem import assemble
         from mptop.sparse import CostLedger
@@ -162,13 +165,13 @@ class TestRuntimeGain:
         p = build_problem1(16, 16, m=5, vbar=0.4, seed=1)
         K = assemble(p.grid, p.design(p.x0))
         times = []
-        for _ in range(5):
+        for _ in range(10):
             ledger = CostLedger()
             solve_elementary(K, p.sets, ledger=ledger)
             times.append(ledger.seconds_total())
-        times = sorted(times)
-        assert times[len(times) // 2] > 0
-        assert times[-2] / times[1] < 5.0
+        first, second = np.median(times[0::2]), np.median(times[1::2])
+        assert min(first, second) > 0
+        assert max(first, second) / min(first, second) < 5.0
 
 
 class TestGainTable:

@@ -32,10 +32,16 @@ class TestBuildProblem1:
         assert p.plan.m == 4
         assert p.plan.p_sec == 0
         assert sorted(p.params["ports"].tolist()) == p.plan.primary.ids.tolist()
-        # each set grounds exactly one port at value zero
+        # each set grounds exactly one port at value zero and heats the
+        # others, one load case each
+        ports, mags = p.params["ports"], p.params["magnitudes"]
         for i, s in enumerate(p.sets):
-            assert s.prescribed.ids.tolist() == [p.params["ports"][i]]
+            assert s.prescribed.ids.tolist() == [ports[i]]
             np.testing.assert_array_equal(s.prescribed_values, 0.0)
+            others = [j for j in range(4) if j != i]
+            expected = np.zeros((p.grid.n_dofs, 3))
+            expected[ports[others], range(3)] = mags[others]
+            np.testing.assert_array_equal(s.loads.toarray(), expected)
 
     def test_bad_port_counts(self):
         with pytest.raises(ValueError):
@@ -76,6 +82,24 @@ class TestBuildProblem1:
             lambda xv: evaluate(p, xv, want_grads=False).constraints[0],
             x, ev_c.d_constraints[0])
         assert err <= 1e-6
+
+    def test_elementary_gradient_takes_the_state_as_its_adjoint(self):
+        # the self-adjoint route contracts each state with itself: what the
+        # two-field route gives, to roundoff
+        from mptop.fem import contract_dk_raw
+
+        p = build_problem1(6, 5, m=4, vbar=0.3, seed=5)
+        x = np.random.default_rng(2).uniform(0.3, 0.9, p.grid.n_elems)
+        ev = evaluate(p, x, pipeline="elementary")
+        design = p.design(x)
+        raw = np.zeros(p.grid.n_elems)
+        for aset, state in zip(p.sets, ev.states.sets):
+            lam = np.zeros((p.grid.n_dofs, aset.cases))
+            lam[aset.free.ids, :] = state.u_free
+            raw -= contract_dk_raw(p.grid, design, lam, state.u_full)
+        ref = design.flt.chain(raw[:, None])[:, 0]
+        assert np.abs(ev.d_objective - ref).max() <= \
+            1e-14 * np.abs(ref).max()
 
     def test_reference_configuration_builds(self):
         # the full-size benchmark layout: 100x100 elements, 100 ports,

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from scipy.linalg import cho_solve_banded
 
 import mptop.sparse
 from mptop import build_problem2, optimize
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
     BLOCKED_BAND,
+    BLOCKED_SOLVE_COLUMNS,
     BandStorageError,
     CostLedger,
     DenseCholesky,
@@ -327,6 +329,85 @@ class TestOrdering:
         assert f"n={K.n}" in msg
         assert f"bandwidth {k}" in msg
         assert f"{(k + 1) * K.n * 8} bytes" in msg
+
+
+class TestBlockedSolve:
+    """Level-3 block solves on the pbtrf factor against LAPACK's pbtrs."""
+
+    COLUMNS = (BLOCKED_SOLVE_COLUMNS - 1, BLOCKED_SOLVE_COLUMNS,
+               BLOCKED_SOLVE_COLUMNS + 1)
+
+    @staticmethod
+    def factor(band, n, seed=0):
+        K = random_spd_banded(n, band, np.random.default_rng(seed))
+        f = factorize(K)
+        assert f.bandwidth == max(band, BLOCKED_BAND)
+        return f
+
+    @pytest.mark.parametrize("band, n", [
+        (40, 195), (40, 221), (20, 30),     # stored at k = 65
+        (101, 303), (101, 340), (125, 375), (125, 400)])
+    def test_matches_pbtrs(self, band, n, monkeypatch):
+        # n a multiple of k, not one, and below k
+        f = self.factor(band, n)
+        calls = []
+        blocked = mptop.sparse._solve_band_blocks
+        monkeypatch.setattr(mptop.sparse, "_solve_band_blocks",
+                            lambda cb, B: calls.append(B.shape[1])
+                            or blocked(cb, B))
+        rng = np.random.default_rng(band)
+        for q in self.COLUMNS:
+            B = rng.normal(size=(f.n, q))
+            kept = B.copy()
+            ref = cho_solve_banded((f._cb, False), B)
+            got = f.solve(B)
+            assert np.array_equal(B, kept)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert calls == [q for q in self.COLUMNS
+                         if q >= BLOCKED_SOLVE_COLUMNS]
+
+    def test_vector_and_empty_rhs(self):
+        f = self.factor(101, 250)
+        b = np.random.default_rng(1).normal(size=f.n)
+        x = f.solve(b)
+        assert x.shape == (f.n,)
+        assert np.allclose(f.solve(np.tile(b[:, None],
+                                           BLOCKED_SOLVE_COLUMNS))[:, 3], x,
+                           rtol=1e-13, atol=0.0)
+        assert f.solve(np.zeros((f.n, 0))).shape == (f.n, 0)
+
+    @pytest.mark.parametrize("q", [1, BLOCKED_SOLVE_COLUMNS])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, q, bad):
+        f = self.factor(40, 200)
+        B = np.ones((f.n, q))
+        B[17, q - 1] = bad
+        with pytest.raises(ValueError):
+            f.solve(B)
+
+    def test_reads_the_factor_in_place(self):
+        import tracemalloc
+
+        f = self.factor(101, 3000)
+        B = np.ones((f.n, BLOCKED_SOLVE_COLUMNS))
+        tracemalloc.start()
+        try:
+            f.solve(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the solution and per-block temporaries, no copy of the band
+        assert peak < B.nbytes + f._cb.nbytes // 4
+
+    def test_one_ledger_event_per_call(self):
+        f = self.factor(101, 350)
+        ledger = CostLedger()
+        q = BLOCKED_SOLVE_COLUMNS + 5
+        f.solve(np.ones((f.n, q)), ledger=ledger)
+        assert ledger.count(op="solve", matrix="sparse") == 1
+        assert ledger.rhs_total(matrix="sparse") == q
+        assert ledger.flops_total(op="solve") == \
+            _flops_banded_solve(f.n, 101, q) == 4.0 * f.n * 101 * q
 
 
 class TestDenseCholesky:
