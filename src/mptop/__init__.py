@@ -31,7 +31,6 @@ from .perfmodel import (
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import (
     SensitivityBundle,
-    expand_primary,
     fd_verify,
     sens_case,
     sens_condensed_state,

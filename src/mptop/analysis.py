@@ -5,9 +5,11 @@ large constrained system and streams through them: per set, one sparse
 factorization, the state solve, the solve of the set's adjoint right-hand
 sides, then release, so one factorization is alive at a time.
 ``solve_condensed`` runs every pattern against one shared reduced model: a
-single large factorization total, then small dense solves per set, whose
-handles it keeps for later adjoint solves. Both produce the same primary
-states; the cost ledgers differ.
+single large factorization total, then per set a small dense factorization,
+the state solve and the adjoint solve against it; it keeps the dense handles
+for the dependency cases of :func:`~mptop.sensitivity.sens_case`. Both
+produce the same primary states and return the solved adjoints; the cost
+ledgers differ.
 
 Adjoint right-hand sides and solved adjoints travel as stacks, one
 (rows, free, cases) array per set with one row per response;
@@ -34,7 +36,7 @@ from .sparse import (
 
 @dataclass
 class SetStates:
-    """States of one analysis set.
+    """States of one analysis set, held once.
 
     ``space`` records whether vectors span all DOFs ('full') or only the
     primary DOFs of the reduced model ('reduced'); ``u_full`` is the composite
@@ -42,10 +44,18 @@ class SetStates:
     """
 
     space: str
-    u_free: np.ndarray          # (free, cases)
-    u_presc: np.ndarray         # echoed prescribed values
     u_full: np.ndarray          # (space dim, cases)
+    free: np.ndarray            # rows of u_full at the set's free DOFs
+    prescribed: np.ndarray      # rows at its prescribed DOFs
     reactions: np.ndarray | None = None
+
+    @property
+    def u_free(self) -> np.ndarray:
+        return self.u_full[self.free]
+
+    @property
+    def u_presc(self) -> np.ndarray:
+        return self.u_full[self.prescribed]
 
 
 @dataclass
@@ -53,14 +63,14 @@ class StateSolution:
     """States of every analysis set.
 
     ``factorizations`` holds the condensed pipeline's dense handles, one per
-    set; ``adjoints`` the elementary pipeline's solved adjoint stacks, one
-    per set when right-hand sides were given. The elementary pipeline keeps
-    no factorization.
+    set; the elementary pipeline keeps no factorization. ``adjoints`` holds
+    the solved adjoint stacks, one per set, or is None when no right-hand
+    sides were given (self-adjoint responses).
     """
 
     sets: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
-    adjoints: list = field(default_factory=list)
+    adjoints: list | None = None
 
     def primary_states(self, plan: PartitionPlan, i: int) -> np.ndarray:
         """State restricted to the primary DOFs, comparable across pipelines."""
@@ -85,12 +95,14 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     if adjoint_rhs is not None:
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(s.free), s.cases) for s in sets])
-    out = StateSolution()
+    out = StateSolution(adjoints=None if adjoint_rhs is None else [])
     for i, aset in enumerate(sets):
         fidx, pidx = aset.free, aset.prescribed
         fact = factorize(principal(K, fidx), ledger=ledger)
         k_fp = extract(K, fidx, pidx)
-        rhs = aset.loads_free() - k_fp @ aset.prescribed_values
+        rhs = -(k_fp @ aset.prescribed_values)
+        f = aset.loads.tocoo()      # no load sits at a prescribed DOF
+        rhs[np.searchsorted(fidx.ids, f.row), f.col] += f.data
         u_free = fact.solve(rhs, ledger=ledger)
         if adjoint_rhs is not None:
             out.adjoints.append(solve_stack(fact, adjoint_rhs[i], ledger))
@@ -102,19 +114,25 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
         if want_reactions:
             k_pp = extract(K, pidx, pidx)
             reactions = k_fp.T @ u_free + k_pp @ aset.prescribed_values
-        out.sets.append(SetStates("full", u_free,
-                                  aset.prescribed_values.copy(), u_full,
+        out.sets.append(SetStates("full", u_full, fidx.ids, pidx.ids,
                                   reactions))
     return out
 
 
-def solve_condensed(model: ReducedModel, sets,
+def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
                     ledger: CostLedger | None = None,
                     want_reactions: bool = False) -> StateSolution:
-    """Solve each analysis set against the shared reduced model."""
+    """Solve each analysis set against the shared reduced model, and its
+    (rows, free primary, cases) stack of ``adjoint_rhs`` against the set's
+    small dense factor right after the states, as :func:`solve_elementary`
+    does; no large system is solved."""
     plan = model.plan
+    if adjoint_rhs is not None:
+        adjoint_rhs = check_stacks(adjoint_rhs,
+                                   [(len(f), s.cases) for f, s
+                                    in zip(plan.free_primary, sets)])
     kt = model.reduced_matrix
-    out = StateSolution()
+    out = StateSolution(adjoints=None if adjoint_rhs is None else [])
     for i, aset in enumerate(sets):
         fpos = plan.free_primary_pos[i]
         ppos = plan.presc_primary_pos[i]
@@ -124,10 +142,13 @@ def solve_condensed(model: ReducedModel, sets,
         fact = DenseCholesky(ktff, ledger=ledger)
 
         f_free = aset.loads_at(plan.primary)[fpos]
-        u_presc = _primary_prescribed_values(plan, aset, i)
+        u_presc = aset.prescribed_values[
+            plan.presc_primary[i].positions_in(aset.prescribed)]
         ft_free = model.reduced_loads[np.ix_(fpos, range(cols.start, cols.stop))]
         rhs = f_free - ktfp @ u_presc + ft_free
         u_free = fact.solve(rhs, ledger=ledger)
+        if adjoint_rhs is not None:
+            out.adjoints.append(solve_stack(fact, adjoint_rhs[i], ledger))
 
         u_full = np.zeros((plan.m, aset.cases))
         u_full[fpos, :] = u_free
@@ -139,17 +160,9 @@ def solve_condensed(model: ReducedModel, sets,
             ft_presc = model.reduced_loads[
                 np.ix_(ppos, range(cols.start, cols.stop))]
             reactions = ktpf @ u_free + ktpp @ u_presc - ft_presc
-        out.sets.append(SetStates("reduced", u_free, u_presc,
-                                  u_full, reactions))
+        out.sets.append(SetStates("reduced", u_full, fpos, ppos, reactions))
         out.factorizations.append(fact)
     return out
-
-
-def _primary_prescribed_values(plan: PartitionPlan, aset, i: int) -> np.ndarray:
-    """Prescribed magnitudes at the primary prescribed DOFs of set ``i``."""
-    phat = plan.presc_primary[i]
-    rows = phat.positions_in(aset.prescribed)
-    return aset.prescribed_values[rows, :]
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +189,13 @@ def adjoint_phase(ledger):
     return ledger.phase("adjoint") if ledger is not None else nullcontext()
 
 
-def solve_adjoint(fact, rhs, ledger=None) -> np.ndarray:
-    """Solve for the right-hand-side columns that are not exactly zero."""
-    rhs = np.atleast_2d(np.asarray(rhs, dtype=float).T).T
+def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
+    """Solve a (rows, free, cases) stack in one call, every response's
+    columns side by side; columns that are exactly zero are not solved."""
+    rhs = np.hstack(stack)
     lam = np.zeros_like(rhs)
     live = rhs.any(axis=0)
     if np.any(live):
         with adjoint_phase(ledger):
             lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
-    return lam
-
-
-def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
-    """Solve a (rows, free, cases) stack in one call, every response's
-    columns side by side."""
-    return np.stack(np.hsplit(solve_adjoint(fact, np.hstack(stack), ledger),
-                              len(stack)))
+    return np.stack(np.hsplit(lam, len(stack)))

@@ -65,7 +65,9 @@ class AnalysisSet:
         self.prescribed_values = pv
         if loads is None:
             loads = sp.csc_matrix((n, self.cases))
-        loads = sp.csc_matrix(loads, dtype=float)
+        loads = sp.csc_matrix(loads, dtype=float, copy=True)
+        loads.sum_duplicates()
+        loads.eliminate_zeros()     # one stored entry per non-zero load
         if loads.shape != (n, self.cases):
             raise ValueError(f"loads must be {n} x {self.cases}")
         if len(prescribed) and loads.nnz:
@@ -73,10 +75,6 @@ class AnalysisSet:
                 raise ValueError("loads at prescribed DOFs must be zero")
         self.loads = loads
         self._load_blocks = {}
-
-    def loads_free(self) -> np.ndarray:
-        """Dense applied-load block over the free DOFs, (|free|, cases)."""
-        return self.loads[self.free.ids, :].toarray()
 
     def loads_at(self, rows: IndexSet) -> np.ndarray:
         """Dense applied loads on ``rows``, (|rows|, cases): built on the

@@ -129,15 +129,8 @@ def measure_runtime_gain(problem, x=None, repeats: int = 3) -> RuntimeGain:
             t_cond.append(ledger.seconds_total())
     te = float(np.median(t_elem))
     tc = float(np.median(t_cond))
-    fm = FlopModel("direct")
-    if problem.kind == "problem1":
-        xi_pred = gain_problem1(fm, problem.plan.n, problem.plan.m)
-    elif problem.kind == "problem2":
-        xi_pred = gain_problem2(fm, problem.plan.n, problem.plan.m)
-    else:
-        xi_pred = gain_general(
-            fm, problem.plan.n, problem.plan.m,
-            [(s.cases, 0) for s in problem.sets])
+    gain = gain_problem1 if problem.kind == "problem1" else gain_problem2
+    xi_pred = gain(FlopModel("direct"), problem.plan.n, problem.plan.m)
     return RuntimeGain(te / tc, xi_pred, te, tc, repeats)
 
 

@@ -157,10 +157,10 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     live on and the gradient route (``sens_condensed_state``, one contraction
     through the reduced model, or ``sens_elementary``, one per set and
     response). The responses' adjoint right-hand sides depend only on those
-    free DOFs, so they are built before the solve, and the elementary
-    pipeline solves them while each set's factorization is alive. One
-    ``gradient`` call covers every response: with the adjoints of
-    self-adjoint responses, or with None for the right-hand sides built here.
+    free DOFs, so they are built before the solve, and both pipelines solve
+    them right after each set's states. One gradient call then contracts
+    every response: the solved adjoints, or the states themselves for the
+    self-adjoint problem 1.
     """
     grid = problem.grid
     design = problem.design(np.asarray(x, dtype=float))
@@ -173,29 +173,25 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
         raise ValueError(f"unknown pipeline {pipeline!r}")
     adjoint_rhs = _adjoint_rhs(problem, free_sets) if want_grads else None
 
+    d_states = None
     if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
                          problem.sec_values, ledger=ledger)
-        sol = solve_condensed(model, problem.sets, ledger=ledger)
-
-        def gradient(lams):
-            adjoints = ([("rhs", rhs) for rhs in adjoint_rhs] if lams is None
-                        else [("lam", lam) for lam in lams])
-            return sens_condensed_state(grid, design, model, sol,
-                                        problem.sets, adjoints, ledger=ledger)
+        sol = solve_condensed(model, problem.sets, adjoint_rhs, ledger=ledger)
+        if want_grads:
+            d_states = sens_condensed_state(grid, design, model, sol,
+                                            problem.sets, sol.adjoints)
     else:
         model = None
         sol = solve_elementary(K, problem.sets, adjoint_rhs, ledger=ledger)
-
-        def gradient(lams):
-            return sens_elementary(grid, design, sol, problem.sets,
-                                   sol.adjoints if lams is None else lams)
+        if want_grads:
+            d_states = sens_elementary(grid, design, sol, problem.sets,
+                                       sol.adjoints)
 
     if problem.kind == "problem1":
-        responses = _evaluate_p1(problem, design, sol, gradient, want_grads)
+        responses = _evaluate_p1(problem, design, sol, d_states)
     else:
-        responses = _evaluate_p2(problem, design, sol, free_sets, gradient,
-                                 want_grads)
+        responses = _evaluate_p2(problem, design, sol, d_states)
     return Evaluation(*responses, sol, model)
 
 
@@ -217,7 +213,7 @@ def _adjoint_rhs(problem, free_sets):
     return stacks
 
 
-def _evaluate_p1(problem, design, sol, gradient, want_grads):
+def _evaluate_p1(problem, design, sol, d_states):
     grid, plan = problem.grid, problem.plan
     vbar = problem.params["vbar"]
     n_elems = grid.n_elems
@@ -230,32 +226,32 @@ def _evaluate_p1(problem, design, sol, gradient, want_grads):
     g1 = float(design.filtered.sum() / (n_elems * vbar) - 1.0)
 
     d0 = d1 = None
-    if want_grads:
+    if d_states is not None:
         # grounded ports (zero prescribed values) make the compliance
         # self-adjoint: the explicit matrix dependence folds into the adjoint
         # term, leaving adjoint == state and no adjoint solve at all
-        d0 = gradient([s.u_free[None] for s in sol.sets])[0]
+        d0 = d_states[0]
         d1 = design.flt.chain(np.full(n_elems, 1.0 / (n_elems * vbar)))
         d1 = d1[None, :]
     return g0, np.array([g1]), d0, d1
 
 
-def _evaluate_p2(problem, design, sol, free_sets, gradient, want_grads):
+def _evaluate_p2(problem, design, sol, d_states):
+    plan = problem.plan
     jbar = problem.params["jbar"]
     x_in = problem.params["n_inputs"]
-    outputs = IndexSet(problem.params["out_dofs"], problem.plan.n)
+    out_pos = IndexSet(problem.params["out_dofs"], plan.n).positions_in(
+        plan.primary)
     n_elems = problem.grid.n_elems
 
     # transmission entries: output displacement i under unit input j
-    out_pos = [outputs.positions_in(free) for free in free_sets]
-    jmat = np.column_stack([sol.sets[j].u_free[out_pos[j], 0]
+    jmat = np.column_stack([sol.primary_states(plan, j)[out_pos, 0]
                             for j in range(x_in)])
 
     g0 = -float(design.filtered.sum()) / n_elems
     cons = (jmat / jbar + 1.0).ravel()
 
-    d0 = dcons = None
-    if want_grads:
+    d0 = None
+    if d_states is not None:
         d0 = -design.flt.chain(np.ones(n_elems)) / n_elems
-        dcons = gradient(None)
-    return g0, cons, d0, dcons
+    return g0, cons, d0, d_states

@@ -2,11 +2,11 @@
 
 Every gradient here reduces to sums of element-level contractions
 ``left^T (dK/dx_e) right``, chained through the density filter once at the
-end; the full derivative of the system matrix is never formed. The
-elementary pipeline contracts full-length adjoints and states with
-:func:`~mptop.fem.contract_dk_raw`; it solves nothing here, since
-:func:`~mptop.analysis.solve_elementary` solved every adjoint while its
-set's factorization was alive.
+end; the full derivative of the system matrix is never formed. Both
+pipelines' state gradients only contract: :mod:`mptop.analysis`'s solve
+functions solve every adjoint stack right after its set's states, against
+the factor then alive. The elementary pipeline contracts full-length
+adjoints and states with :func:`~mptop.fem.contract_dk_raw`.
 
 The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
 sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
@@ -19,7 +19,8 @@ fields ``E a (+ X)`` and right fields ``B - E u`` for reduced adjoints a and
 primary states u (:func:`_state_gradient`). Gradients of the reduced matrix
 and loads need no solve, state gradients only small dense adjoint solves.
 Responses that read secondary states or reactions are the exception: their
-one large adjoint solve against the retained factorization is X.
+one large adjoint solve against the retained factorization is X, made by
+:func:`sens_case`.
 
 The kernel's products are einsums, not BLAS calls: a threaded BLAS call
 leaves OpenBLAS's workers spinning, and on two cores that doubled the next
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import adjoint_phase, check_stacks, solve_adjoint, solve_stack
+from .analysis import adjoint_phase, check_stacks, solve_stack
 from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
@@ -53,12 +54,6 @@ def _primary_basis(model: ReducedModel) -> np.ndarray:
     E[plan.primary.ids, :] = np.eye(model.m)
     E[plan.sec_free.ids, :] = -model.static_modes
     return E
-
-
-def expand_primary(model: ReducedModel, y: np.ndarray) -> np.ndarray:
-    """Map reduced vectors to full-length fields, ``E y``."""
-    y = np.atleast_2d(np.asarray(y, dtype=float).T).T
-    return _primary_basis(model) @ y
 
 
 def load_field(model: ReducedModel):
@@ -129,51 +124,60 @@ def sens_elementary(grid: Grid, design: DesignField, sol, sets,
                     adjoints) -> np.ndarray:
     """Gradients of several responses, full-system route: (rows, n_elems).
 
-    ``adjoints[i]`` is set i's solved adjoint stack, (rows, free, cases) on
-    its free DOFs and zero where a response ignores the set: the ``adjoints``
-    that :func:`~mptop.analysis.solve_elementary` returned, or the states
-    themselves for self-adjoint responses. An adjoint equal to its set's
-    state, with zero prescribed values, is that state's full field, and the
-    contraction takes it as both sides. Nothing is solved here.
+    ``adjoints[i]`` is set i's solved adjoint stack from
+    :func:`~mptop.analysis.solve_elementary`, (rows, free, cases) on its free
+    DOFs and zero where a response ignores the set. None stands for one
+    self-adjoint response, whose adjoint is each set's state on its free
+    DOFs: the state's full field itself, gathered once as both sides, when
+    the set prescribes zeros. Nothing is solved here.
     """
     if len(sol.sets) != len(sets):
         raise ValueError("solution does not match the analysis sets")
-    adjoints = check_stacks(adjoints, [(len(s.free), s.cases) for s in sets])
-    acc = np.zeros((len(adjoints[0]), grid.n_elems))
-    for aset, state, lam_free in zip(sets, sol.sets, adjoints):
-        for r in np.flatnonzero(lam_free.any(axis=(1, 2))):
-            if (np.array_equal(lam_free[r], state.u_free)
-                    and not state.u_presc.any()):
-                lam = state.u_full      # self-adjoint: gathered once
-            else:
-                lam = np.zeros((grid.n_dofs, aset.cases))
-                lam[aset.free.ids, :] = lam_free[r]
+    if adjoints is None:
+        stacks, rows = [None] * len(sets), 1
+    else:
+        stacks = check_stacks(adjoints,
+                              [(len(s.free), s.cases) for s in sets])
+        rows = len(stacks[0])
+    acc = np.zeros((rows, grid.n_elems))
+    for state, stack in zip(sol.sets, stacks):
+        for r, lam in _left_fields(state, stack):
             acc[r] -= contract_dk_raw(grid, design, lam, state.u_full)
     return _chain_rows(design, acc)
 
 
+def _left_fields(state, stack):
+    """(row, full-length left field) of each response that reads the set."""
+    if stack is None:
+        if not state.u_presc.any():
+            yield 0, state.u_full
+            return
+        stack = state.u_free[None]
+    for r in np.flatnonzero(stack.any(axis=(1, 2))):
+        lam = np.zeros_like(state.u_full)
+        lam[state.free] = stack[r]
+        yield r, lam
+
+
 def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
-                         sol, sets, adjoints,
-                         ledger: CostLedger | None = None) -> np.ndarray:
+                         sol, sets, adjoints) -> np.ndarray:
     """Gradients of several responses of the reduced free states, condensed
     route: (rows, n_elems).
 
-    ``adjoints[i]`` is ``('rhs', dg_dUfree)`` or, for self-adjoint
-    responses, ``('lam', lam_free)``: a (rows, free, cases) stack on set i's
-    free primary DOFs, zero where a response ignores the set. A set's
-    right-hand sides are one solve against the small dense block retained by
-    the condensed response evaluation; no large system is solved.
+    ``adjoints[i]`` is set i's solved adjoint stack from
+    :func:`~mptop.analysis.solve_condensed`, (rows, free, cases) on its free
+    primary DOFs and zero where a response ignores the set. None stands for
+    one self-adjoint response, whose adjoint is each set's free state.
+    Nothing is solved here.
     """
     plan = model.plan
-    stacks = check_stacks([stack for _, stack in adjoints],
+    if adjoints is None:
+        adjoints = [s.u_free[None] for s in sol.sets]
+    stacks = check_stacks(adjoints,
                           [(len(f), s.cases)
                            for f, s in zip(plan.free_primary, sets)])
     A = np.zeros((len(stacks[0]), plan.m, plan.total_cases))
-    for i, ((kind, _), stack) in enumerate(zip(adjoints, stacks)):
-        if kind == "rhs":
-            stack = solve_stack(sol.factorizations[i], stack, ledger)
-        elif kind != "lam":
-            raise ValueError(f"unknown adjoint spec {kind!r}")
+    for i, stack in enumerate(stacks):
         A[:, plan.free_primary_pos[i], plan.case_slices[i]] = stack
     U = np.hstack([sol.primary_states(plan, i) for i in range(len(sets))])
     return _state_gradient(grid, design, model, A, U, slice(None))
@@ -257,7 +261,8 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
                                                                ledger=ledger)
             ctq = model.static_modes.T @ large - direct
             rhs, extra = -ctq[fpos], -ctq[ppos]
-        lam_hat = solve_adjoint(sol.factorizations[set_index], rhs, ledger)
+        lam_hat = solve_stack(sol.factorizations[set_index], rhs[None],
+                              ledger)[0]
         d_presc = extra - ktpf @ lam_hat
         a[fpos, :] = lam_hat
 

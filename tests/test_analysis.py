@@ -28,6 +28,23 @@ class TestElementary:
         np.testing.assert_allclose(sol.sets[0].reactions, [[-1.0 / 3.0]],
                                    rtol=1e-13)
 
+    def test_stored_zeros_and_duplicate_loads(self):
+        # the sparse loads are scattered onto the free rows: a stored zero at
+        # the last (prescribed) DOF and a load split over two entries solve
+        # as the dense loads do, and the caller's matrix is left as given
+        n = 3
+        loads = sp.csc_matrix((np.array([0.25, 0.75, 0.0]),
+                               np.array([1, 1, 2]), np.array([0, 3])),
+                              shape=(n, 1))
+        aset = AnalysisSet(n, IndexSet([2], n), IndexSet([1], n),
+                           loads=loads)
+        assert loads.nnz == 3
+        K = SymmetricSparse.from_dense(CHAIN3)
+        sol = solve_elementary(K, [aset])
+        np.testing.assert_allclose(sol.sets[0].u_full,
+                                   [[1.0 / 3.0], [2.0 / 3.0], [0.0]],
+                                   rtol=1e-14)
+
     def test_zero_inputs_zero_outputs(self):
         n = 3
         aset = AnalysisSet(n, IndexSet([0], n), IndexSet([], n), cases=2)

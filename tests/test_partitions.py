@@ -213,11 +213,3 @@ class TestAnalysisSet:
         np.testing.assert_array_equal(block, loads[[1, 3, 4]])
         assert s.loads_at(IndexSet([4, 3, 1], n)) is block
         assert not block.flags.writeable
-
-    def test_loads_free_view(self):
-        n = 4
-        loads = np.zeros((n, 2))
-        loads[2, 1] = 3.0
-        s = make_set(n, [0], [], loads=loads)
-        np.testing.assert_array_equal(
-            s.loads_free(), [[0.0, 0.0], [0.0, 3.0], [0.0, 0.0]])

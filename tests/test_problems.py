@@ -320,28 +320,57 @@ class TestElementaryStreaming:
             return fact
 
         monkeypatch.setattr(mptop.analysis, "factorize", recording)
-        ledger = CostLedger()
-        ev = evaluate(p, p.x0, pipeline="elementary", ledger=ledger)
+        ev = evaluate(p, p.x0, pipeline="elementary")
         gc.collect()
         assert len(handles) == len(p.sets)
         assert alive == [0] * len(p.sets)
         assert all(ref() is None for ref in handles)
         assert ev.d_constraints is not None     # the evaluation is still alive
 
-        # each set's events are contiguous: its factorization, then its
-        # solves, l + b right-hand sides, before the next set factorizes
+    # the condensed pipeline's per-set events are its dense ones, after the
+    # one sparse factorization and solve of the condensation
+    @pytest.mark.parametrize("pipeline, matrix", [
+        ("elementary", "sparse"), ("condensed", "dense")])
+    @pytest.mark.parametrize("build, b", [
+        (lambda: build_problem1(6, 6, m=4, seed=4), 0),
+        (lambda: build_problem2(6, 6, 2, JBAR), 2),
+    ], ids=["problem1", "problem2"])
+    def test_events_grouped_per_set(self, build, b, pipeline, matrix):
+        # each set's events are contiguous: its factorization, its response
+        # solve, then its adjoint solve (b right-hand sides), before the
+        # next set factorizes
+        p = build()
+        ledger = CostLedger()
+        evaluate(p, p.x0, pipeline=pipeline, ledger=ledger)
+        others = [e.op for e in ledger.events if e.matrix != matrix]
+        assert others == ["factorize", "solve"] * (pipeline == "condensed")
         groups = []
         for e in ledger.events:
-            assert e.matrix == "sparse"
+            if e.matrix != matrix:
+                continue
             if e.op == "factorize":
                 groups.append([])
             else:
                 groups[-1].append(e)
         assert len(groups) == len(p.sets)
         for aset, solves in zip(p.sets, groups):
-            assert sum(e.nrhs for e in solves) == aset.cases + b
-            assert [e.phase for e in solves] == \
-                ["response"] + ["adjoint"] * (len(solves) - 1)
+            assert [(e.phase, e.nrhs) for e in solves] == \
+                [("response", aset.cases)] + [("adjoint", b)] * (b > 0)
+
+    def test_each_state_held_once(self):
+        # one float array of n x cases per set; the free and prescribed
+        # states are read from it on demand
+        p = build_problem1(8, 8, m=4)
+        ev = evaluate(p, p.x0, pipeline="elementary")
+        assert ev.states.adjoints is None
+        for aset, state in zip(p.sets, ev.states.sets):
+            held = [v.shape for v in vars(state).values()
+                    if isinstance(v, np.ndarray) and v.dtype == float]
+            assert held == [(p.grid.n_dofs, aset.cases)]
+            np.testing.assert_array_equal(
+                state.u_free, state.u_full[aset.free.ids])
+            np.testing.assert_array_equal(
+                state.u_presc, aset.prescribed_values)
 
     def test_peak_memory_holds_two_bands(self):
         # the pattern's block maps and band layouts are built by the first

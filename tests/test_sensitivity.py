@@ -11,7 +11,6 @@ from mptop.condensation import condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sensitivity import (
-    expand_primary,
     fd_verify,
     load_field,
     sens_case,
@@ -48,8 +47,9 @@ class TestOperators:
             model = condense(K, plan, None, None)
             cond = solve_condensed(model, sets)
             elem = solve_elementary(K, sets)
+            E = mptop.sensitivity._primary_basis(model)
             for i in range(len(sets)):
-                full = expand_primary(model, cond.sets[i].u_full)
+                full = E @ cond.sets[i].u_full
                 ref = elem.sets[i].u_full
                 keep = np.concatenate([plan.primary.ids, plan.sec_free.ids])
                 scale = max(np.abs(ref).max(), 1.0)
@@ -57,7 +57,7 @@ class TestOperators:
 
     def test_chain_expansion_rows(self):
         model, _ = chain_model()
-        A = expand_primary(model, np.eye(2))
+        A = mptop.sensitivity._primary_basis(model)
         np.testing.assert_allclose(A, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
                                    rtol=1e-14)
 
@@ -77,7 +77,7 @@ class TestReducedMatrixSensitivity:
         # perturbing the eliminated DOF's diagonal spreads 1/4 to every
         # reduced entry; perturbing a kept diagonal moves only its own entry
         model, _ = chain_model()
-        A = expand_primary(model, np.eye(2))
+        A = mptop.sensitivity._primary_basis(model)
         eps = 1e-7
         for (i, j), expected in {(1, 1): 0.25 * np.ones((2, 2)),
                                  (0, 0): np.array([[1.0, 0.0], [0.0, 0.0]])}.items():
@@ -256,15 +256,14 @@ class TestStateSensitivities:
             model = condense(K, plan, sec_loads, sec_values)
             if load_field(model) is not None:
                 bases.add(plan.total_cases > plan.m)
-            cond = solve_condensed(model, sets)
             weights = self._rand_state_response(rng, sets, plan)
+            cond = solve_condensed(model, sets, weights)
             elem = solve_elementary(K, sets,
                                     self._elementary_stacks(sets, plan,
                                                             weights))
 
-            cond_adj = [("rhs", w) for w in weights]
             g_cond = sens_condensed_state(grid, design, model, cond, sets,
-                                          cond_adj)
+                                          cond.adjoints)
             g_elem = sens_elementary(grid, design, elem, sets, elem.adjoints)
             assert g_cond.shape == g_elem.shape == (2, grid.n_elems)
             for gc, ge in zip(g_cond, g_elem):
@@ -312,9 +311,9 @@ class TestStateSensitivities:
                 [sol.sets[i].u_full[plan.primary.ids, :] for i in range(2)])
 
         model = condense(assemble(grid, design), plan, sec_loads, sec_values)
-        cond = solve_condensed(model, sets)
+        cond = solve_condensed(model, sets, weights)
         grad_c = sens_condensed_state(grid, design, model, cond, sets,
-                                      [("rhs", w) for w in weights])[0]
+                                      cond.adjoints)[0]
         elem = solve_elementary(assemble(grid, design), sets,
                                 self._elementary_stacks(sets, plan, weights))
         grad_e = sens_elementary(grid, design, elem, sets, elem.adjoints)[0]
@@ -347,21 +346,21 @@ class TestStateSensitivities:
         tiny = np.ones((1, 1, 1))
         ok_c = np.zeros((1, len(p.plan.free_primary[0]), 1))
         ok_e = np.zeros((1, len(p.sets[0].free), 1))
-        for kind in ("lam", "rhs"):
-            for adjoints, i in (([(kind, tiny)] * 2, 0),
-                                ([(kind, ok_c), (kind, tiny)], 1),
-                                ([(kind, ok_c), (kind, ok_c[[0, 0]])], 1)):
-                with pytest.raises(ValueError, match=f"set {i} "):
-                    sens_condensed_state(p.grid, design, model, cond, p.sets,
-                                         adjoints)
-        for stacks, i in (([tiny] * 2, 0), ([ok_e, tiny], 1),
-                          ([ok_e, ok_e[[0, 0]]], 1)):
-            with pytest.raises(ValueError, match=f"set {i} "):
-                sens_elementary(p.grid, design, elem, p.sets, stacks)
-            with pytest.raises(ValueError, match=f"set {i} "):
-                solve_elementary(K, p.sets, stacks)
-        with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
-            sens_elementary(p.grid, design, elem, p.sets, [ok_e])
+        for ok, solve, sens in (
+                (ok_c, lambda st: solve_condensed(model, p.sets, st),
+                 lambda st: sens_condensed_state(p.grid, design, model, cond,
+                                                 p.sets, st)),
+                (ok_e, lambda st: solve_elementary(K, p.sets, st),
+                 lambda st: sens_elementary(p.grid, design, elem, p.sets,
+                                            st))):
+            for stacks, i in (([tiny] * 2, 0), ([ok, tiny], 1),
+                              ([ok, ok[[0, 0]]], 1)):
+                for call in (solve, sens):
+                    with pytest.raises(ValueError, match=f"set {i} "):
+                        call(stacks)
+            for call in (solve, sens):
+                with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
+                    call([ok])
 
     def test_no_large_solves_in_condensed_adjoint(self):
         rng = np.random.default_rng(39)
@@ -374,15 +373,27 @@ class TestStateSensitivities:
             checked += 1
             ledger = CostLedger()
             model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
-            cond = solve_condensed(model, sets, ledger=ledger)
             weights = self._rand_state_response(rng, sets, plan)
+            cond = solve_condensed(model, sets, weights, ledger=ledger)
             sens_condensed_state(grid, design, model, cond, sets,
-                                 [("rhs", w) for w in weights], ledger=ledger)
+                                 cond.adjoints)
             assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 0
             # each set's two responses are one small dense solve
             assert ledger.count(op="solve", matrix="dense",
                                 phase="adjoint") == len(sets)
             assert ledger.count(op="factorize", matrix="sparse") == 1
+
+    def test_elementary_self_adjoint_default(self):
+        # None stands for each state on its free DOFs, also where the set
+        # prescribes non-zero values, which the left field then leaves out
+        rng = np.random.default_rng(42)
+        K, sets, grid, design = random_conduction_problem(rng, max_grid=6)
+        assert all(s.prescribed_values.any() for s in sets)
+        elem = solve_elementary(K, sets)
+        np.testing.assert_array_equal(
+            sens_elementary(grid, design, elem, sets, None),
+            sens_elementary(grid, design, elem, sets,
+                            [s.u_free[None] for s in elem.sets]))
 
     def test_self_adjoint_shortcut_matches_solve(self):
         # feeding lam directly must equal solving for it
@@ -393,14 +404,13 @@ class TestStateSensitivities:
         if plan.m == 0 or any(len(f) == 0 for f in plan.free_primary):
             pytest.skip("degenerate draw")
         model = condense(K, plan, None, None)
-        cond = solve_condensed(model, sets)
         weights = self._rand_state_response(rng, sets, plan)
+        cond = solve_condensed(model, sets, weights)
         g1 = sens_condensed_state(grid, design, model, cond, sets,
-                                  [("rhs", w) for w in weights])
+                                  cond.adjoints)
         lams = [np.stack([cond.factorizations[i].solve(wr) for wr in w])
                 for i, w in enumerate(weights)]
-        g2 = sens_condensed_state(grid, design, model, cond, sets,
-                                  [("lam", l) for l in lams])
+        g2 = sens_condensed_state(grid, design, model, cond, sets, lams)
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
@@ -580,7 +590,7 @@ def test_condensed_gradients_use_only_the_reduced_contraction(monkeypatch):
     weights = [rig.rng.normal(size=(2, len(rig.plan.free_primary[i]), s.cases))
                for i, s in enumerate(sets)]
     sens_condensed_state(rig.grid, design, model, sol, sets,
-                         [("rhs", w) for w in weights])
+                         solve_condensed(model, sets, weights).adjoints)
 
 
 class TestFdVerify:
