@@ -10,19 +10,21 @@ Large sparse SPD systems are solved by one :class:`Factorization`: banded
 Cholesky (LAPACK ``pbtrf``) in the matrix's own order. A
 :class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
 order already has a band of the grid's short side, whatever its
-orientation, and every block taken from it inherits the band. A band
-narrower than LAPACK's blocked width is stored at that width
-(:data:`BLOCKED_BAND`). A band too large to allocate raises
-:class:`BandStorageError` with its size. Few right-hand sides are solved by
-LAPACK's ``pbtrs``, which reads the whole factor once per column; from
-:data:`BLOCKED_SOLVE_COLUMNS` columns on, the solve runs block by block on
-the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per k x k block and
-direction, reading the factor once per direction for all columns
-(Golub & Van Loan, *Matrix Computations*, section 4.3: a band of half-width
-k is block bidiagonal at block size k). There is no CG solver: with an
-ichol0 preconditioner it condensed the three benchmark problems 48-232x
-slower than this one, so its cost is only a predicted curve in
-:mod:`mptop.perfmodel`.
+orientation, and every block taken from it inherits the band. Each band
+is stored and factored at its own half-bandwidth. One narrower than
+LAPACK's blocked width (:data:`BLOCKED_BAND`) is factored unblocked, one
+rank-1 update per column, on one OpenBLAS thread: threading those tiny
+updates costs more than they do. A band too large to allocate raises
+:class:`BandStorageError` with its size. Few right-hand sides, or a narrow
+band, are solved by LAPACK's ``pbtrs``, which reads the whole factor once
+per column; from :data:`BLOCKED_SOLVE_COLUMNS` columns on, a wide enough
+band is solved block by block on the factor in place, one BLAS-3 ``trmm``
+and ``trsm`` per k x k block and direction, reading the factor once per
+direction for all columns (Golub & Van Loan, *Matrix Computations*,
+section 4.3: a band of half-width k is block bidiagonal at block size k).
+There is no CG solver: with an ichol0 preconditioner it condensed the three
+benchmark problems 48-232x slower than this one, so its cost is only a
+predicted curve in :mod:`mptop.perfmodel`.
 
 Dense blocks arising from condensed systems use a dense Cholesky
 (:class:`DenseCholesky`).
@@ -34,8 +36,11 @@ A handle of an empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,30 +373,110 @@ def _flops_dense_solve(n, nrhs):
 
 # LAPACK's ilaenv gives dpbtrf block size 1 for kd <= 64, and dpbtrf then
 # runs the unblocked dpbtf2: one dsyr per column, each of which OpenBLAS
-# threads, so a narrow band factors slower than one of this width.
+# threads. A band narrower than this is factored on one OpenBLAS thread
+# (_one_blas_thread). n = 15238, 2-vCPU x86-64 VM, OpenBLAS 0.3.31: k = 45
+# factors in 41 ms at 2 threads and 8 ms at 1, against 22 ms at k = 65.
 BLOCKED_BAND = 65
 
 # Right-hand-side columns from which a banded solve runs block by block at
 # level 3 (_solve_band_blocks) instead of LAPACK's pbtrs, which reads the
-# whole factor once per column. Measured crossover, 2-vCPU x86-64 VM,
-# OpenBLAS at 2 threads: 4-8 columns at k >= 100; at k = 65 the two are
-# within 10 % of each other from 12 to 18 columns, and blocks win from 20.
+# whole factor once per column. A narrower band needs more columns: the
+# blocks are k x k, so the loop makes 4n/k BLAS calls whose fixed cost grows
+# as k shrinks, and blocks are used when
+# columns x k >= BLOCKED_SOLVE_COLUMNS x BLOCKED_BAND.
+# Measured crossover, n = 15238, 2-vCPU x86-64 VM, OpenBLAS at 2 threads:
+# 4-8 columns at k >= 100; 12-16 at k = 41-65; 16 at k = 30; ~28 at
+# k = 22; ~48 at k = 13.
 BLOCKED_SOLVE_COLUMNS = 12
+
+
+def _solve_by_blocks(k: int, columns: int) -> bool:
+    """Whether ``columns`` right-hand sides against a band of half-width
+    ``k`` are solved by :func:`_solve_band_blocks` (never for k = 0)."""
+    return (columns >= BLOCKED_SOLVE_COLUMNS
+            and columns * k >= BLOCKED_SOLVE_COLUMNS * BLOCKED_BAND)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """``(get, set)`` thread-count functions of each OpenBLAS that scipy's
+    LAPACK can run on, found once among the libraries this process has
+    mapped (Linux ``/proc/self/maps``); empty where there is none.
+
+    scipy's f2py LAPACK passes 32-bit integers, so its OpenBLAS exports the
+    unsuffixed thread functions; numpy's vendored 64-bit-integer build
+    exports only ``64_``-suffixed names and is left alone.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            put = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+class _OneBlasThread:
+    """Context manager: run the block on one OpenBLAS thread, then restore
+    each library's thread count, also when the block raises.
+
+    The count is process-wide, so entries from several threads share one
+    switch: the first saves the counts and sets one thread, the last
+    restores them. A thread that factors a wide band meanwhile runs it on
+    one thread too; none can leave the count at one.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._saved = [(put, get()) for get, put in _openblas_threads()]
+                for put, _ in self._saved:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for put, count in self._saved:
+                    put(count)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 class Band:
     """Banded-Cholesky layout of a square symmetric pattern, in its own order.
 
-    ``bandwidth`` is the half-bandwidth stored: the pattern's, or
-    :data:`BLOCKED_BAND` when that is wider. ``slots`` are the flat
-    positions, in LAPACK's upper storage ``ab[k + i - j, j] = A[i, j]``
-    (i <= j) laid out column-major as LAPACK reads it, of the upper entries,
-    whose positions among the pattern's values are ``upper``.
+    ``bandwidth`` is the half-bandwidth stored, the pattern's own. ``slots``
+    are the flat positions, in LAPACK's upper storage
+    ``ab[k + i - j, j] = A[i, j]`` (i <= j) laid out column-major as LAPACK
+    reads it, of the upper entries, whose positions among the pattern's
+    values are ``upper``.
     """
 
     def __init__(self, pattern: Pattern):
         n = self.n = pattern.shape[0]
-        k = self.bandwidth = max(pattern.bandwidth, BLOCKED_BAND)
+        k = self.bandwidth = pattern.bandwidth
         row, col = pattern.entry_rows(), pattern.indices
         upper = np.flatnonzero(row <= col)
         self.upper = _index_array(upper, len(pattern.indices))
@@ -467,7 +552,9 @@ class Factorization(_Solver):
                 f"cannot allocate banded storage for n={K.n}, bandwidth "
                 f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
         try:
-            self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
+            with (_one_blas_thread if kbw < BLOCKED_BAND
+                  else nullcontext()):
+                self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
@@ -476,9 +563,9 @@ class Factorization(_Solver):
         return _flops_banded_factor(K.n, kbw)
 
     def _kernel(self, B):
-        X = (cho_solve_banded((self._cb, False), B)
-             if B.shape[1] < BLOCKED_SOLVE_COLUMNS
-             else _solve_band_blocks(self._cb, B))
+        X = (_solve_band_blocks(self._cb, B)
+             if _solve_by_blocks(self.bandwidth, B.shape[1])
+             else cho_solve_banded((self._cb, False), B))
         return X, _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
 
 

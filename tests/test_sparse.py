@@ -24,6 +24,7 @@ from mptop.sparse import (
     SymmetricSparse,
     _flops_banded_factor,
     _flops_banded_solve,
+    _solve_by_blocks,
     extract,
     factorize,
     principal,
@@ -162,13 +163,13 @@ class TestBlockMaps:
         np.testing.assert_array_equal(principal(K2, idx).toarray(),
                                       K2.toarray()[5:, 5:])
 
-    @pytest.mark.parametrize("nelx, nely, padded", [(40, 40, False),
+    @pytest.mark.parametrize("nelx, nely, narrow", [(40, 40, False),
                                                     (5, 60, True)])
-    def test_slot_fill_matches_reference_band(self, nelx, nely, padded):
+    def test_slot_fill_matches_reference_band(self, nelx, nely, narrow):
         K = clamped_plane_stress(nelx, nely, seed=4)
         band = K.pattern.band()
-        assert (K.bandwidth < BLOCKED_BAND) == padded
-        assert band.bandwidth == max(K.bandwidth, BLOCKED_BAND)
+        assert (K.bandwidth < BLOCKED_BAND) == narrow
+        assert band.bandwidth == K.bandwidth
         coo = K.mat.tocoo()
         ref = _to_banded_upper(coo.row, coo.col, coo.data, K.n, band.bandwidth)
         np.testing.assert_array_equal(band.fill(K.mat.data), ref)
@@ -284,17 +285,23 @@ class TestOrdering:
                           for g in (Grid(20, 400, physics),
                                     Grid(400, 20, physics)))
             assert tall.bandwidth == wide.bandwidth == short_band
+            # nodes numbered along the short side: dropping the first
+            # short_band DOFs clamps a short edge, leaving the band as it is
+            for K in (tall, wide):
+                K = principal(K, IndexSet(np.arange(short_band, K.n), K.n))
+                assert factorize(K).bandwidth == K.bandwidth == short_band
 
     def test_square_grid_keeps_natural_order(self):
         for size, natural in ((24, 53), (40, 85)):
             K = clamped_plane_stress(size, size)
             assert K.bandwidth == natural
-            assert factorize(K).bandwidth == max(natural, BLOCKED_BAND)
+            assert factorize(K).bandwidth == natural
 
     def test_padded_solves_match_spsolve(self):
+        # a narrow band, stored and factored at its own width
         K = clamped_plane_stress(5, 60, seed=3)
         f = factorize(K)
-        assert f.bandwidth == BLOCKED_BAND > K.bandwidth
+        assert f.bandwidth == K.bandwidth < BLOCKED_BAND
         rng = np.random.default_rng(12)
         A = K.mat.tocsc()
         b = rng.normal(size=K.n)
@@ -309,11 +316,11 @@ class TestOrdering:
         ledger = CostLedger()
         f = factorize(K, ledger=ledger)
         f.solve(np.ones((K.n, 3)), ledger=ledger)
-        assert f.bandwidth == BLOCKED_BAND > K.bandwidth
+        assert f.bandwidth == K.bandwidth < BLOCKED_BAND
         assert ledger.flops_total(op="factorize") == \
-            _flops_banded_factor(K.n, BLOCKED_BAND)
+            _flops_banded_factor(K.n, K.bandwidth)
         assert ledger.flops_total(op="solve") == \
-            _flops_banded_solve(K.n, BLOCKED_BAND, 3)
+            _flops_banded_solve(K.n, K.bandwidth, 3)
 
     def test_band_allocation_failure_is_named(self, monkeypatch):
         K = clamped_plane_stress(3, 30)
@@ -341,11 +348,11 @@ class TestBlockedSolve:
     def factor(band, n, seed=0):
         K = random_spd_banded(n, band, np.random.default_rng(seed))
         f = factorize(K)
-        assert f.bandwidth == max(band, BLOCKED_BAND)
+        assert f.bandwidth == band
         return f
 
     @pytest.mark.parametrize("band, n", [
-        (40, 195), (40, 221), (20, 30),     # stored at k = 65
+        (40, 195), (40, 221), (20, 30),     # narrow: pbtrs at these columns
         (101, 303), (101, 340), (125, 375), (125, 400)])
     def test_matches_pbtrs(self, band, n, monkeypatch):
         # n a multiple of k, not one, and below k
@@ -364,7 +371,29 @@ class TestBlockedSolve:
             assert np.array_equal(B, kept)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert calls == [q for q in self.COLUMNS
-                         if q >= BLOCKED_SOLVE_COLUMNS]
+                         if _solve_by_blocks(band, q)]
+
+    @pytest.mark.parametrize("band", [0, 13])
+    def test_narrow_bands_take_pbtrs(self, band, monkeypatch):
+        # k = 0 (a diagonal) never reaches the blocks' divmod(n, k); at
+        # k = 13, pbtrs until columns x k reach the wide-band crossover
+        rng = np.random.default_rng(band)
+        f = (factorize(SymmetricSparse(sp.diags(rng.uniform(0.5, 1.5, 300))))
+             if band == 0 else self.factor(band, 300))
+        assert f.bandwidth == band
+        calls = []
+        blocked = mptop.sparse._solve_band_blocks
+        monkeypatch.setattr(mptop.sparse, "_solve_band_blocks",
+                            lambda cb, B: calls.append(B.shape[1])
+                            or blocked(cb, B))
+        wide = BLOCKED_SOLVE_COLUMNS * BLOCKED_BAND // 13     # 60, exact
+        columns = (BLOCKED_SOLVE_COLUMNS, wide - 1, wide)
+        for q in columns:
+            B = rng.normal(size=(f.n, q))
+            ref = cho_solve_banded((f._cb, False), B)
+            got = f.solve(B)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert calls == ([] if band == 0 else [wide])
 
     def test_vector_and_empty_rhs(self):
         f = self.factor(101, 250)
@@ -408,6 +437,102 @@ class TestBlockedSolve:
         assert ledger.rhs_total(matrix="sparse") == q
         assert ledger.flops_total(op="solve") == \
             _flops_banded_solve(f.n, 101, q) == 4.0 * f.n * 101 * q
+
+
+class TestBlasThreads:
+    """The one-thread scope around the unblocked (narrow-band) factor."""
+
+    @staticmethod
+    def counts():
+        return [get() for get, _ in mptop.sparse._openblas_threads()]
+
+    def watch(self, monkeypatch):
+        """The thread counts seen by each banded factor call, appended."""
+        inside = []
+        real = mptop.sparse.cholesky_banded
+
+        def spy(*args, **kwargs):
+            inside.append(self.counts())
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mptop.sparse, "cholesky_banded", spy)
+        return inside
+
+    def test_scipy_openblas_is_found(self):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the lookup reads /proc/self/maps")
+        assert len(mptop.sparse._openblas_threads()) >= 1
+
+    @pytest.mark.parametrize("matrix, raises", [
+        ([[2.0, -1.0], [-1.0, 2.0]], None),
+        ([[1.0, 1.0], [1.0, 1.0]], SingularMatrixError)])
+    def test_count_restored(self, matrix, raises, monkeypatch):
+        K = SymmetricSparse.from_dense(matrix)
+        before = self.counts()
+        inside = self.watch(monkeypatch)
+        if raises is None:
+            factorize(K)
+        else:
+            with pytest.raises(raises):
+                factorize(K)
+        assert self.counts() == before
+        assert inside == [[1] * len(before)]
+
+    def test_wide_band_keeps_the_thread_count(self, monkeypatch):
+        before = self.counts()
+        inside = self.watch(monkeypatch)
+        factorize(random_spd_banded(200, BLOCKED_BAND, np.random.default_rng(7)))
+        assert inside == [before]
+
+    def test_concurrent_factorizations_restore_the_count(self):
+        import threading
+
+        K = clamped_plane_stress(5, 60, seed=3)
+        before = self.counts()
+        errors = []
+
+        def work():
+            try:
+                for _ in range(25):
+                    factorize(K)
+            except Exception as exc:    # noqa: BLE001 - reported below
+                errors.append(exc)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert self.counts() == before
+
+    def test_no_library_found(self, monkeypatch):
+        monkeypatch.setattr(mptop.sparse, "_openblas_threads", lambda: ())
+        K = clamped_plane_stress(5, 60, seed=3)
+        assert K.bandwidth < BLOCKED_BAND
+        b = np.ones(K.n)
+        np.testing.assert_allclose(K.mat @ factorize(K).solve(b), b,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_lookup_closes_its_files(self, monkeypatch):
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def tracking_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+        monkeypatch.setattr(builtins, "open", tracking_open)
+        found = mptop.sparse._openblas_threads.__wrapped__()
+        assert found == () or callable(found[0][0])
+        assert opened or not sys.platform.startswith("linux")
+        assert all(fh.closed for fh in opened)
 
 
 class TestDenseCholesky:
