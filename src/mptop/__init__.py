@@ -31,6 +31,7 @@ from .perfmodel import (
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import (
     SensitivityBundle,
+    UnresolvedGradientError,
     fd_verify,
     sens_case,
     sens_condensed_state,

@@ -48,9 +48,6 @@ class ReducedModel:
     def m(self):
         return self.plan.m
 
-    def has_secondary_sources(self) -> bool:
-        return self.load_states is not None
-
 
 def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
              sec_values=None, ledger: CostLedger | None = None) -> ReducedModel:

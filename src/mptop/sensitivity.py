@@ -22,9 +22,10 @@ Responses that read secondary states or reactions are the exception: their
 one large adjoint solve against the retained factorization is X, made by
 :func:`sens_case`.
 
-The kernel's products are einsums, not BLAS calls: a threaded BLAS call
-leaves OpenBLAS's workers spinning, and on two cores that doubled the next
-banded Cholesky (p1 99x99: 18 -> 40 ms). The level-3 BLAS calls live in
+The kernel's products are einsums. As ``@`` they would run on numpy's own
+OpenBLAS, whose workers spin after a call; that slows no solver, as those
+run on one thread (a k = 101 banded Cholesky right after a numpy product:
+20.5 against 20.0 ms, 36 against 21 at two threads). The BLAS-3 calls live in
 :mod:`mptop.sparse`'s block solve, through scipy's f2py ``trmm``/``trsm`` on
 views of the band factor: numpy's ``@`` has no triangular product, so on
 those views it needs a masked copy per block, which at n = 4e4, k = 201 and
@@ -277,23 +278,32 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
+class UnresolvedGradientError(ValueError):
+    """Raised by :func:`fd_verify` when it can resolve no gradient component."""
+
+
 def fd_verify(func, x, grad, eps: float = 1e-6,
               floor: float = 1e-3) -> float:
     """Max relative error of ``grad`` against central differences of ``func``.
 
-    Components at or below ``floor`` times the largest ``|grad|`` are
-    skipped. Central differences resolve a component only down to their
-    roundoff, about 1e-10 absolute at ``eps = 1e-6`` for an O(1) response;
-    far from the ports of a slender grid the components fall below that
-    (~1e-11 on a 4 x 40 mechanism), and their relative error says nothing.
+    Components the differences cannot resolve are skipped: those at or below
+    ``floor`` times the largest ``|grad|``, and those within 1e4 times their
+    roundoff ``ulp(|f(x)|) / eps``, which alone would read above 1e-4, the
+    bound of ``mptop verify`` (a 4 x 40 mechanism has constraints near 1
+    with components of 2e-5 and less). Raises
+    :class:`UnresolvedGradientError` when every component is skipped.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    skip = floor * np.abs(grad).max(initial=0.0)
+    roundoff = np.spacing(abs(func(x))) / eps
+    skip = max(floor * np.abs(grad).max(initial=0.0), 1e4 * roundoff)
+    read = np.flatnonzero(np.abs(grad) > skip)
+    if not read.size:
+        raise UnresolvedGradientError(
+            f"no gradient component above {skip:.3e}, the central-difference "
+            f"resolution at eps = {eps:g}")
     worst = 0.0
-    for k in range(x.size):
-        if abs(grad[k]) <= skip:
-            continue
+    for k in read:
         step = np.zeros_like(x)
         step[k] = eps
         fd = (func(x + step) - func(x - step)) / (2.0 * eps)

@@ -11,28 +11,26 @@ Cholesky (LAPACK ``pbtrf``) in the matrix's own order. A
 :class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
 order already has a band of the grid's short side, whatever its
 orientation, and every block taken from it inherits the band. Each band
-is stored and factored at its own half-bandwidth. One narrower than
-LAPACK's blocked width (:data:`BLOCKED_BAND`) is factored unblocked, one
-rank-1 update per column, on one OpenBLAS thread: threading those tiny
-updates costs more than they do. A band too large to allocate raises
-:class:`BandStorageError` with its size. Few right-hand sides, or a narrow
-band, are solved by LAPACK's ``pbtrs``, which reads the whole factor once
-per column; from :data:`BLOCKED_SOLVE_COLUMNS` columns on, a wide enough
-band is solved block by block on the factor in place, one BLAS-3 ``trmm``
-and ``trsm`` per k x k block and direction, reading the factor once per
-direction for all columns (Golub & Van Loan, *Matrix Computations*,
-section 4.3: a band of half-width k is block bidiagonal at block size k).
+is stored and factored at its own half-bandwidth. A band too large to
+allocate raises :class:`BandStorageError` with its size. Few right-hand
+sides, or a narrow band, are solved by LAPACK's ``pbtrs``, which reads the
+whole factor once per column; from :data:`BLOCKED_SOLVE_COLUMNS` columns
+on, a wide enough band is solved block by block on the factor in place,
+one BLAS-3 ``trmm`` and ``trsm`` per k x k block and direction, reading
+the factor once per direction for all columns (Golub & Van Loan, *Matrix
+Computations*, section 4.3: a band of half-width k is block bidiagonal at
+block size k).
 There is no CG solver: with an ichol0 preconditioner it condensed the three
 benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
 
 Dense blocks arising from condensed systems use a dense Cholesky
-(:class:`DenseCholesky`).
-
-Every handle solves through one shared path, which can report into a
+(:class:`DenseCholesky`). Every handle factors and solves through one
+shared path, on one OpenBLAS thread (on two cores no kernel here gains from
+a second), and restores the caller's count after. It can report into a
 :class:`CostLedger`: one event per factorization / multi-RHS solve with its
-dimension, right-hand-side count, an operation-count estimate and wall time.
-A handle of an empty block solves trivially and records nothing.
+dimension, right-hand-side count, an operation-count estimate and wall
+time. A handle of an empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
@@ -40,7 +38,7 @@ import ctypes
 import functools
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +83,6 @@ class IndexSet:
 
     def __len__(self):
         return int(self.ids.size)
-
-    def __iter__(self):
-        return iter(self.ids)
 
     def __contains__(self, i):
         pos = np.searchsorted(self.ids, i)
@@ -371,22 +366,16 @@ def _flops_dense_solve(n, nrhs):
 # factorizations
 # ---------------------------------------------------------------------------
 
-# LAPACK's ilaenv gives dpbtrf block size 1 for kd <= 64, and dpbtrf then
-# runs the unblocked dpbtf2: one dsyr per column, each of which OpenBLAS
-# threads. A band narrower than this is factored on one OpenBLAS thread
-# (_one_blas_thread). n = 15238, 2-vCPU x86-64 VM, OpenBLAS 0.3.31: k = 45
-# factors in 41 ms at 2 threads and 8 ms at 1, against 22 ms at k = 65.
-BLOCKED_BAND = 65
-
 # Right-hand-side columns from which a banded solve runs block by block at
 # level 3 (_solve_band_blocks) instead of LAPACK's pbtrs, which reads the
-# whole factor once per column. A narrower band needs more columns: the
-# blocks are k x k, so the loop makes 4n/k BLAS calls whose fixed cost grows
-# as k shrinks, and blocks are used when
+# whole factor once per column. A band narrower than BLOCKED_BAND needs more
+# columns: the blocks are k x k, so the loop makes 4n/k BLAS calls whose
+# fixed cost grows as k shrinks, and blocks are used when
 # columns x k >= BLOCKED_SOLVE_COLUMNS x BLOCKED_BAND.
-# Measured crossover, n = 15238, 2-vCPU x86-64 VM, OpenBLAS at 2 threads:
-# 4-8 columns at k >= 100; 12-16 at k = 41-65; 16 at k = 30; ~28 at
-# k = 22; ~48 at k = 13.
+# Measured crossover, n = 15238, 2-vCPU x86-64 VM, OpenBLAS 0.3.31 at one
+# thread: ~8 columns at k = 101; 12-16 at k = 41-65; 16 at k = 30; ~28 at
+# k = 22; ~40 at k = 13. The rule starts at 12, 12-20, 26, 36 and 60.
+BLOCKED_BAND = 65
 BLOCKED_SOLVE_COLUMNS = 12
 
 
@@ -436,8 +425,8 @@ class _OneBlasThread:
 
     The count is process-wide, so entries from several threads share one
     switch: the first saves the counts and sets one thread, the last
-    restores them. A thread that factors a wide band meanwhile runs it on
-    one thread too; none can leave the count at one.
+    restores them. A BLAS call that another thread makes meanwhile, outside
+    this scope, runs on one thread too; none can leave the count at one.
     """
 
     def __init__(self):
@@ -497,16 +486,18 @@ class _Solver:
     A subclass sets ``matrix`` (its ledger label) and supplies two steps:
     ``_factor(A) -> flops``, run once at construction, and
     ``_kernel(B) -> (X, flops)`` for a block with rows and columns. This class
-    checks the right-hand side rows, short-cuts empty blocks, times both steps
-    and records one ledger event per factorization and per solve call. A
-    handle of an empty (0 x 0) block does no work and records nothing.
+    runs both steps on one OpenBLAS thread, checks the right-hand side rows,
+    short-cuts empty blocks, times both steps and records one ledger event
+    per factorization and per solve call. A handle of an empty (0 x 0)
+    block does no work and records nothing.
     """
 
     def __init__(self, A, n: int, ledger: CostLedger | None):
         self.n = n
         if n:
             t0 = time.perf_counter()
-            self._record(ledger, "factorize", 0, self._factor(A), t0)
+            with _one_blas_thread:
+                self._record(ledger, "factorize", 0, self._factor(A), t0)
 
     def _record(self, ledger, op, nrhs, flops, t0):
         if ledger is not None:
@@ -522,7 +513,9 @@ class _Solver:
         if self.n == 0:
             return np.zeros_like(B)
         t0 = time.perf_counter()
-        X, fl = self._kernel(Bm) if Bm.shape[1] else (np.zeros_like(Bm), 0.0)
+        with _one_blas_thread:
+            X, fl = (self._kernel(Bm) if Bm.shape[1]
+                     else (np.zeros_like(Bm), 0.0))
         self._record(ledger, "solve", Bm.shape[1], fl, t0)
         return X[:, 0] if B.ndim == 1 else X
 
@@ -552,9 +545,7 @@ class Factorization(_Solver):
                 f"cannot allocate banded storage for n={K.n}, bandwidth "
                 f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
         try:
-            with (_one_blas_thread if kbw < BLOCKED_BAND
-                  else nullcontext()):
-                self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
+            self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"

@@ -29,7 +29,7 @@ class TestCondense:
         model = condense(K, chain_plan())
         np.testing.assert_allclose(model.reduced_matrix, np.eye(2), atol=1e-14)
         np.testing.assert_array_equal(model.reduced_loads, 0.0)
-        assert not model.has_secondary_sources()
+        assert model.load_states is None
 
     def test_chain_hand_elimination(self):
         # eliminating the middle DOF of the 3-chain by hand:

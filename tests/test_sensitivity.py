@@ -11,6 +11,7 @@ from mptop.condensation import condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sensitivity import (
+    UnresolvedGradientError,
     fd_verify,
     load_field,
     sens_case,
@@ -156,7 +157,7 @@ class TestReducedLoadSensitivity:
                 for i in (0, 2)]
         plan = build_plan(sets, n)
         model = condense(assemble(grid, _design_1x1()), plan)
-        assert plan.f_sec == 2 and not model.has_secondary_sources()
+        assert plan.f_sec == 2 and model.load_states is None
         bundle = sens_case("reduced-load", grid, _design_1x1(), model,
                            np.ones((plan.m, plan.total_cases)), set_index=None)
         np.testing.assert_array_equal(bundle.dg_dx, 0.0)
@@ -623,6 +624,35 @@ class TestFdVerify:
             lambda xv: evaluate(p, xv, want_grads=False).constraints[0],
             x, grad)
         assert err <= 1e-5
+
+    def test_small_rows_of_a_unit_response(self):
+        # rows 1 and 2 of a 4 x 40 mechanism read |f| ~ 1 with max|g| ~ 2e-5,
+        # and their differences resolve components only to ulp(1)/eps ~ 2e-10
+        p = build_problem2(4, 40, 2, [[0.5, 2.0], [1.0, -1.0]])
+        x = np.random.default_rng(8).uniform(0.3, 0.9, p.grid.n_elems)
+        ev = evaluate(p, x)
+
+        def row(r):
+            return lambda xv: evaluate(p, xv, want_grads=False).constraints[r]
+        for r in (1, 2):
+            assert abs(ev.constraints[r] - 1.0) < 1e-3
+            assert np.abs(ev.d_constraints[r]).max() < 1e-4
+            assert fd_verify(row(r), x, ev.d_constraints[r]) <= 1e-4
+        wrong = ev.d_constraints[1].copy()
+        wrong[np.argmax(np.abs(wrong))] *= 1.0 + 1e-3
+        assert fd_verify(row(1), x, wrong) > 5e-4
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-12])
+    def test_unresolved_row_raises(self, scale):
+        # a response near 1 moves by 1e-18 for a step of 1e-6: no component
+        # is resolved, and the check must not read 0
+        c = scale * np.array([1.0, -2.0])
+
+        def g(x):
+            return 1.0 + float(c @ x)
+
+        with pytest.raises(UnresolvedGradientError):
+            fd_verify(g, np.zeros(2), c)
 
     def test_detects_wrong_gradient(self):
         c = np.array([1.0, -2.0])

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spl
 from scipy.linalg import cho_solve_banded
 
 import mptop.sparse
-from mptop import build_problem2, optimize
+from mptop import build_problem1, build_problem2, evaluate, optimize
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
     BLOCKED_BAND,
@@ -440,21 +441,37 @@ class TestBlockedSolve:
 
 
 class TestBlasThreads:
-    """The one-thread scope around the unblocked (narrow-band) factor."""
+    """Every factorization and solve runs on one OpenBLAS thread, and the
+    caller's thread count is back after each call."""
 
     @staticmethod
     def counts():
         return [get() for get, _ in mptop.sparse._openblas_threads()]
 
-    def watch(self, monkeypatch):
-        """The thread counts seen by each banded factor call, appended."""
-        inside = []
-        real = mptop.sparse.cholesky_banded
+    @staticmethod
+    @contextmanager
+    def caller_threads(count):
+        """Run the block with scipy's OpenBLAS at ``count`` threads, then put
+        back the counts found before; yields the counts set."""
+        libs = mptop.sparse._openblas_threads()
+        saved = [get() for get, _ in libs]
+        try:
+            for _, put in libs:
+                put(count)
+            yield [count] * len(libs)
+        finally:
+            for (_, put), old in zip(libs, saved):
+                put(old)
 
-        def spy(*args, **kwargs):
-            inside.append(self.counts())
-            return real(*args, **kwargs)
-        monkeypatch.setattr(mptop.sparse, "cholesky_banded", spy)
+    def watch(self, monkeypatch, *kernels):
+        """The thread counts seen by each call of the named kernels of
+        mptop.sparse, appended in call order."""
+        inside = []
+        for name in kernels:
+            def spy(*args, real=getattr(mptop.sparse, name), **kwargs):
+                inside.append(self.counts())
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mptop.sparse, name, spy)
         return inside
 
     def test_scipy_openblas_is_found(self):
@@ -467,48 +484,97 @@ class TestBlasThreads:
         ([[1.0, 1.0], [1.0, 1.0]], SingularMatrixError)])
     def test_count_restored(self, matrix, raises, monkeypatch):
         K = SymmetricSparse.from_dense(matrix)
-        before = self.counts()
-        inside = self.watch(monkeypatch)
-        if raises is None:
-            factorize(K)
-        else:
-            with pytest.raises(raises):
+        inside = self.watch(monkeypatch, "cholesky_banded")
+        with self.caller_threads(2) as before:
+            if raises is None:
                 factorize(K)
-        assert self.counts() == before
+            else:
+                with pytest.raises(raises):
+                    factorize(K)
+            assert self.counts() == before
         assert inside == [[1] * len(before)]
 
-    def test_wide_band_keeps_the_thread_count(self, monkeypatch):
-        before = self.counts()
-        inside = self.watch(monkeypatch)
-        factorize(random_spd_banded(200, BLOCKED_BAND, np.random.default_rng(7)))
-        assert inside == [before]
+    @pytest.mark.parametrize("kernel, band, columns", [
+        ("cholesky_banded", BLOCKED_BAND, 0),
+        ("cholesky_banded", 101, 0),
+        ("cho_solve_banded", 101, 4),
+        ("_solve_band_blocks", 101, BLOCKED_SOLVE_COLUMNS),
+    ], ids=["factor-65", "factor-101", "pbtrs", "blocks"])
+    def test_kernel_runs_on_one_thread(self, kernel, band, columns,
+                                       monkeypatch):
+        K = random_spd_banded(400, band, np.random.default_rng(7))
+        inside = self.watch(monkeypatch, kernel)
+        with self.caller_threads(2) as before:
+            f = factorize(K)
+            assert self.counts() == before
+            if columns:
+                f.solve(np.ones((K.n, columns)))
+                assert self.counts() == before
+        assert f.bandwidth == band
+        assert inside == [[1] * len(before)]
 
-    def test_concurrent_factorizations_restore_the_count(self):
+    def test_dense_cholesky_runs_on_one_thread(self, monkeypatch):
+        inside = self.watch(monkeypatch, "cho_factor", "cho_solve")
+        with self.caller_threads(2) as before:
+            f = DenseCholesky(CHAIN3)
+            assert self.counts() == before
+            f.solve(np.ones(3))
+            assert self.counts() == before
+            with pytest.raises(SingularMatrixError):
+                DenseCholesky(np.ones((2, 2)))
+            assert self.counts() == before
+        assert inside == [[1] * len(before)] * 3
+
+    def test_concurrent_factorizations_restore_the_count(self, monkeypatch):
         import threading
 
-        K = clamped_plane_stress(5, 60, seed=3)
-        before = self.counts()
+        mats = [clamped_plane_stress(5, 60, seed=3),
+                random_spd_banded(400, 101, np.random.default_rng(3))]
+        assert mats[0].bandwidth < BLOCKED_BAND < mats[1].bandwidth
+        inside = self.watch(monkeypatch, "cholesky_banded",
+                            "cho_solve_banded")
         errors = []
 
-        def work():
+        def work(K):
             try:
                 for _ in range(25):
-                    factorize(K)
+                    factorize(K).solve(np.ones(K.n))
             except Exception as exc:    # noqa: BLE001 - reported below
                 errors.append(exc)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=work) for _ in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
+            with self.caller_threads(2) as before:
+                workers = [threading.Thread(target=work, args=(mats[i % 2],))
+                           for i in range(6)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert self.counts() == before
         finally:
             sys.setswitchinterval(old)
         assert not any(w.is_alive() for w in workers)
         assert errors == []
-        assert self.counts() == before
+        assert inside == [[1] * len(before)] * (6 * 25 * 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_problem1(70, 70, m=4),
+        lambda: build_problem2(20, 60, 2, [[0.5, 2.0], [1.0, -1.0]]),
+    ], ids=["p1-band-71", "p2-band-45"])
+    def test_results_do_not_depend_on_the_callers_count(self, build):
+        p = build()
+        x = np.random.default_rng(5).uniform(0.3, 0.9, p.grid.n_elems)
+        runs = []
+        for count in (1, 2):
+            with self.caller_threads(count):
+                runs.append([evaluate(p, x, pipeline=pipe)
+                             for pipe in ("condensed", "elementary")])
+        for a, b in zip(*runs):
+            for name in ("objective", "constraints", "d_objective",
+                         "d_constraints"):
+                assert np.asarray(getattr(a, name)).tobytes() \
+                    == np.asarray(getattr(b, name)).tobytes(), name
 
     def test_no_library_found(self, monkeypatch):
         monkeypatch.setattr(mptop.sparse, "_openblas_threads", lambda: ())
