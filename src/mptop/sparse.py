@@ -7,30 +7,32 @@ the band layout of every block factorized. Per matrix, extraction is then
 one gather of values and filling the band one scatter.
 
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
-Cholesky (LAPACK ``pbtrf``) in the matrix's own order. A
+Cholesky ``A = L L^T`` (LAPACK ``pbtrf``) in the matrix's own order. A
 :class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
 order already has a band of the grid's short side, whatever its
-orientation, and every block taken from it inherits the band. Each band
-is stored and factored at its own half-bandwidth. A band too large to
-allocate raises :class:`BandStorageError` with its size. Few right-hand
-sides, or a narrow band, are solved by LAPACK's ``pbtrs``, which reads the
-whole factor once per column; from :data:`BLOCKED_SOLVE_COLUMNS` columns
-on, a wide enough band is solved block by block on the factor in place,
-one BLAS-3 ``trmm`` and ``trsm`` per k x k block and direction, reading
-the factor once per direction for all columns (Golub & Van Loan, *Matrix
-Computations*, section 4.3: a band of half-width k is block bidiagonal at
-block size k).
+orientation, and every block taken from it inherits the band. Each band is
+stored at its own half-bandwidth in LAPACK's lower storage, on which
+OpenBLAS's ``pbtrf`` runs ~30 % faster than on the upper at k >= 100, and
+factored in place. A band too large to allocate raises
+:class:`BandStorageError`. Few right-hand sides, or a narrow band, are
+solved by LAPACK's ``pbtrs``, which reads the whole factor once per column;
+from :data:`BLOCKED_SOLVE_COLUMNS` columns on, a wide enough band is solved
+block by block on the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per
+k x k block and direction (Golub & Van Loan, *Matrix Computations*, section
+4.3: a band of half-width k is block bidiagonal at block size k).
 There is no CG solver: with an ichol0 preconditioner it condensed the three
 benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
 
 Dense blocks arising from condensed systems use a dense Cholesky
 (:class:`DenseCholesky`). Every handle factors and solves through one
-shared path, on one OpenBLAS thread (on two cores no kernel here gains from
-a second), and restores the caller's count after. It can report into a
-:class:`CostLedger`: one event per factorization / multi-RHS solve with its
-dimension, right-hand-side count, an operation-count estimate and wall
-time. A handle of an empty block solves trivially and records nothing.
+shared path. It checks the matrix values once and each right-hand side once
+for infs and NaNs (the LAPACK calls skip their own scans), works on one
+OpenBLAS thread (on two cores no kernel here gains from a second) and
+restores the caller's count after. It can report into a :class:`CostLedger`:
+one event per factorization / multi-RHS solve with its dimension (and a
+sparse handle's half-bandwidth), right-hand-side count, an operation-count
+estimate and wall time. An empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
@@ -152,6 +154,7 @@ class CostEvent:
     flops: float
     phase: str
     seconds: float
+    bandwidth: int | None = None   # half-bandwidth of a sparse handle
 
 
 @dataclass
@@ -173,10 +176,10 @@ class CostLedger:
         finally:
             self._phase = prev
 
-    def record(self, op, matrix, dim, nrhs, flops, seconds):
+    def record(self, op, matrix, dim, nrhs, flops, seconds, bandwidth=None):
         self.events.append(
             CostEvent(op, matrix, int(dim), int(nrhs), float(flops),
-                      self._phase, float(seconds))
+                      self._phase, float(seconds), bandwidth)
         )
 
     # -- aggregate views ----------------------------------------------------
@@ -372,11 +375,11 @@ def _flops_dense_solve(n, nrhs):
 # columns: the blocks are k x k, so the loop makes 4n/k BLAS calls whose
 # fixed cost grows as k shrinks, and blocks are used when
 # columns x k >= BLOCKED_SOLVE_COLUMNS x BLOCKED_BAND.
-# Measured crossover, n = 15238, 2-vCPU x86-64 VM, OpenBLAS 0.3.31 at one
-# thread: ~8 columns at k = 101; 12-16 at k = 41-65; 16 at k = 30; ~28 at
-# k = 22; ~40 at k = 13. The rule starts at 12, 12-20, 26, 36 and 60.
-BLOCKED_BAND = 65
-BLOCKED_SOLVE_COLUMNS = 12
+# Measured crossover on the lower factor, n = 15238, 2-vCPU x86-64 VM,
+# OpenBLAS 0.3.31 at one thread: ~8 columns at k = 101; ~10 at k = 41-65;
+# ~11 at k = 30; ~16 at k = 22; ~30 at k = 13. The rule: 10, 10, 12, 17, 28.
+BLOCKED_BAND = 36
+BLOCKED_SOLVE_COLUMNS = 10
 
 
 def _solve_by_blocks(k: int, columns: int) -> bool:
@@ -457,26 +460,26 @@ class Band:
     """Banded-Cholesky layout of a square symmetric pattern, in its own order.
 
     ``bandwidth`` is the half-bandwidth stored, the pattern's own. ``slots``
-    are the flat positions, in LAPACK's upper storage
-    ``ab[k + i - j, j] = A[i, j]`` (i <= j) laid out column-major as LAPACK
-    reads it, of the upper entries, whose positions among the pattern's
-    values are ``upper``.
+    are the flat positions, in LAPACK's lower storage
+    ``ab[i - j, j] = A[i, j]`` (i >= j) laid out column-major as LAPACK
+    reads it, i.e. ``i + j * k``, of the lower entries, whose positions
+    among the pattern's values are ``lower``.
     """
 
     def __init__(self, pattern: Pattern):
         n = self.n = pattern.shape[0]
         k = self.bandwidth = pattern.bandwidth
         row, col = pattern.entry_rows(), pattern.indices
-        upper = np.flatnonzero(row <= col)
-        self.upper = _index_array(upper, len(pattern.indices))
+        lower = np.flatnonzero(row >= col)
+        self.lower = _index_array(lower, len(pattern.indices))
         self.slots = _index_array(
-            k + row[upper] + col[upper].astype(np.int64) * k, (k + 1) * n)
+            row[lower] + col[lower].astype(np.int64) * k, (k + 1) * n)
 
     def fill(self, data: np.ndarray) -> np.ndarray:
         """The (k + 1) x n banded array of the matrix with values ``data``,
         Fortran-ordered, so LAPACK factors it in place."""
         ab = np.zeros((self.bandwidth + 1) * self.n)
-        ab[self.slots] = data[self.upper]
+        ab[self.slots] = data[self.lower]
         return ab.reshape((self.bandwidth + 1, self.n), order="F")
 
 
@@ -484,13 +487,15 @@ class _Solver:
     """The one solve path shared by every factorization handle.
 
     A subclass sets ``matrix`` (its ledger label) and supplies two steps:
-    ``_factor(A) -> flops``, run once at construction, and
+    ``_factor(A) -> flops``, run once at construction on finite values, and
     ``_kernel(B) -> (X, flops)`` for a block with rows and columns. This class
-    runs both steps on one OpenBLAS thread, checks the right-hand side rows,
-    short-cuts empty blocks, times both steps and records one ledger event
-    per factorization and per solve call. A handle of an empty (0 x 0)
-    block does no work and records nothing.
+    runs both steps on one OpenBLAS thread, checks the right-hand side's rows
+    and values, short-cuts empty blocks, times both steps and records one
+    ledger event per factorization and per solve call, with ``bandwidth``.
+    A handle of an empty (0 x 0) block does no work and records nothing.
     """
+
+    bandwidth = None
 
     def __init__(self, A, n: int, ledger: CostLedger | None):
         self.n = n
@@ -502,11 +507,11 @@ class _Solver:
     def _record(self, ledger, op, nrhs, flops, t0):
         if ledger is not None:
             ledger.record(op, self.matrix, self.n, nrhs, flops,
-                          time.perf_counter() - t0)
+                          time.perf_counter() - t0, self.bandwidth)
 
     def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
         """Solve A X = B for a vector or a matrix of right-hand sides."""
-        B = np.asarray(B, dtype=float)
+        B = np.asarray_chkfinite(B, dtype=float)
         Bm = B[:, None] if B.ndim == 1 else B
         if Bm.shape[0] != self.n:
             raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
@@ -532,20 +537,20 @@ class Factorization(_Solver):
     matrix = "sparse"
 
     def __init__(self, K: SymmetricSparse, *, ledger: CostLedger | None = None):
-        self.bandwidth = None
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
         band = K.pattern.band()
         kbw = band.bandwidth
         try:
-            ab = band.fill(K.mat.data)
+            ab = band.fill(np.asarray_chkfinite(K.mat.data))
         except MemoryError as exc:
             raise BandStorageError(
                 f"cannot allocate banded storage for n={K.n}, bandwidth "
                 f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
         try:
-            self._cb = cholesky_banded(ab, lower=False, overwrite_ab=True)
+            self._cb = cholesky_banded(ab, lower=True, overwrite_ab=True,
+                                       check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
@@ -556,61 +561,60 @@ class Factorization(_Solver):
     def _kernel(self, B):
         X = (_solve_band_blocks(self._cb, B)
              if _solve_by_blocks(self.bandwidth, B.shape[1])
-             else cho_solve_banded((self._cb, False), B))
+             else cho_solve_banded((self._cb, True), B, check_finite=False))
         return X, _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
 
 
 def _solve_band_blocks(cb: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``U^T U X = B`` for the ``pbtrf`` factor ``cb``, every column of
+    """Solve ``L L^T X = B`` for the ``pbtrf`` factor ``cb``, every column of
     ``B`` in each BLAS-3 call.
 
-    In the upper band storage (``cb`` is (k + 1) x n, Fortran order),
-    ``U[i, j]`` sits at flat offset ``k + i + j * k``: the k x k diagonal
-    block at row s (upper triangle valid) and the coupling block to its right
-    (lower triangle valid) are Fortran matrices of leading dimension k in
-    place, read through strided views. A band of half-width k is block
-    bidiagonal at block size k, so each direction is one ``trmm`` (coupling)
-    and one ``trsm`` (diagonal) per block. ``X`` is row-major, which makes
-    every row block of ``X^T`` a Fortran operand too, so the calls take the
-    right side: ``Y^T U = B^T`` forward and ``X^T U^T = Y^T`` backward. A
-    last block of r < k rows couples through a k x r lower-trapezoidal block,
-    copied and masked. The factor is read once per direction for all columns,
-    where ``pbtrs`` reads it once per column.
+    In the lower band storage (``cb`` is (k + 1) x n, Fortran order),
+    ``L[i, j]`` sits at flat offset ``i + j * k``, so the k x k blocks are
+    Fortran matrices of leading dimension k in place, read through strided
+    views: the diagonal block ``L[s:s+k, s:s+k]`` at ``s * (k + 1)`` (lower
+    triangle valid) and the coupling block below it at ``s * (k + 1) + k``
+    (upper triangle valid). Each direction is one ``trmm`` (coupling) and
+    one ``trsm`` (diagonal) per block. ``X`` is row-major, which makes every
+    row block of ``X^T`` a Fortran operand too, so the calls take the right
+    side: ``Y^T L^T = B^T`` forward and ``X^T L = Y^T`` backward. A last
+    block of r < k rows couples through the r x k upper-trapezoidal tail
+    below the last full block, copied and masked. The factor is read once
+    per direction for all columns, where ``pbtrs`` reads it once per column.
     """
     X = np.array(B, dtype=float, order="C")
-    if not np.isfinite(X).all():
-        raise ValueError("array must not contain infs or NaNs")
     k, n = cb.shape[0] - 1, cb.shape[1]
     flat = cb.reshape(-1, order="F")
     size = flat.itemsize
     full, r = divmod(n, k)
     strides = (size * k * (k + 1), size, size * k)
-    diag = as_strided(flat[k:], (full, k, k), strides)
-    coupling = as_strided(flat[k + k * k:], (max(full - 1, 0), k, k), strides)
+    diag = as_strided(flat, (full, k, k), strides)
+    coupling = as_strided(flat[k:], (max(full - 1, 0), k, k), strides)
     Z = X.T
     for i in range(full):
         s = i * k
         if i:
             Z[:, s:s + k] -= trmm(1.0, coupling[i - 1], Z[:, s - k:s],
-                                  side=1, lower=1)
-        trsm(1.0, diag[i], Z[:, s:s + k], side=1, overwrite_b=1)
+                                  side=1, trans_a=1)
+        trsm(1.0, diag[i], Z[:, s:s + k], side=1, lower=1, trans_a=1,
+             overwrite_b=1)
     if r:
         s = full * k
-        last = as_strided(flat[k + s * (k + 1):], (r, r), (size, size * k))
+        last = as_strided(flat[s * (k + 1):], (r, r), (size, size * k))
         if full:
-            tail = np.tril(as_strided(flat[s * (k + 1):],
-                                      (k, r), (size, size * k)))
-            Z[:, s:] -= Z[:, s - k:s] @ tail
-        trsm(1.0, last, Z[:, s:], side=1, overwrite_b=1)
-        trsm(1.0, last, Z[:, s:], side=1, trans_a=1, overwrite_b=1)
+            tail = np.triu(as_strided(flat[(s - k) * (k + 1) + k:],
+                                      (r, k), (size, size * k)))
+            Z[:, s:] -= Z[:, s - k:s] @ tail.T
+        trsm(1.0, last, Z[:, s:], side=1, lower=1, trans_a=1, overwrite_b=1)
+        trsm(1.0, last, Z[:, s:], side=1, lower=1, overwrite_b=1)
         if full:
-            Z[:, s - k:s] -= Z[:, s:] @ tail.T
+            Z[:, s - k:s] -= Z[:, s:] @ tail
     for i in reversed(range(full)):
         s = i * k
         if i + 1 < full:
             Z[:, s:s + k] -= trmm(1.0, coupling[i], Z[:, s + k:s + 2 * k],
-                                  side=1, lower=1, trans_a=1)
-        trsm(1.0, diag[i], Z[:, s:s + k], side=1, trans_a=1, overwrite_b=1)
+                                  side=1)
+        trsm(1.0, diag[i], Z[:, s:s + k], side=1, lower=1, overwrite_b=1)
     return X
 
 
@@ -625,16 +629,17 @@ class DenseCholesky(_Solver):
     matrix = "dense"
 
     def __init__(self, A: np.ndarray, ledger: CostLedger | None = None):
-        A = np.asarray(A, dtype=float)
+        A = np.asarray_chkfinite(A, dtype=float)
         super().__init__(A, A.shape[0], ledger)
 
     def _factor(self, A):
         try:
-            self._cf = cho_factor(A, lower=False)
+            self._cf = cho_factor(A, lower=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"dense Cholesky failed (n={self.n}): {exc}") from exc
         return _flops_dense_factor(self.n)
 
     def _kernel(self, B):
-        return cho_solve(self._cf, B), _flops_dense_solve(self.n, B.shape[1])
+        return (cho_solve(self._cf, B, check_finite=False),
+                _flops_dense_solve(self.n, B.shape[1]))

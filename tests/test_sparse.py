@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import mptop.sparse
 from mptop import build_problem1, build_problem2, evaluate, optimize
@@ -45,13 +45,23 @@ def clamped_plane_stress(nelx, nely, seed=0):
     return principal(K, free)
 
 
-def _to_banded_upper(row, col, data, n, k):
-    """Reference band fill, by masked fancy indexing: LAPACK upper storage
-    ab[k + i - j, j] = A[i, j] for i <= j."""
+def _to_banded_lower(row, col, data, n, k):
+    """Reference band fill, by masked fancy indexing: LAPACK lower storage
+    ab[i - j, j] = A[i, j] for i >= j."""
     ab = np.zeros((k + 1, n))
-    mask = row <= col
-    ab[k + row[mask] - col[mask], col[mask]] = data[mask]
+    mask = row >= col
+    ab[row[mask] - col[mask], col[mask]] = data[mask]
     return ab
+
+
+def _transposed_band(ab):
+    """The band of M^T in LAPACK upper storage, for ``ab`` the lower
+    storage of M, and the other way round: ab[d, j] <-> up[k - d, j + d]."""
+    k, n = ab.shape[0] - 1, ab.shape[1]
+    out = np.zeros_like(ab)
+    for d in range(k + 1):
+        out[k - d, d:] = ab[d, :n - d]
+    return out
 
 
 def random_spd_banded(n, band, rng):
@@ -172,8 +182,20 @@ class TestBlockMaps:
         assert (K.bandwidth < BLOCKED_BAND) == narrow
         assert band.bandwidth == K.bandwidth
         coo = K.mat.tocoo()
-        ref = _to_banded_upper(coo.row, coo.col, coo.data, K.n, band.bandwidth)
+        ref = _to_banded_lower(coo.row, coo.col, coo.data, K.n, band.bandwidth)
         np.testing.assert_array_equal(band.fill(K.mat.data), ref)
+
+    @pytest.mark.parametrize("nelx, nely, narrow", [(40, 40, False),
+                                                    (5, 60, True)])
+    def test_lower_factor_matches_upper(self, nelx, nely, narrow):
+        # L from the lower storage is U^T from LAPACK's upper storage
+        K = clamped_plane_stress(nelx, nely, seed=4)
+        assert (K.bandwidth < BLOCKED_BAND) == narrow
+        f = factorize(K)
+        upper = _transposed_band(K.pattern.band().fill(K.mat.data))
+        ref = cholesky_banded(upper, lower=False)
+        got = _transposed_band(f._cb)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
     def test_ordering_found_once_per_block(self, monkeypatch, pipeline):
@@ -353,7 +375,7 @@ class TestBlockedSolve:
         return f
 
     @pytest.mark.parametrize("band, n", [
-        (40, 195), (40, 221), (20, 30),     # narrow: pbtrs at these columns
+        (40, 195), (40, 221), (20, 30),     # k = 20: pbtrs at these columns
         (101, 303), (101, 340), (125, 375), (125, 400)])
     def test_matches_pbtrs(self, band, n, monkeypatch):
         # n a multiple of k, not one, and below k
@@ -367,7 +389,7 @@ class TestBlockedSolve:
         for q in self.COLUMNS:
             B = rng.normal(size=(f.n, q))
             kept = B.copy()
-            ref = cho_solve_banded((f._cb, False), B)
+            ref = cho_solve_banded((f._cb, True), B)
             got = f.solve(B)
             assert np.array_equal(B, kept)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -387,11 +409,11 @@ class TestBlockedSolve:
         monkeypatch.setattr(mptop.sparse, "_solve_band_blocks",
                             lambda cb, B: calls.append(B.shape[1])
                             or blocked(cb, B))
-        wide = BLOCKED_SOLVE_COLUMNS * BLOCKED_BAND // 13     # 60, exact
+        wide = -(-BLOCKED_SOLVE_COLUMNS * BLOCKED_BAND // 13)   # 28
         columns = (BLOCKED_SOLVE_COLUMNS, wide - 1, wide)
         for q in columns:
             B = rng.normal(size=(f.n, q))
-            ref = cho_solve_banded((f._cb, False), B)
+            ref = cho_solve_banded((f._cb, True), B)
             got = f.solve(B)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert calls == ([] if band == 0 else [wide])
@@ -406,14 +428,40 @@ class TestBlockedSolve:
                            rtol=1e-13, atol=0.0)
         assert f.solve(np.zeros((f.n, 0))).shape == (f.n, 0)
 
-    @pytest.mark.parametrize("q", [1, BLOCKED_SOLVE_COLUMNS])
+    @pytest.mark.parametrize("q", [1, 12])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_raises(self, q, bad):
         f = self.factor(40, 200)
+        assert _solve_by_blocks(40, q) == (q == 12)
         B = np.ones((f.n, q))
         B[17, q - 1] = bad
         with pytest.raises(ValueError):
             f.solve(B)
+
+    @pytest.mark.parametrize("path", ["pbtrs", "blocks", "dense"])
+    def test_inf_rhs_raises_on_every_path(self, path, monkeypatch):
+        # the right-hand side is checked once, before any kernel runs
+        if path == "dense":
+            f, q = DenseCholesky(CHAIN3), 2
+        else:
+            f = self.factor(101, 350)
+            q = BLOCKED_SOLVE_COLUMNS if path == "blocks" else 1
+            assert _solve_by_blocks(101, q) == (path == "blocks")
+        for name in ("cho_solve", "cho_solve_banded", "_solve_band_blocks"):
+            monkeypatch.setattr(mptop.sparse, name, None)
+        B = np.ones((f.n, q))
+        B[1, q - 1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            f.solve(B)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_nan_matrix_raises(self, dense):
+        K = clamped_plane_stress(5, 20)
+        data = K.mat.data.copy()
+        data[7] = np.nan
+        K = SymmetricSparse.trusted(K.pattern, data)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            DenseCholesky(K.toarray()) if dense else factorize(K)
 
     def test_reads_the_factor_in_place(self):
         import tracemalloc
@@ -495,7 +543,7 @@ class TestBlasThreads:
         assert inside == [[1] * len(before)]
 
     @pytest.mark.parametrize("kernel, band, columns", [
-        ("cholesky_banded", BLOCKED_BAND, 0),
+        ("cholesky_banded", 65, 0),
         ("cholesky_banded", 101, 0),
         ("cho_solve_banded", 101, 4),
         ("_solve_band_blocks", 101, BLOCKED_SOLVE_COLUMNS),
@@ -620,6 +668,18 @@ class TestDenseCholesky:
 
 
 class TestLedgerPhases:
+    def test_events_record_the_band(self):
+        # sparse events carry the half-bandwidth factored or solved against
+        K = clamped_plane_stress(4, 50)
+        ledger = CostLedger()
+        f = factorize(K, ledger=ledger)
+        f.solve(np.ones((K.n, 3)), ledger=ledger)
+        DenseCholesky(CHAIN3, ledger=ledger).solve(np.ones(3), ledger=ledger)
+        assert [(e.matrix, e.op, e.bandwidth) for e in ledger.events] == [
+            ("sparse", "factorize", K.bandwidth),
+            ("sparse", "solve", K.bandwidth),
+            ("dense", "factorize", None), ("dense", "solve", None)]
+
     def test_phase_context(self):
         ledger = CostLedger()
         K = SymmetricSparse.from_dense(np.eye(3))
