@@ -1,9 +1,15 @@
 """End-to-end response pipelines over the analysis sets.
 
 ``solve_elementary`` treats every boundary-condition pattern as its own
-large constrained system and streams through them: per set, one sparse
-factorization, the state solve, the solve of the set's adjoint right-hand
-sides, then release, so one factorization is alive at a time.
+large constrained system and streams through them, up to two sets in
+flight: the calling thread gathers and factorizes set i while one helper
+thread solves set i - 1's states and adjoints in place, then collects set
+i - 1 and prepares set i's right-hand sides. The band kernels release the
+GIL, so on two cores both run at once. Only sets whose solve runs at level
+3 go to the helper; a set of few right-hand sides is solved on the calling
+thread, and released, before the next set factorizes. The helper allocates
+no array and lives for one call. States, adjoints and ledger events are
+collected in set order, so at most two factorizations are alive.
 ``solve_condensed`` runs every pattern against one shared reduced model: a
 single large factorization total, then per set a small dense factorization,
 the state solve and the adjoint solve against it; it keeps the dense handles
@@ -17,6 +23,7 @@ Adjoint right-hand sides and solved adjoints travel as stacks, one
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -28,6 +35,7 @@ from .sparse import (
     CostLedger,
     DenseCholesky,
     SymmetricSparse,
+    _solve_by_blocks,
     extract,
     factorize,
     principal,
@@ -83,8 +91,9 @@ class StateSolution:
 def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
                      ledger: CostLedger | None = None,
                      want_reactions: bool = False) -> StateSolution:
-    """Solve each analysis set against the full system matrix, one set at a
-    time: factorize, solve the states, solve the adjoints, release.
+    """Solve each analysis set against the full system matrix: factorize,
+    solve the states, solve the adjoints, release. A set whose solve runs at
+    level 3 is solved on a helper thread while the next set factorizes.
 
     ``adjoint_rhs`` holds one (rows, free, cases) stack of adjoint
     right-hand sides per set, or is None for self-adjoint responses, which
@@ -96,27 +105,79 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(s.free), s.cases) for s in sets])
     out = StateSolution(adjoints=None if adjoint_rhs is None else [])
-    for i, aset in enumerate(sets):
-        fidx, pidx = aset.free, aset.prescribed
-        fact = factorize(principal(K, fidx), ledger=ledger)
-        k_fp = extract(K, fidx, pidx)
-        rhs = -(k_fp @ aset.prescribed_values)
+    pending = None      # a set solving on the helper, and its result call
+    with ThreadPoolExecutor(1, thread_name_prefix="mptop-elementary") as helper:
+        for i, aset in enumerate(sets):
+            job = _SetSolve(K, aset, ledger)    # while set i - 1 is solved
+            if pending is not None:
+                pending[0].collect(pending[1](), out, K, ledger, want_reactions)
+            job.prepare(None if adjoint_rhs is None else adjoint_rhs[i])
+            pending = None
+            # a solve of few columns is worth less than a second band alive
+            # (fresh pages to fill; p2-mechanism, 1-2 columns: 2.4 ms solved
+            # beside about 6 ms of slower fills and factorizations), so only
+            # level-3 solves go to the helper; the last set solves here
+            if i + 1 < len(sets) and job.fact.n and _solve_by_blocks(
+                    job.fact.bandwidth, aset.cases):
+                pending = job, helper.submit(job).result
+            else:
+                job.collect(job(), out, K, ledger, want_reactions)
+    return out
+
+
+class _SetSolve:
+    """One set of :func:`solve_elementary`: factorized and prepared on the
+    calling thread, solved in place when called, collected in set order.
+    The previous set is collected, and its band and buffers released,
+    between the two steps on the calling thread, which bounds what is alive
+    to two bands and two sets' right-hand sides."""
+
+    def __init__(self, K, aset, ledger):
+        self.aset = aset
+        # the events join the caller's ledger when the set is collected
+        self.ledger = (None if ledger is None
+                       else CostLedger(_phase=ledger._phase))
+        self.fact = factorize(principal(K, aset.free), ledger=self.ledger)
+        self.k_fp = extract(K, aset.free, aset.prescribed)
+
+    def prepare(self, stack):
+        aset = self.aset
+        rhs = -(self.k_fp @ aset.prescribed_values)
         f = aset.loads.tocoo()      # no load sits at a prescribed DOF
-        rhs[np.searchsorted(fidx.ids, f.row), f.col] += f.data
-        u_free = fact.solve(rhs, ledger=ledger)
-        if adjoint_rhs is not None:
-            out.adjoints.append(solve_stack(fact, adjoint_rhs[i], ledger))
-        del fact    # release the band before the next set factorizes
+        rhs[np.searchsorted(aset.free.ids, f.row), f.col] += f.data
+        self.states = self.fact.prepare(rhs)
+        self.stack, self.adjoints = stack, None
+        if stack is not None:
+            cols, self.live = _stack_columns(stack)
+            if self.live.any():
+                self.adjoints = self.fact.prepare(cols[:, self.live])
+
+    def __call__(self):
+        u_free = self.fact.solve_prepared(self.states, self.ledger)
+        lam = None
+        if self.adjoints is not None:
+            with adjoint_phase(self.ledger):
+                lam = self.fact.solve_prepared(self.adjoints, self.ledger)
+        return u_free, lam
+
+    def collect(self, solved, out: StateSolution, K, ledger, want_reactions):
+        u_free, lam = solved
+        self.fact = None    # released on this thread, before the next set
+        if ledger is not None:
+            ledger.events.extend(self.ledger.events)
+        aset = self.aset
+        if self.stack is not None:
+            out.adjoints.append(_unstack(lam, self.live, self.stack.shape))
         u_full = np.zeros((K.n, aset.cases))
-        u_full[fidx.ids, :] = u_free
-        u_full[pidx.ids, :] = aset.prescribed_values
+        u_full[aset.free.ids, :] = u_free
+        u_full[aset.prescribed.ids, :] = aset.prescribed_values
         reactions = None
         if want_reactions:
-            k_pp = extract(K, pidx, pidx)
-            reactions = k_fp.T @ u_free + k_pp @ aset.prescribed_values
-        out.sets.append(SetStates("full", u_full, fidx.ids, pidx.ids,
-                                  reactions))
-    return out
+            k_pp = extract(K, aset.prescribed, aset.prescribed)
+            reactions = (self.k_fp.T @ u_free
+                         + k_pp @ aset.prescribed_values)
+        out.sets.append(SetStates("full", u_full, aset.free.ids,
+                                  aset.prescribed.ids, reactions))
 
 
 def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
@@ -192,10 +253,25 @@ def adjoint_phase(ledger):
 def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
     """Solve a (rows, free, cases) stack in one call, every response's
     columns side by side; columns that are exactly zero are not solved."""
-    rhs = np.hstack(stack)
-    lam = np.zeros_like(rhs)
-    live = rhs.any(axis=0)
+    cols, live = _stack_columns(stack)
+    lam = None
     if np.any(live):
         with adjoint_phase(ledger):
-            lam[:, live] = fact.solve(rhs[:, live], ledger=ledger)
-    return np.stack(np.hsplit(lam, len(stack)))
+            lam = fact.solve(cols[:, live], ledger=ledger)
+    return _unstack(lam, live, stack.shape)
+
+
+def _stack_columns(stack):
+    """A stack's responses side by side, (free, rows * cases), and which of
+    those columns are not exactly zero."""
+    cols = np.hstack(stack)
+    return cols, cols.any(axis=0)
+
+
+def _unstack(lam, live, shape):
+    """The (rows, free, cases) stack of the solved ``live`` columns ``lam``
+    (None when no column is live), zero elsewhere."""
+    full = np.zeros((shape[1], live.size))
+    if lam is not None:
+        full[:, live] = lam
+    return np.stack(np.hsplit(full, shape[0]))

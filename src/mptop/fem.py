@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .sparse import Pattern, SymmetricSparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
-COLUMN_CHUNK = 64     # columns per pass of contract_dk_raw
+RAW_CHUNK = 2048      # elements per pass of contract_dk_raw
 ELEMENT_CHUNK = 128   # elements per pass of the reduced-derivative contraction
 
 
@@ -254,6 +254,10 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
     column counts; when they are one object (a self-adjoint response), its
     element gathers are made once. Returns the gradient w.r.t. the *filtered*
     field; callers chain through the filter to reach the design variables.
+    The gathers are made :data:`RAW_CHUNK` elements at a time, all columns
+    at once. A self-adjoint contraction forms each element's Gram
+    ``L_e L_e^T`` and reads it against ``k_e``; otherwise one einsum
+    contraction order serves the whole call.
     """
     L = np.asarray(left, dtype=float)
     if L.ndim == 1:
@@ -263,9 +267,19 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
         R = R[:, None]
     if L.shape != R.shape or L.shape[0] != grid.n_dofs:
         raise ValueError("left/right must be n x q with matching shapes")
-    out = np.zeros(grid.n_elems)
-    for c0 in range(0, L.shape[1], COLUMN_CHUNK):
-        Le = L[:, c0:c0 + COLUMN_CHUNK][grid.edof]     # (n_elems, k, q)
-        Re = Le if R is L else R[:, c0:c0 + COLUMN_CHUNK][grid.edof]
-        out += np.einsum("ekq,kl,elq->e", Le, grid.ke, Re, optimize=True)
+    out = np.empty(grid.n_elems)
+    path = None
+    for e0 in range(0, grid.n_elems, RAW_CHUNK):
+        dofs = grid.edof[e0:e0 + RAW_CHUNK]
+        Le = L[dofs]                                     # (chunk, k, q)
+        if R is L:
+            gram = Le @ Le.transpose(0, 2, 1)
+            part = gram.reshape(len(dofs), -1) @ grid.ke.reshape(-1)
+        else:
+            Re = R[dofs]
+            if path is None:
+                path = np.einsum_path("ekq,kl,elq->e", Le, grid.ke, Re,
+                                      optimize=True)[0]
+            part = np.einsum("ekq,kl,elq->e", Le, grid.ke, Re, optimize=path)
+        out[e0:e0 + len(dofs)] = part
     return design.dscales * out

@@ -26,9 +26,9 @@ The kernel's products are einsums. As ``@`` they would run on numpy's own
 OpenBLAS, whose workers spin after a call; that slows no solver, as those
 run on one thread (a k = 101 banded Cholesky right after a numpy product:
 20.5 against 20.0 ms, 36 against 21 at two threads). The BLAS-3 calls live in
-:mod:`mptop.sparse`'s block solve, through scipy's f2py ``trmm``/``trsm`` on
-views of the band factor: numpy's ``@`` has no triangular product, so on
-those views it needs a masked copy per block, which at n = 4e4, k = 201 and
+:mod:`mptop.sparse`'s block solve, through scipy's BLAS ``trmm``/``trsm`` on
+the band factor in place: numpy's ``@`` has no triangular product, so on
+those blocks it needs a masked copy per block, which at n = 4e4, k = 201 and
 32 columns cost 52 ms against 13 ms for the ``trmm`` calls in place.
 """
 from __future__ import annotations

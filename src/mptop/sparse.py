@@ -19,7 +19,10 @@ solved by LAPACK's ``pbtrs``, which reads the whole factor once per column;
 from :data:`BLOCKED_SOLVE_COLUMNS` columns on, a wide enough band is solved
 block by block on the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per
 k x k block and direction (Golub & Van Loan, *Matrix Computations*, section
-4.3: a band of half-width k is block bidiagonal at block size k).
+4.3: a band of half-width k is block bidiagonal at block size k), on
+right-hand sides padded to a multiple of 8 columns. These kernels release
+the GIL, and a solve is prepared (checked and copied) apart from its
+in-place run, which allocates no array, so another thread can run it.
 There is no CG solver: with an ichol0 preconditioner it condensed the three
 benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
@@ -45,9 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
-from scipy.linalg.blas import dtrmm as trmm, dtrsm as trsm
+from scipy.linalg import cho_factor, cho_solve, cython_blas, cython_lapack
 
 
 class SingularMatrixError(RuntimeError):
@@ -395,7 +396,7 @@ def _openblas_threads() -> tuple:
     LAPACK can run on, found once among the libraries this process has
     mapped (Linux ``/proc/self/maps``); empty where there is none.
 
-    scipy's f2py LAPACK passes 32-bit integers, so its OpenBLAS exports the
+    scipy's LAPACK passes 32-bit integers, so its OpenBLAS exports the
     unsuffixed thread functions; numpy's vendored 64-bit-integer build
     exports only ``64_``-suffixed names and is left alone.
     """
@@ -456,6 +457,62 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+# scipy's f2py LAPACK and BLAS wrappers hold the GIL for the whole call. The
+# same Fortran routines are exported as C function pointers by scipy's Cython
+# modules; called through ctypes, which releases the GIL, a band kernel runs
+# beside the caller's Python work. Every argument is passed by address.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _routine(module, name: str, nargs: int):
+    capsule = module.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_dpbtrf = _routine(cython_lapack, "dpbtrf", 6)
+_dpbtrs = _routine(cython_lapack, "dpbtrs", 9)
+_dtrsm = _routine(cython_blas, "dtrsm", 11)
+_dtrmm = _routine(cython_blas, "dtrmm", 11)
+_dcopy = _routine(cython_blas, "dcopy", 5)
+_daxpy = _routine(cython_blas, "daxpy", 6)
+
+_FLAGS = ctypes.create_string_buffer(b"LNRTU")
+_L, _N, _R, _T, _U = (ctypes.addressof(_FLAGS) + i for i in range(5))
+_SCALARS = (ctypes.c_double * 2)(1.0, -1.0)
+_ONE, _MINUS_ONE = ctypes.addressof(_SCALARS), ctypes.addressof(_SCALARS) + 8
+
+
+def _int_args(*values):
+    """C ints holding ``values`` (keep them while the call runs), and each
+    one's address."""
+    ints = (ctypes.c_int * len(values))(*values)
+    base = ctypes.addressof(ints)
+    return ints, [base + 4 * i for i in range(len(values))]
+
+
+def _pbtrf(ab: np.ndarray) -> int:
+    """LAPACK ``dpbtrf`` in place on the lower band ``ab`` ((k + 1) x n,
+    float64, Fortran order); returns its ``info``."""
+    ints, (n, k, ld, info) = _int_args(ab.shape[1], ab.shape[0] - 1,
+                                       ab.shape[0], 0)
+    _dpbtrf(_L, n, k, ab.ctypes.data, ld, info)
+    return ints[3]
+
+
+def _pbtrs(cb: np.ndarray, B: np.ndarray) -> None:
+    """LAPACK ``dpbtrs`` in place on ``B`` (n x columns, Fortran order) for
+    the lower ``dpbtrf`` factor ``cb``; both float64."""
+    n = cb.shape[1]
+    ints, (pn, k, q, ld, ldb, info) = _int_args(n, cb.shape[0] - 1,
+                                                B.shape[1], cb.shape[0], n, 0)
+    _dpbtrs(_L, pn, k, q, cb.ctypes.data, ld, B.ctypes.data, ldb, info)
+
+
 class Band:
     """Banded-Cholesky layout of a square symmetric pattern, in its own order.
 
@@ -477,7 +534,8 @@ class Band:
 
     def fill(self, data: np.ndarray) -> np.ndarray:
         """The (k + 1) x n banded array of the matrix with values ``data``,
-        Fortran-ordered, so LAPACK factors it in place."""
+        Fortran-ordered, so LAPACK factors it in place; zero off the
+        matrix's entries, also past its last row."""
         ab = np.zeros((self.bandwidth + 1) * self.n)
         ab[self.slots] = data[self.lower]
         return ab.reshape((self.bandwidth + 1, self.n), order="F")
@@ -486,13 +544,15 @@ class Band:
 class _Solver:
     """The one solve path shared by every factorization handle.
 
-    A subclass sets ``matrix`` (its ledger label) and supplies two steps:
-    ``_factor(A) -> flops``, run once at construction on finite values, and
-    ``_kernel(B) -> (X, flops)`` for a block with rows and columns. This class
-    runs both steps on one OpenBLAS thread, checks the right-hand side's rows
-    and values, short-cuts empty blocks, times both steps and records one
-    ledger event per factorization and per solve call, with ``bandwidth``.
-    A handle of an empty (0 x 0) block does no work and records nothing.
+    A subclass sets ``matrix`` (its ledger label) and supplies three steps:
+    ``_factor(A) -> flops``, run once at construction on finite values,
+    ``_layout(B)``, the copy of B the kernel works on (B itself by default),
+    and ``_kernel(buffer, columns) -> (X, flops)`` for a block with rows and
+    columns. This class runs the factor and kernel steps on one OpenBLAS
+    thread, checks the right-hand side's rows and values, short-cuts empty
+    blocks, times both steps and records one ledger event per factorization
+    and per solve call, with ``bandwidth``. A handle of an empty (0 x 0)
+    block does no work and records nothing.
     """
 
     bandwidth = None
@@ -504,6 +564,9 @@ class _Solver:
             with _one_blas_thread:
                 self._record(ledger, "factorize", 0, self._factor(A), t0)
 
+    def _layout(self, B):
+        return B
+
     def _record(self, ledger, op, nrhs, flops, t0):
         if ledger is not None:
             ledger.record(op, self.matrix, self.n, nrhs, flops,
@@ -511,18 +574,31 @@ class _Solver:
 
     def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
         """Solve A X = B for a vector or a matrix of right-hand sides."""
+        B = np.asarray(B, dtype=float)
+        X = self.solve_prepared(
+            self.prepare(B[:, None] if B.ndim == 1 else B), ledger)
+        return X[:, 0] if B.ndim == 1 else X
+
+    def prepare(self, B) -> tuple:
+        """``(buffer, columns)``: the n x columns block ``B``, checked for
+        infs and NaNs and copied into the layout of the solve kernel."""
         B = np.asarray_chkfinite(B, dtype=float)
-        Bm = B[:, None] if B.ndim == 1 else B
-        if Bm.shape[0] != self.n:
-            raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ValueError(f"rhs has {B.shape[0]} rows, expected {self.n}")
+        return self._layout(B) if self.n else B, B.shape[1]
+
+    def solve_prepared(self, rhs: tuple,
+                       ledger: CostLedger | None = None) -> np.ndarray:
+        """Solve the right-hand sides of :meth:`prepare`. A sparse handle
+        solves in place and allocates no array."""
+        buf, columns = rhs
         if self.n == 0:
-            return np.zeros_like(B)
+            return buf
         t0 = time.perf_counter()
         with _one_blas_thread:
-            X, fl = (self._kernel(Bm) if Bm.shape[1]
-                     else (np.zeros_like(Bm), 0.0))
-        self._record(ledger, "solve", Bm.shape[1], fl, t0)
-        return X[:, 0] if B.ndim == 1 else X
+            X, fl = (self._kernel(buf, columns) if columns else (buf, 0.0))
+        self._record(ledger, "solve", columns, fl, t0)
+        return X
 
 
 class Factorization(_Solver):
@@ -548,74 +624,78 @@ class Factorization(_Solver):
             raise BandStorageError(
                 f"cannot allocate banded storage for n={K.n}, bandwidth "
                 f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
-        try:
-            self._cb = cholesky_banded(ab, lower=True, overwrite_ab=True,
-                                       check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        info = _pbtrf(ab)
+        if info:
             raise SingularMatrixError(
-                f"non-positive pivot in banded Cholesky (n={K.n}): {exc}"
-            ) from exc
+                f"non-positive pivot in banded Cholesky (n={K.n}): "
+                f"{info}-th leading minor not positive definite")
+        self._cb = ab
         self.bandwidth = kbw
         return _flops_banded_factor(K.n, kbw)
 
-    def _kernel(self, B):
-        X = (_solve_band_blocks(self._cb, B)
-             if _solve_by_blocks(self.bandwidth, B.shape[1])
-             else cho_solve_banded((self._cb, True), B, check_finite=False))
-        return X, _flops_banded_solve(self.n, self.bandwidth, B.shape[1])
+    def _layout(self, B):
+        if not _solve_by_blocks(self.bandwidth, B.shape[1]):
+            return np.array(B, order="F")
+        # row-major, padded with zero columns to a multiple of 8 (OpenBLAS's
+        # BLAS-3 kernels run faster on aligned widths: at n = 9999, k = 101,
+        # one thread, 31 columns took 8.8 ms and 32 took 6.2, on a 2-vCPU
+        # x86-64 VM), and k scratch rows below the solution
+        buf = np.zeros((self.n + self.bandwidth, -(-B.shape[1] // 8) * 8))
+        buf[:self.n, :B.shape[1]] = B
+        return buf
+
+    def _kernel(self, buf, columns):
+        if _solve_by_blocks(self.bandwidth, columns):
+            _solve_band_blocks(self._cb, buf)
+        else:
+            _pbtrs(self._cb, buf)
+        return (buf[:self.n, :columns],
+                _flops_banded_solve(self.n, self.bandwidth, columns))
 
 
-def _solve_band_blocks(cb: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T X = B`` for the ``pbtrf`` factor ``cb``, every column of
-    ``B`` in each BLAS-3 call.
+def _solve_band_blocks(cb: np.ndarray, buf: np.ndarray) -> None:
+    """Solve ``L L^T X = B`` in place for the ``pbtrf`` factor ``cb``, every
+    column in each BLAS-3 call, allocating no array.
 
-    In the lower band storage (``cb`` is (k + 1) x n, Fortran order),
-    ``L[i, j]`` sits at flat offset ``i + j * k``, so the k x k blocks are
-    Fortran matrices of leading dimension k in place, read through strided
-    views: the diagonal block ``L[s:s+k, s:s+k]`` at ``s * (k + 1)`` (lower
-    triangle valid) and the coupling block below it at ``s * (k + 1) + k``
-    (upper triangle valid). Each direction is one ``trmm`` (coupling) and
-    one ``trsm`` (diagonal) per block. ``X`` is row-major, which makes every
-    row block of ``X^T`` a Fortran operand too, so the calls take the right
-    side: ``Y^T L^T = B^T`` forward and ``X^T L = Y^T`` backward. A last
-    block of r < k rows couples through the r x k upper-trapezoidal tail
-    below the last full block, copied and masked. The factor is read once
-    per direction for all columns, where ``pbtrs`` reads it once per column.
+    ``buf`` is row-major (n + k) x q: ``B`` in its first n rows, k scratch
+    rows below. In the lower band storage (``cb`` is (k + 1) x n, Fortran
+    order), ``L[i, j]`` sits at flat offset ``i + j * k``, so the k x k
+    blocks are Fortran matrices of leading dimension k in place: the diagonal
+    block ``L[s:s+k, s:s+k]`` at ``s * (k + 1)`` (lower triangle valid) and
+    the coupling block below it at ``s * (k + 1) + k`` (upper triangle
+    valid). Each row block of ``X^T`` is a contiguous Fortran q x k operand,
+    so the calls take the right side: ``Y^T L^T = B^T`` forward and
+    ``X^T L = Y^T`` backward, per block one ``trmm`` of the coupling block on
+    a scratch copy of the neighbouring block, subtracted, and one ``trsm`` on
+    the diagonal block. A last block of r < k rows couples through the full
+    coupling block: its rows past n are zero in the band (:meth:`Band.fill`;
+    LAPACK never writes them), so whatever the scratch columns past r hold
+    is multiplied by zero. The factor is read once per direction for all
+    columns, where ``pbtrs`` reads it once per column.
     """
-    X = np.array(B, dtype=float, order="C")
     k, n = cb.shape[0] - 1, cb.shape[1]
-    flat = cb.reshape(-1, order="F")
-    size = flat.itemsize
+    q = buf.shape[1]
     full, r = divmod(n, k)
-    strides = (size * k * (k + 1), size, size * k)
-    diag = as_strided(flat, (full, k, k), strides)
-    coupling = as_strided(flat[k:], (max(full - 1, 0), k, k), strides)
-    Z = X.T
-    for i in range(full):
-        s = i * k
+    ints, (pq, pk, pr, inc, pkq, prq) = _int_args(q, k, r, 1, k * q, r * q)
+    sizes = [(pk, pkq)] * full + [(pr, prq)] * bool(r)   # rows, entries
+    L, Z = cb.ctypes.data, buf.ctypes.data
+    scratch, block, step = Z + 8 * n * q, 8 * k * q, 8 * k * (k + 1)
+
+    def couple(trans, coupling, source, source_size, target, target_size):
+        _dcopy(source_size, source, inc, scratch, inc)
+        _dtrmm(_R, _U, trans, _N, pq, pk, _ONE, coupling, pk, scratch, pq)
+        _daxpy(target_size, _MINUS_ONE, scratch, inc, target, inc)
+
+    for i, (rows, size) in enumerate(sizes):
+        z, d = Z + i * block, L + i * step
         if i:
-            Z[:, s:s + k] -= trmm(1.0, coupling[i - 1], Z[:, s - k:s],
-                                  side=1, trans_a=1)
-        trsm(1.0, diag[i], Z[:, s:s + k], side=1, lower=1, trans_a=1,
-             overwrite_b=1)
-    if r:
-        s = full * k
-        last = as_strided(flat[s * (k + 1):], (r, r), (size, size * k))
-        if full:
-            tail = np.triu(as_strided(flat[(s - k) * (k + 1) + k:],
-                                      (r, k), (size, size * k)))
-            Z[:, s:] -= Z[:, s - k:s] @ tail.T
-        trsm(1.0, last, Z[:, s:], side=1, lower=1, trans_a=1, overwrite_b=1)
-        trsm(1.0, last, Z[:, s:], side=1, lower=1, overwrite_b=1)
-        if full:
-            Z[:, s - k:s] -= Z[:, s:] @ tail
-    for i in reversed(range(full)):
-        s = i * k
-        if i + 1 < full:
-            Z[:, s:s + k] -= trmm(1.0, coupling[i], Z[:, s + k:s + 2 * k],
-                                  side=1)
-        trsm(1.0, diag[i], Z[:, s:s + k], side=1, lower=1, overwrite_b=1)
-    return X
+            couple(_T, d - step + 8 * k, z - block, pkq, z, size)
+        _dtrsm(_R, _L, _T, _N, pq, rows, _ONE, d, pk, z, pq)
+    for i in reversed(range(len(sizes))):
+        z, d = Z + i * block, L + i * step
+        if i + 1 < len(sizes):
+            couple(_N, d + 8 * k, z + block, sizes[i + 1][1], z, pkq)
+        _dtrsm(_R, _L, _N, _N, pq, sizes[i][0], _ONE, d, pk, z, pq)
 
 
 def factorize(K: SymmetricSparse, *,
@@ -640,6 +720,6 @@ class DenseCholesky(_Solver):
                 f"dense Cholesky failed (n={self.n}): {exc}") from exc
         return _flops_dense_factor(self.n)
 
-    def _kernel(self, B):
+    def _kernel(self, B, columns):
         return (cho_solve(self._cf, B, check_finite=False),
-                _flops_dense_solve(self.n, B.shape[1]))
+                _flops_dense_solve(self.n, columns))

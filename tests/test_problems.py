@@ -1,7 +1,9 @@
 """Benchmark problem builders, response values and gradients."""
 import gc
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import mptop.analysis
 from mptop.fem import assemble
 from mptop.problems import build_problem1, build_problem2, evaluate
 from mptop.sensitivity import fd_verify
-from mptop.sparse import CostLedger, principal
+from mptop.sparse import (CostLedger, SingularMatrixError, SymmetricSparse,
+                          principal)
 
 JBAR = np.array([[0.5, 2.0], [1.0, -1.0]])
 
@@ -300,21 +303,29 @@ class TestBuildProblem2:
 
 class TestElementaryStreaming:
     """The elementary pipeline runs factorize -> state solve -> adjoint solve
-    -> release per pattern, as the paper's cost model charges it."""
+    -> release per pattern, as the paper's cost model charges it, with up to
+    two patterns in flight: the calling thread factorizes set i while a
+    helper thread solves set i - 1 against its factor (when that solve runs
+    at level 3), and results and ledger events are collected in set order."""
 
-    # b: adjoint right-hand sides per set, none for the self-adjoint problem 1
-    # and one per constraint that reads the set for problem 2
-    @pytest.mark.parametrize("build, b", [
-        (lambda: build_problem1(6, 6, m=4, seed=4), 0),
-        (lambda: build_problem2(6, 6, 2, JBAR), 2),
+    # problem 1's 13 right-hand sides per set at k = 32 take the block solve,
+    # so each set but the last is solved on the helper; problem 2's sets
+    # solve 1 and 2 columns, on the calling thread
+    @pytest.mark.parametrize("build, helper", [
+        (lambda: build_problem1(30, 30, m=14, seed=4), True),
+        (lambda: build_problem2(6, 6, 2, JBAR), False),
     ], ids=["problem1", "problem2"])
-    def test_one_factorization_alive_at_a_time(self, monkeypatch, build, b):
+    def test_at_most_two_factorizations_alive(self, monkeypatch, build,
+                                              helper):
+        # when set j factorizes, the only other handle alive is set j - 1's
+        # while the helper solves it; the earlier ones were released in order
         p = build()
         honest = mptop.analysis.factorize
         handles, alive = [], []
 
         def recording(K, **kwargs):
-            alive.append(sum(ref() is not None for ref in handles))
+            alive.append([j for j, ref in enumerate(handles)
+                          if ref() is not None])
             fact = honest(K, **kwargs)
             handles.append(weakref.ref(fact))
             return fact
@@ -323,9 +334,66 @@ class TestElementaryStreaming:
         ev = evaluate(p, p.x0, pipeline="elementary")
         gc.collect()
         assert len(handles) == len(p.sets)
-        assert alive == [0] * len(p.sets)
+        assert alive == [[]] + [[j - 1] if helper else []
+                                for j in range(1, len(p.sets))]
         assert all(ref() is None for ref in handles)
         assert ev.d_constraints is not None     # the evaluation is still alive
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_problem1(30, 30, m=14, seed=4),
+        lambda: build_problem2(8, 8, 2, JBAR),
+    ], ids=["problem1", "problem2"])
+    def test_helper_matches_inline_solves(self, monkeypatch, build):
+        # the helper thread changes where the solves run, not their bits
+        # (problem 2's few-column sets solve on the calling thread anyway)
+        class Inline:
+            """An executor that runs each job on the calling thread."""
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                done = Future()
+                done.set_result(fn())
+                return done
+
+        p = build()
+        x = np.random.default_rng(3).uniform(0.3, 0.9, p.grid.n_elems)
+        helper = evaluate(p, x, pipeline="elementary")
+        monkeypatch.setattr(mptop.analysis, "ThreadPoolExecutor", Inline)
+        inline = evaluate(p, x, pipeline="elementary")
+        for name in ("objective", "constraints", "d_objective",
+                     "d_constraints"):
+            assert np.asarray(getattr(helper, name)).tobytes() == \
+                np.asarray(getattr(inline, name)).tobytes(), name
+
+    def test_singular_set_mid_stream_stops_the_helper(self, monkeypatch):
+        # set 2 of 14 is negative definite: its factorization fails on the
+        # calling thread while the helper solves set 1, and evaluate raises
+        # once the helper is joined
+        p = build_problem1(30, 30, m=14, seed=4)
+        honest = mptop.analysis.principal
+        calls = []
+
+        def negated_third(K, idx):
+            block = honest(K, idx)
+            calls.append(idx)
+            if len(calls) == 3:
+                return SymmetricSparse.trusted(block.pattern, -block.mat.data)
+            return block
+
+        monkeypatch.setattr(mptop.analysis, "principal", negated_third)
+        with pytest.raises(SingularMatrixError):
+            evaluate(p, p.x0, pipeline="elementary")
+        assert len(calls) == 3
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("mptop-elementary")]
 
     # the condensed pipeline's per-set events are its dense ones, after the
     # one sparse factorization and solve of the condensation

@@ -381,10 +381,10 @@ class TestBlockedSolve:
         # n a multiple of k, not one, and below k
         f = self.factor(band, n)
         calls = []
-        blocked = mptop.sparse._solve_band_blocks
-        monkeypatch.setattr(mptop.sparse, "_solve_band_blocks",
+        pbtrs = mptop.sparse._pbtrs
+        monkeypatch.setattr(mptop.sparse, "_pbtrs",
                             lambda cb, B: calls.append(B.shape[1])
-                            or blocked(cb, B))
+                            or pbtrs(cb, B))
         rng = np.random.default_rng(band)
         for q in self.COLUMNS:
             B = rng.normal(size=(f.n, q))
@@ -394,7 +394,7 @@ class TestBlockedSolve:
             assert np.array_equal(B, kept)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert calls == [q for q in self.COLUMNS
-                         if _solve_by_blocks(band, q)]
+                         if not _solve_by_blocks(band, q)]
 
     @pytest.mark.parametrize("band", [0, 13])
     def test_narrow_bands_take_pbtrs(self, band, monkeypatch):
@@ -405,10 +405,10 @@ class TestBlockedSolve:
              if band == 0 else self.factor(band, 300))
         assert f.bandwidth == band
         calls = []
-        blocked = mptop.sparse._solve_band_blocks
-        monkeypatch.setattr(mptop.sparse, "_solve_band_blocks",
+        pbtrs = mptop.sparse._pbtrs
+        monkeypatch.setattr(mptop.sparse, "_pbtrs",
                             lambda cb, B: calls.append(B.shape[1])
-                            or blocked(cb, B))
+                            or pbtrs(cb, B))
         wide = -(-BLOCKED_SOLVE_COLUMNS * BLOCKED_BAND // 13)   # 28
         columns = (BLOCKED_SOLVE_COLUMNS, wide - 1, wide)
         for q in columns:
@@ -416,7 +416,9 @@ class TestBlockedSolve:
             ref = cho_solve_banded((f._cb, True), B)
             got = f.solve(B)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert calls == ([] if band == 0 else [wide])
+        # every width takes pbtrs on the diagonal, all but `wide` at k = 13
+        assert calls == ([BLOCKED_SOLVE_COLUMNS, wide - 1]
+                         + [wide] * (band == 0))
 
     def test_vector_and_empty_rhs(self):
         f = self.factor(101, 250)
@@ -447,7 +449,7 @@ class TestBlockedSolve:
             f = self.factor(101, 350)
             q = BLOCKED_SOLVE_COLUMNS if path == "blocks" else 1
             assert _solve_by_blocks(101, q) == (path == "blocks")
-        for name in ("cho_solve", "cho_solve_banded", "_solve_band_blocks"):
+        for name in ("cho_solve", "_pbtrs", "_solve_band_blocks"):
             monkeypatch.setattr(mptop.sparse, name, None)
         B = np.ones((f.n, q))
         B[1, q - 1] = np.inf
@@ -532,7 +534,7 @@ class TestBlasThreads:
         ([[1.0, 1.0], [1.0, 1.0]], SingularMatrixError)])
     def test_count_restored(self, matrix, raises, monkeypatch):
         K = SymmetricSparse.from_dense(matrix)
-        inside = self.watch(monkeypatch, "cholesky_banded")
+        inside = self.watch(monkeypatch, "_pbtrf")
         with self.caller_threads(2) as before:
             if raises is None:
                 factorize(K)
@@ -543,9 +545,9 @@ class TestBlasThreads:
         assert inside == [[1] * len(before)]
 
     @pytest.mark.parametrize("kernel, band, columns", [
-        ("cholesky_banded", 65, 0),
-        ("cholesky_banded", 101, 0),
-        ("cho_solve_banded", 101, 4),
+        ("_pbtrf", 65, 0),
+        ("_pbtrf", 101, 0),
+        ("_pbtrs", 101, 4),
         ("_solve_band_blocks", 101, BLOCKED_SOLVE_COLUMNS),
     ], ids=["factor-65", "factor-101", "pbtrs", "blocks"])
     def test_kernel_runs_on_one_thread(self, kernel, band, columns,
@@ -579,8 +581,7 @@ class TestBlasThreads:
         mats = [clamped_plane_stress(5, 60, seed=3),
                 random_spd_banded(400, 101, np.random.default_rng(3))]
         assert mats[0].bandwidth < BLOCKED_BAND < mats[1].bandwidth
-        inside = self.watch(monkeypatch, "cholesky_banded",
-                            "cho_solve_banded")
+        inside = self.watch(monkeypatch, "_pbtrf", "_pbtrs")
         errors = []
 
         def work(K):
@@ -624,6 +625,27 @@ class TestBlasThreads:
                 assert np.asarray(getattr(a, name)).tobytes() \
                     == np.asarray(getattr(b, name)).tobytes(), name
 
+    def test_helper_solves_on_one_thread(self, monkeypatch):
+        # the elementary pipeline's helper thread enters the same scope: its
+        # solves run on one OpenBLAS thread, and the caller's count is back
+        # after the evaluation
+        import threading
+
+        seen = []
+        for name in ("_pbtrs", "_solve_band_blocks"):
+            def spy(*args, real=getattr(mptop.sparse, name)):
+                seen.append((threading.current_thread().name, self.counts()))
+                return real(*args)
+            monkeypatch.setattr(mptop.sparse, name, spy)
+        p = build_problem1(30, 30, m=14)     # 13 columns at k = 32: blocks
+        with self.caller_threads(2) as before:
+            evaluate(p, p.x0, pipeline="elementary")
+            assert self.counts() == before
+        helper = [counts for name, counts in seen
+                  if name.startswith("mptop-elementary")]
+        assert len(helper) == len(p.sets) - 1   # the last set solves inline
+        assert all(counts == [1] * len(before) for _, counts in seen)
+
     def test_no_library_found(self, monkeypatch):
         monkeypatch.setattr(mptop.sparse, "_openblas_threads", lambda: ())
         K = clamped_plane_stress(5, 60, seed=3)
@@ -647,6 +669,49 @@ class TestBlasThreads:
         assert found == () or callable(found[0][0])
         assert opened or not sys.platform.startswith("linux")
         assert all(fh.closed for fh in opened)
+
+
+class TestGilFree:
+    """The band kernels release the GIL, so Python threads run meanwhile."""
+
+    def test_counter_advances_during_a_factorization(self, monkeypatch):
+        import threading
+        import time
+
+        K = random_spd_banded(20000, 150, np.random.default_rng(11))
+        factorize(K)            # builds the band layout and warms LAPACK
+        count, stop, filled = [0], threading.Event(), []
+        fill = mptop.sparse.Band.fill
+
+        def timed_fill(band, data):
+            ab = fill(band, data)
+            filled.append((count[0], time.perf_counter()))
+            return ab
+        monkeypatch.setattr(mptop.sparse.Band, "fill", timed_fill)
+
+        def counter():
+            while not stop.is_set():
+                count[0] += 1
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        worker = threading.Thread(target=counter)
+        try:
+            worker.start()
+            time.sleep(0.02)
+            start, t0 = count[0], time.perf_counter()
+            time.sleep(0.02)
+            rate = (count[0] - start) / (time.perf_counter() - t0)
+            factorize(K)
+            (start, t0), = filled
+            during = (count[0] - start) / (time.perf_counter() - t0)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+            sys.setswitchinterval(old)
+        assert not worker.is_alive()
+        # from the filled band on, the factorization is one LAPACK call:
+        # holding the GIL, it would leave the counter nothing
+        assert during > 0.25 * rate, (during, rate)
 
 
 class TestDenseCholesky:
