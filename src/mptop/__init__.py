@@ -14,10 +14,8 @@ from .optimizer import MMA, MMADualError, OptResult, optimize
 from .partitions import (
     AnalysisSet,
     PartitionPlan,
-    PlanValidationError,
     build_plan,
     gather_secondary,
-    validate_plan,
 )
 from .perfmodel import (
     FlopModel,

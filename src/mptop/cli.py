@@ -168,26 +168,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("grid sizes must be positive, max_iters >= 0")
 
 
-def _format_value(value, typ) -> str:
-    if typ == "matrix":
-        return ";".join(",".join(repr(v) for v in row) for row in value)
-    if typ == "floats":
-        return ",".join(repr(v) for v in value)
-    if typ == "bool":
-        return "1" if value else "0"
-    return repr(value) if typ is float else str(value)
-
-
-def write_config(cfg: RunConfig) -> str:
-    lines, section = [], None
-    for (sect, key), (attr, typ) in _SCHEMA.items():
-        if sect != section:
-            lines.append(f"[{sect}]")
-            section = sect
-        lines.append(f"{key} = {_format_value(getattr(cfg, attr), typ)}")
-    return "\n".join(lines + [""])
-
-
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         return parse_config(fh.read())

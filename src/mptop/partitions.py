@@ -23,10 +23,6 @@ import scipy.sparse as sp
 from .sparse import IndexSet
 
 
-class PlanValidationError(ValueError):
-    pass
-
-
 class AnalysisSet:
     """One boundary-condition pattern with its load cases.
 
@@ -41,7 +37,7 @@ class AnalysisSet:
     """
 
     def __init__(self, n, prescribed: IndexSet, interest: IndexSet,
-                 prescribed_values=None, loads=None, cases: int | None = None):
+                 prescribed_values=None, loads=None):
         self.n = int(n)
         self.prescribed = prescribed
         self.interest = interest
@@ -51,9 +47,6 @@ class AnalysisSet:
             if pv.shape[0] != len(prescribed):
                 raise ValueError("prescribed_values rows must match prescribed set")
             self.cases = pv.shape[1]
-        elif cases is not None:
-            self.cases = int(cases)
-            pv = np.zeros((len(prescribed), self.cases))
         elif loads is not None:
             self.cases = loads.shape[1]
             pv = np.zeros((len(prescribed), self.cases))
@@ -184,47 +177,6 @@ def build_plan(sets: list, n: int) -> PartitionPlan:
     return PartitionPlan(n, sec_prescribed, sec_free, primary,
                          free_primary, presc_primary, fpos, ppos,
                          cases, slices, no_reduction)
-
-
-def validate_plan(plan: PartitionPlan, sets: list) -> dict:
-    """Check the cover/disjointness invariants; raise naming any offender."""
-    groups = [plan.sec_prescribed, plan.sec_free, plan.primary]
-    names = ["secondary-prescribed", "secondary-free", "primary"]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlap = groups[i].intersect(groups[j])
-            if len(overlap):
-                raise PlanValidationError(
-                    f"DOF {overlap.ids[0]} is in both {names[i]} and {names[j]}")
-    union = groups[0].union(groups[1]).union(groups[2])
-    if len(union) != plan.n:
-        missing = union.complement()
-        raise PlanValidationError(f"DOF {missing.ids[0]} is in no group")
-
-    for k, s in enumerate(sets):
-        stray = s.interest.minus(plan.primary)
-        if len(stray):
-            raise PlanValidationError(
-                f"interest DOF {stray.ids[0]} of set {k} is not primary")
-        free_here = np.isin(plan.sec_prescribed.ids, s.prescribed.ids,
-                            invert=True)
-        if np.any(free_here):
-            raise PlanValidationError(
-                f"DOF {plan.sec_prescribed.ids[free_here][0]} is "
-                f"secondary-prescribed but free in set {k}")
-        presc_here = np.isin(plan.sec_free.ids, s.prescribed.ids)
-        if np.any(presc_here):
-            raise PlanValidationError(
-                f"DOF {plan.sec_free.ids[presc_here][0]} is "
-                f"secondary-free but prescribed in set {k}")
-    return {
-        "n": plan.n,
-        "m": plan.m,
-        "secondary_free": plan.f_sec,
-        "secondary_prescribed": plan.p_sec,
-        "sets": len(sets),
-        "cases": plan.total_cases,
-    }
 
 
 def gather_secondary(plan: PartitionPlan, sets: list):

@@ -62,37 +62,32 @@ def beta_dense(n, l) -> float:
     return n ** 3 / 3.0 + 2.0 * l * n * n
 
 
-def gain_general(model: FlopModel, n, m, sets) -> float:
-    """Predicted cost ratio for patterns given as (cases, adjoint_rhs) pairs."""
+def gain_general(model: FlopModel, n, m, groups) -> float:
+    """Predicted cost ratio over groups of (count, cases, adjoints) patterns.
+
+    Each group holds ``count`` patterns with the same right-hand-side count,
+    load cases plus adjoints; ``count`` and ``m`` may be fractional (gain
+    curves are drawn on a log-spaced grid).
+    """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    num = sum(beta_sparse(model, n, l + b) for l, b in sets)
-    den = beta_sparse(model, n - m, m) + sum(beta_dense(m, l + b)
-                                             for l, b in sets)
+    num = sum(c * beta_sparse(model, n, l + b) for c, l, b in groups)
+    den = beta_sparse(model, n - m, m) + sum(c * beta_dense(m, l + b)
+                                             for c, l, b in groups)
     return num / den
 
 
 def gain_problem1(model: FlopModel, n, m) -> float:
-    """Multi-port conduction: m patterns, m-1 cases each, self-adjoint.
-
-    ``m`` may be fractional (gain curves are drawn on a log-spaced grid).
-    """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    num = m * beta_sparse(model, n, m - 1)
-    den = beta_sparse(model, n - m, m) + m * beta_dense(m, m - 1)
-    return num / den
+    """Multi-port conduction: m patterns, m-1 cases each, self-adjoint."""
+    return gain_general(model, n, m, [(m, m - 1, 0)])
 
 
 def gain_problem2(model: FlopModel, n, m) -> float:
-    """MIMO mechanism: m/2 patterns, one case plus m/2 adjoints each."""
-    m_int = float(m)
-    if m_int < 2 or m_int % 2:
+    """MIMO mechanism: m/2 patterns, one case plus m-1 adjoints each."""
+    m = float(m)
+    if m < 2 or m % 2:
         raise ValueError("primary count must be even and >= 2")
-    half = m_int / 2.0
-    num = half * beta_sparse(model, n, m_int)
-    den = beta_sparse(model, n - m_int, m_int) + half * beta_dense(m_int, m_int)
-    return num / den
+    return gain_general(model, n, m, [(m / 2, 1, m - 1)])
 
 
 @dataclass

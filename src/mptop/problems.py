@@ -68,6 +68,8 @@ def build_problem1(nelx: int, nely: int, m: int, vbar: float = 0.2,
         raise ValueError("need at least two ports")
     if m > n:
         raise ValueError(f"cannot place {m} distinct ports on {n} DOFs")
+    if not 0 < vbar <= 1:
+        raise ValueError(f"vbar must be in (0, 1], got {vbar}")
     rng = np.random.default_rng(seed)
     ports = rng.choice(n, size=m, replace=False)
     magnitudes = rng.uniform(0.0, 1.0, size=m)

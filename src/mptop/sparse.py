@@ -304,10 +304,6 @@ class SymmetricSparse:
         self._wrap(Pattern(mat.indptr, mat.indices, mat.shape), mat.data)
 
     @classmethod
-    def from_dense(cls, arr) -> "SymmetricSparse":
-        return cls(sp.csr_matrix(np.asarray(arr, dtype=float)))
-
-    @classmethod
     def trusted(cls, pattern: Pattern, data: np.ndarray) -> "SymmetricSparse":
         """The matrix with ``data`` on ``pattern``, taken as symmetric."""
         self = cls.__new__(cls)

@@ -21,7 +21,7 @@ class TestElementary:
         loads[2] = 1.0
         aset = AnalysisSet(n, IndexSet([0], n), IndexSet([2], n),
                            loads=sp.csc_matrix(loads))
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         sol = solve_elementary(K, [aset], want_reactions=True)
         np.testing.assert_allclose(sol.sets[0].u_free,
                                    [[1.0 / 3.0], [2.0 / 3.0]], rtol=1e-14)
@@ -39,7 +39,7 @@ class TestElementary:
         aset = AnalysisSet(n, IndexSet([2], n), IndexSet([1], n),
                            loads=loads)
         assert loads.nnz == 3
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         sol = solve_elementary(K, [aset])
         np.testing.assert_allclose(sol.sets[0].u_full,
                                    [[1.0 / 3.0], [2.0 / 3.0], [0.0]],
@@ -47,8 +47,9 @@ class TestElementary:
 
     def test_zero_inputs_zero_outputs(self):
         n = 3
-        aset = AnalysisSet(n, IndexSet([0], n), IndexSet([], n), cases=2)
-        K = SymmetricSparse.from_dense(CHAIN3)
+        aset = AnalysisSet(n, IndexSet([0], n), IndexSet([], n),
+                           prescribed_values=np.zeros((1, 2)))
+        K = SymmetricSparse(CHAIN3)
         sol = solve_elementary(K, [aset], want_reactions=True)
         np.testing.assert_array_equal(sol.sets[0].u_full, 0.0)
         np.testing.assert_array_equal(sol.sets[0].reactions, 0.0)
@@ -81,7 +82,7 @@ class TestCondensedPipeline:
         s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n),
                          prescribed_values=np.array([[2.0]]))
         sets = [s1, s2]
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         plan = build_plan(sets, n)
         model = condense(K, plan)
         sol = solve_condensed(model, sets, want_reactions=True)
@@ -143,7 +144,7 @@ class TestCondensedPipeline:
                          prescribed_values=np.array([[3.5]]))
         s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n))
         plan = build_plan([s1, s2], n)
-        model = condense(SymmetricSparse.from_dense(CHAIN3), plan)
+        model = condense(SymmetricSparse(CHAIN3), plan)
         sol = solve_condensed(model, [s1, s2])
         pos0 = plan.presc_primary_pos[0]
         assert sol.sets[0].u_full[pos0, 0] == 3.5

@@ -1,4 +1,4 @@
-"""Config round-trip, subcommands and artifact formats."""
+"""Config parsing, subcommands and artifact formats."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,6 @@ from mptop.cli import (
     cmd_verify,
     main,
     parse_config,
-    write_config,
 )
 
 P1_SMALL = """
@@ -48,12 +47,6 @@ dir = {out}
 
 
 class TestConfig:
-    def test_round_trip(self):
-        text = P1_SMALL.format(out="somewhere")
-        cfg = parse_config(text)
-        assert parse_config(write_config(cfg)) == cfg
-        assert write_config(parse_config(write_config(cfg))) == write_config(cfg)
-
     def test_defaults_and_overrides(self):
         cfg = parse_config("[problem]\nkind = problem2\n")
         assert cfg.kind == "problem2"
@@ -265,6 +258,14 @@ class TestMain:
         path.write_text("[problem]\nkind = problem1\nnelx = 2\nnely = 2\n"
                         "m = 100\n")
         assert main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("vbar", ["0", "-0.2"])
+    def test_vbar_out_of_range_exit_code(self, tmp_path, capsys, vbar):
+        path = tmp_path / "bad.cfg"
+        path.write_text(P1_SMALL.format(out=tmp_path / "out").replace(
+            "vbar = 0.35", f"vbar = {vbar}"))
+        assert main(["run", str(path)]) == 1
+        assert "vbar must be in (0, 1]" in capsys.readouterr().err
 
     def test_run_e2e(self, tmp_path):
         path = tmp_path / "cfg"

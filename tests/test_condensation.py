@@ -18,14 +18,16 @@ CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
 def chain_plan(n=3, cases=1):
     """Primary {0, 2}, secondary-free {1}: two sets with swapped ends."""
-    s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 2], n), cases=cases)
-    s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n), cases=cases)
+    s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 2], n),
+                     prescribed_values=np.zeros((1, cases)))
+    s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n),
+                     prescribed_values=np.zeros((1, cases)))
     return build_plan([s1, s2], n)
 
 
 class TestCondense:
     def test_identity_no_coupling(self):
-        K = SymmetricSparse.from_dense(np.eye(3))
+        K = SymmetricSparse(np.eye(3))
         model = condense(K, chain_plan())
         np.testing.assert_allclose(model.reduced_matrix, np.eye(2), atol=1e-14)
         np.testing.assert_array_equal(model.reduced_loads, 0.0)
@@ -34,7 +36,7 @@ class TestCondense:
     def test_chain_hand_elimination(self):
         # eliminating the middle DOF of the 3-chain by hand:
         # coupling solutions [-1/2, -1/2], Schur block [[1.5, -.5], [-.5, 1.5]]
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         model = condense(K, chain_plan())
         np.testing.assert_allclose(model.static_modes, [[-0.5, -0.5]], rtol=1e-14)
         np.testing.assert_allclose(model.reduced_matrix,
@@ -42,7 +44,7 @@ class TestCondense:
 
     def test_chain_secondary_load(self):
         # unit load on the eliminated DOF spreads half to each neighbour
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         plan = chain_plan()
         sec_loads = np.full((1, 2), 1.0)
         model = condense(K, plan, sec_loads=sec_loads)
@@ -52,13 +54,13 @@ class TestCondense:
 
     def test_empty_primary_refused(self):
         n = 3
-        s = AnalysisSet(n, IndexSet([0], n), IndexSet([], n), cases=1)
+        s = AnalysisSet(n, IndexSet([0], n), IndexSet([], n))
         plan = build_plan([s], n)
         with pytest.raises(EmptyPrimarySetError):
-            condense(SymmetricSparse.from_dense(CHAIN3), plan)
+            condense(SymmetricSparse(CHAIN3), plan)
 
     def test_singular_coupling_block(self):
-        K = SymmetricSparse.from_dense(np.array(
+        K = SymmetricSparse(np.array(
             [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(SingularMatrixError):
             condense(K, chain_plan())
@@ -125,11 +127,11 @@ class TestCondense:
     def test_no_secondary_free_dofs(self):
         # both DOFs primary: reduction degenerates to the plain block
         n = 2
-        s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 1], n), cases=1)
-        s2 = AnalysisSet(n, IndexSet([1], n), IndexSet([0, 1], n), cases=1)
+        s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 1], n))
+        s2 = AnalysisSet(n, IndexSet([1], n), IndexSet([0, 1], n))
         with pytest.warns(UserWarning):
             plan = build_plan([s1, s2], n)
-        K = SymmetricSparse.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        K = SymmetricSparse([[2.0, -1.0], [-1.0, 2.0]])
         model = condense(K, plan)
         np.testing.assert_allclose(model.reduced_matrix, K.toarray())
 
@@ -144,7 +146,7 @@ class TestCondense:
             plan = build_plan([s1, s2], n)
         assert (plan.m, plan.f_sec, plan.p_sec) == (2, 0, 1)
         sec_loads, sec_values = gather_secondary(plan, [s1, s2])
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         ledger = CostLedger()
         model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
         assert ledger.events == []
@@ -160,7 +162,7 @@ class TestCondense:
 
 class TestRecoverSecondary:
     def test_midpoint_average(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         plan = chain_plan()
         model = condense(K, plan)
         u_primary = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -169,7 +171,7 @@ class TestRecoverSecondary:
         assert reactions.shape == (0, 2)
 
     def test_zero_state(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         model = condense(K, chain_plan())
         u_sec, reactions = recover_secondary(model, np.zeros((2, 2)))
         np.testing.assert_array_equal(u_sec, 0.0)
@@ -213,7 +215,7 @@ class TestRecoverSecondary:
             assert np.abs(resid).max() <= 1e-8 * max(scale, np.abs(full).max())
 
     def test_no_new_factorization(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         ledger = CostLedger()
         model = condense(K, chain_plan(), ledger=ledger)
         before = ledger.count(op="factorize")
@@ -221,6 +223,6 @@ class TestRecoverSecondary:
         assert ledger.count(op="factorize") == before
 
     def test_shape_check(self):
-        model = condense(SymmetricSparse.from_dense(CHAIN3), chain_plan())
+        model = condense(SymmetricSparse(CHAIN3), chain_plan())
         with pytest.raises(ValueError):
             recover_secondary(model, np.ones((3, 2)))

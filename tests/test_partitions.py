@@ -1,14 +1,12 @@
-"""DOF-split construction and validation."""
+"""DOF-split construction and the secondary gathers."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mptop.partitions import (
     AnalysisSet,
-    PlanValidationError,
     build_plan,
     gather_secondary,
-    validate_plan,
 )
 from mptop.sparse import IndexSet
 
@@ -60,7 +58,14 @@ class TestBuildPlan:
         assert plan.presc_primary[0].ids.tolist() == [0]
         assert plan.free_primary[1].ids.tolist() == [0]
         assert plan.presc_primary[1].ids.tolist() == [2]
-        validate_plan(plan, [s1, s2])
+
+    def test_primary_count_and_cases(self):
+        n = 6
+        s1 = make_set(n, [0, 1], [4])
+        s2 = make_set(n, [0, 2], [4], cases=2)
+        plan = build_plan([s1, s2], n)
+        assert plan.m == 3  # {1, 2 change freedom} + {4 interest}
+        assert plan.total_cases == 3
 
     def test_empty_interest_gives_empty_primary(self):
         n = 4
@@ -135,38 +140,6 @@ class TestBuildPlan:
             assert plan.sec_prescribed.ids.tolist() == sec_p
             assert plan.sec_free.ids.tolist() == sec_f
             assert plan.primary.ids.tolist() == primary
-            validate_plan(plan, sets)
-
-
-class TestValidatePlan:
-    def test_detects_freedom_change_outside_primary(self):
-        n = 3
-        s1 = make_set(n, [0], [2])
-        s2 = make_set(n, [2], [0])
-        plan = build_plan([s1, s2], n)
-        # tamper: move DOF 0 from primary to secondary-free
-        plan.primary = IndexSet([2], n)
-        plan.sec_free = IndexSet([0, 1], n)
-        with pytest.raises(PlanValidationError) as err:
-            validate_plan(plan, [s1, s2])
-        assert "0" in str(err.value)
-
-    def test_detects_overlap(self):
-        n = 3
-        s1 = make_set(n, [0], [2])
-        s2 = make_set(n, [2], [0])
-        plan = build_plan([s1, s2], n)
-        plan.sec_free = IndexSet([1, 2], n)
-        with pytest.raises(PlanValidationError):
-            validate_plan(plan, [s1, s2])
-
-    def test_report_contents(self):
-        n = 6
-        s1 = make_set(n, [0, 1], [4])
-        s2 = make_set(n, [0, 2], [4], cases=2)
-        report = validate_plan(build_plan([s1, s2], n), [s1, s2])
-        assert report["m"] == 3  # {1, 2 change freedom} + {4 interest}
-        assert report["cases"] == 3
 
 
 class TestGatherSecondary:

@@ -51,30 +51,39 @@ class TestBetas:
 
 class TestGainGeneral:
     def test_not_worthwhile_when_m_near_n(self):
-        assert gain_general(DIRECT, 1000, 900, [(1, 0)]) < 1.0
+        assert gain_general(DIRECT, 1000, 900, [(1, 1, 0)]) < 1.0
 
     def test_pattern_count_scales_numerator_only(self):
-        one = gain_general(DIRECT, 10 ** 5, 20, [(3, 1)])
-        two = gain_general(DIRECT, 10 ** 5, 20, [(3, 1)] * 2)
+        one = gain_general(DIRECT, 10 ** 5, 20, [(1, 3, 1)])
+        two = gain_general(DIRECT, 10 ** 5, 20, [(2, 3, 1)])
         num1 = beta_sparse(DIRECT, 10 ** 5, 4)
         den1 = beta_sparse(DIRECT, 10 ** 5 - 20, 20) + beta_dense(20, 4)
         assert one == pytest.approx(num1 / den1)
         den2 = beta_sparse(DIRECT, 10 ** 5 - 20, 20) + 2 * beta_dense(20, 4)
         assert two == pytest.approx(2 * num1 / den2)
+        assert gain_general(DIRECT, 10 ** 5, 20, [(1, 3, 1)] * 2) == two
 
-    def test_specializes_to_problem1(self):
-        n, m = 10 ** 4, 16
-        via_general = gain_general(DIRECT, n, m, [(m - 1, 0)] * m)
-        assert via_general == pytest.approx(gain_problem1(DIRECT, n, m))
+    # exact bits: gain.csv and the benchmark's predicted gain are written
+    # from them
+    def test_problem1_bits_pinned(self):
+        assert gain_problem1(DIRECT, 1e4, 91.0298177991522) == 58.40813289797223
+        assert gain_problem1(ITER, 1e4, 91.0298177991522) == 90.88464760466009
+        assert gain_problem1(DIRECT, 1e6, 3.1622776601683795) \
+            == 3.1560127819065653
+        assert gain_problem1(ITER, 1e6, 3.1622776601683795) \
+            == 2.1622913356197766
+        assert gain_problem1(DIRECT, 1e4, 32) == 31.335529852609206
+        assert gain_problem1(ITER, 1e4, 32) == 31.18767829962149
 
-    def test_specializes_to_problem2(self):
-        n, m = 10 ** 4, 8
-        via_general = gain_general(ITER, n, m, [(1, m - 1)] * (m // 2))
-        assert via_general == pytest.approx(gain_problem2(ITER, n, m))
+    def test_problem2_bits_pinned(self):
+        assert gain_problem2(DIRECT, 1e4, 8) == 4.006021239615887
+        assert gain_problem2(ITER, 1e4, 8) == 4.006395703263471
+        assert gain_problem2(DIRECT, 1e6, 32) == 16.000990250949037
+        assert gain_problem2(ITER, 1e6, 32) == 16.00102374328029
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gain_general(DIRECT, 100, 100, [(1, 0)])
+            gain_general(DIRECT, 100, 100, [(1, 1, 0)])
 
 
 class TestGainProblem1:

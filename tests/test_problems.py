@@ -52,6 +52,11 @@ class TestBuildProblem1:
         with pytest.raises(ValueError):
             build_problem1(2, 2, m=10)
 
+    @pytest.mark.parametrize("vbar", [0.0, -0.2, 1.5])
+    def test_bad_vbar(self, vbar):
+        with pytest.raises(ValueError, match="vbar"):
+            build_problem1(3, 3, m=2, vbar=vbar)
+
     def test_volume_constraint_tight_at_uniform_start(self):
         p = build_problem1(6, 6, m=3, vbar=0.4, seed=0)
         ev = evaluate(p, p.x0, pipeline="condensed", want_grads=False)

@@ -25,10 +25,12 @@ CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
 def chain_model(sec_loads=None, sec_values=None, cases=1):
     n = 3
-    s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 2], n), cases=cases)
-    s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n), cases=cases)
+    s1 = AnalysisSet(n, IndexSet([0], n), IndexSet([0, 2], n),
+                     prescribed_values=np.zeros((1, cases)))
+    s2 = AnalysisSet(n, IndexSet([2], n), IndexSet([0, 2], n),
+                     prescribed_values=np.zeros((1, cases)))
     plan = build_plan([s1, s2], n)
-    K = SymmetricSparse.from_dense(CHAIN3)
+    K = SymmetricSparse(CHAIN3)
     return condense(K, plan, sec_loads, sec_values), [s1, s2]
 
 
@@ -87,7 +89,7 @@ class TestReducedMatrixSensitivity:
             if i != j:
                 Kp[j, i] += eps
             plan = model.plan
-            mp = condense(SymmetricSparse.from_dense(Kp), plan)
+            mp = condense(SymmetricSparse(Kp), plan)
             fd = (mp.reduced_matrix - model.reduced_matrix) / eps
             np.testing.assert_allclose(fd, expected, atol=1e-6)
             pred = np.einsum("i,j->ij", A[i], A[j])

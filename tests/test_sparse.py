@@ -112,18 +112,18 @@ class TestIndexSet:
 
 class TestExtract:
     def test_identity_block(self):
-        K = SymmetricSparse.from_dense(np.eye(3))
+        K = SymmetricSparse(np.eye(3))
         blk = extract(K, IndexSet([0, 2], 3), IndexSet([0, 2], 3))
         np.testing.assert_array_equal(blk.toarray(), np.eye(2))
 
     def test_hand_read_entries(self):
         # row 1 of the 3-DOF chain at columns {0, 2} reads [-1, -1]
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         blk = extract(K, IndexSet([1], 3), IndexSet([0, 2], 3))
         np.testing.assert_array_equal(blk.toarray(), [[-1.0, -1.0]])
 
     def test_empty_rows(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         blk = extract(K, IndexSet([], 3), IndexSet([0, 1], 3))
         assert blk.shape == (0, 2)
 
@@ -137,7 +137,7 @@ class TestExtract:
         np.testing.assert_array_equal(a.T, b)
 
     def test_wrong_dimension(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         with pytest.raises(ValueError):
             extract(K, IndexSet([0], 4), IndexSet([0], 3))
 
@@ -220,12 +220,12 @@ class TestBlockMaps:
 class TestSymmetricSparse:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            SymmetricSparse.from_dense([[1.0, 2.0], [0.0, 1.0]])
+            SymmetricSparse([[1.0, 2.0], [0.0, 1.0]])
 
     def test_bandwidth(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         assert K.bandwidth == 1
-        assert SymmetricSparse.from_dense(np.eye(4)).bandwidth == 0
+        assert SymmetricSparse(np.eye(4)).bandwidth == 0
 
     def test_principal_block_matches_constructor(self):
         # the trusted path must store exactly what the checking one stores
@@ -244,19 +244,19 @@ class TestSymmetricSparse:
 
 class TestFactorize:
     def test_identity_solve(self):
-        K = SymmetricSparse.from_dense(np.eye(4))
+        K = SymmetricSparse(np.eye(4))
         f = factorize(K)
         B = np.arange(8.0).reshape(4, 2)
         np.testing.assert_allclose(f.solve(B), B, atol=1e-14)
 
     def test_two_by_two_hand_elimination(self):
         # [[2,-1],[-1,2]] x = [1,0]: eliminate row 0 -> 1.5 x1 = 0.5 -> x = [2/3, 1/3]
-        K = SymmetricSparse.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        K = SymmetricSparse([[2.0, -1.0], [-1.0, 2.0]])
         x = factorize(K).solve(np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_singular_direct(self):
-        K = SymmetricSparse.from_dense([[1.0, 1.0], [1.0, 1.0]])
+        K = SymmetricSparse([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             factorize(K)
 
@@ -268,7 +268,7 @@ class TestFactorize:
 
     def test_explicit_inverse_columns(self):
         # inverse of [[2,-1],[-1,2]] is (1/3) [[2,1],[1,2]]
-        K = SymmetricSparse.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        K = SymmetricSparse([[2.0, -1.0], [-1.0, 2.0]])
         X = factorize(K).solve(np.eye(2))
         np.testing.assert_allclose(X, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0,
                                    rtol=1e-14)
@@ -283,7 +283,7 @@ class TestFactorize:
             assert resid <= 1e-10 * np.abs(B).max()
 
     def test_dimension_mismatch(self):
-        K = SymmetricSparse.from_dense(CHAIN3)
+        K = SymmetricSparse(CHAIN3)
         with pytest.raises(ValueError):
             factorize(K).solve(np.zeros(4))
 
@@ -533,7 +533,7 @@ class TestBlasThreads:
         ([[2.0, -1.0], [-1.0, 2.0]], None),
         ([[1.0, 1.0], [1.0, 1.0]], SingularMatrixError)])
     def test_count_restored(self, matrix, raises, monkeypatch):
-        K = SymmetricSparse.from_dense(matrix)
+        K = SymmetricSparse(matrix)
         inside = self.watch(monkeypatch, "_pbtrf")
         with self.caller_threads(2) as before:
             if raises is None:
@@ -747,7 +747,7 @@ class TestLedgerPhases:
 
     def test_phase_context(self):
         ledger = CostLedger()
-        K = SymmetricSparse.from_dense(np.eye(3))
+        K = SymmetricSparse(np.eye(3))
         f = factorize(K, ledger=ledger)
         with ledger.phase("adjoint"):
             f.solve(np.ones(3), ledger=ledger)
