@@ -9,7 +9,6 @@ Subcommands operate on a flat key=value config file with [section] headers::
     m = 8                  # problem1: port count
     vbar = 0.3             # problem1: material bound
     seed = 0
-    inputs = 2             # problem2: input/output pair count
     jbar = 0.5,2.0;1.0,-1.0  # problem2: target transmission matrix
     [solver]
     pipeline = condensed   # elementary | condensed | both
@@ -18,15 +17,26 @@ Subcommands operate on a flat key=value config file with [section] headers::
     tol = 0.01
     [output]
     dir = out
+    [gain]
+    n = 1e3,1e4,1e6        # system sizes of the sweep
+    m_min = 1
+    m_max = 1000
+    m_count = 25           # log-spaced primary counts from m_min to m_max
+    measure = 0            # also time both pipelines (problem1, n <= cap)
+    measure_cap = 12000
+
+Each key sets the :class:`RunConfig` field of the same name (``gain_`` and
+``output_`` prefixed for the last two sections) and is read as the type of
+that field's default. Problem 2 has one input per row of ``jbar``.
 
 The large sparse systems are solved by banded Cholesky. ``gain`` tabulates
 the cost model's predicted gain for every method in
-:data:`mptop.perfmodel.METHODS`; only the direct one can also be measured.
+:data:`mptop.perfmodel.METHODS` for ``[problem] kind``; only the direct one
+can also be measured.
 
 Artifacts per run: a per-iteration TSV log (deterministic fields only), a
 separate timing file, the final density as ASCII PGM and CSV, and a
-key=value summary. The output directory can be overridden with the
-MPTOP_OUTDIR environment variable.
+key=value summary of the final design's responses.
 """
 from __future__ import annotations
 
@@ -39,7 +49,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizer import optimize
-from .perfmodel import FlopModel, gain_table, measure_runtime_gain
+from .perfmodel import (METHODS, FlopModel, gain_problem1, gain_problem2,
+                        measure_runtime_gain)
 from .problems import build_problem1, build_problem2, evaluate
 from .sensitivity import fd_verify
 
@@ -56,69 +67,53 @@ class RunConfig:
     m: int = 8
     vbar: float = 0.3
     seed: int = 0
-    inputs: int = 2
     jbar: tuple = ((0.5, 2.0), (1.0, -1.0))
-    radius: float = 2.0
-    penal: float = 3.0
-    emin: float = 1e-9
     pipeline: str = "condensed"
     max_iters: int = 50
     tol: float = 0.01
-    out_dir: str = "out"
-    # gain sweep
+    output_dir: str = "out"
     gain_n: tuple = (1e3, 1e4, 1e6)
     gain_m_min: float = 1.0
     gain_m_max: float = 1000.0
     gain_m_count: int = 25
-    gain_kind: str = "problem1"
     gain_measure: bool = False
     gain_measure_cap: float = 12000.0
 
 
-_SCHEMA = {
-    ("problem", "kind"): ("kind", str),
-    ("problem", "nelx"): ("nelx", int),
-    ("problem", "nely"): ("nely", int),
-    ("problem", "m"): ("m", int),
-    ("problem", "vbar"): ("vbar", float),
-    ("problem", "seed"): ("seed", int),
-    ("problem", "inputs"): ("inputs", int),
-    ("problem", "jbar"): ("jbar", "matrix"),
-    ("problem", "radius"): ("radius", float),
-    ("problem", "penal"): ("penal", float),
-    ("problem", "emin"): ("emin", float),
-    ("solver", "pipeline"): ("pipeline", str),
-    ("optimizer", "max_iters"): ("max_iters", int),
-    ("optimizer", "tol"): ("tol", float),
-    ("output", "dir"): ("out_dir", str),
-    ("gain", "n"): ("gain_n", "floats"),
-    ("gain", "m_min"): ("gain_m_min", float),
-    ("gain", "m_max"): ("gain_m_max", float),
-    ("gain", "m_count"): ("gain_m_count", int),
-    ("gain", "kind"): ("gain_kind", str),
-    ("gain", "measure"): ("gain_measure", "bool"),
-    ("gain", "measure_cap"): ("gain_measure_cap", float),
+# [section] -> the RunConfig fields its keys set
+SECTIONS = {
+    "problem": ("kind", "nelx", "nely", "m", "vbar", "seed", "jbar"),
+    "solver": ("pipeline",),
+    "optimizer": ("max_iters", "tol"),
+    "output": ("output_dir",),
+    "gain": ("gain_n", "gain_m_min", "gain_m_max", "gain_m_count",
+             "gain_measure", "gain_measure_cap"),
 }
+_FIELDS = {(section, name.removeprefix(section + "_")): name
+           for section, names in SECTIONS.items() for name in names}
 
 
-def _parse_matrix(text: str) -> tuple:
-    rows = []
-    for chunk in text.split(";"):
-        row = tuple(float(v) for v in chunk.split(",") if v.strip())
-        if row:
-            rows.append(row)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ConfigError(f"malformed matrix literal {text!r}")
-    return tuple(rows)
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+def _parse_value(default, text: str):
+    """``text`` read as the type of ``default``: a bool, a float list
+    ``a,b,c``, a matrix ``a,b;c,d`` (rows split by semicolons), or a
+    scalar."""
+    if isinstance(default, bool):
+        word = text.lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(
+                f"expected 1/true/yes or 0/false/no, got {text!r}")
+        return word in ("1", "true", "yes")
+    if not isinstance(default, tuple):
+        return type(default)(text)
+    matrix = isinstance(default[0], tuple)
+    rows = [tuple(float(v) for v in chunk.split(",") if v.strip())
+            for chunk in text.split(";")]
+    rows = tuple(row for row in rows if row)
+    if not rows or len({len(r) for r in rows}) > 1 \
+            or len(rows) > 1 and not matrix:
+        raise ValueError(f"malformed {'matrix' if matrix else 'list'} "
+                         f"literal {text!r}")
+    return rows if matrix else rows[0]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,23 +130,16 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if (section, key) not in _SCHEMA:
+        if section is None:
+            raise ConfigError(f"line {lineno}: key {key} is outside any "
+                              f"[section]")
+        if (section, key) not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key [{section}] {key}")
-        attr, typ = _SCHEMA[(section, key)]
+        name = _FIELDS[section, key]
         try:
-            if typ == "matrix":
-                parsed = _parse_matrix(value)
-            elif typ == "floats":
-                parsed = tuple(float(v) for v in value.split(",") if v.strip())
-            elif typ == "bool":
-                parsed = _parse_bool(value)
-            else:
-                parsed = typ(value)
-        except ConfigError:
-            raise
+            setattr(cfg, name, _parse_value(getattr(cfg, name), value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
-        cfg = replace(cfg, **{attr: parsed})
         seen_any = True
     if not seen_any:
         raise ConfigError("empty config: no keys found")
@@ -166,6 +154,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
     if cfg.nelx < 1 or cfg.nely < 1 or cfg.max_iters < 0:
         raise ConfigError("grid sizes must be positive, max_iters >= 0")
+    if not 1 <= cfg.gain_m_min <= cfg.gain_m_max or cfg.gain_m_count < 0:
+        raise ConfigError("[gain] needs 1 <= m_min <= m_max and m_count >= 0")
 
 
 def load_config(path: str) -> RunConfig:
@@ -175,17 +165,9 @@ def load_config(path: str) -> RunConfig:
 
 def build_problem(cfg: RunConfig):
     if cfg.kind == "problem1":
-        return build_problem1(cfg.nelx, cfg.nely, cfg.m, cfg.vbar, cfg.seed,
-                              cfg.radius, cfg.penal, cfg.emin)
-    return build_problem2(cfg.nelx, cfg.nely, cfg.inputs,
-                          np.asarray(cfg.jbar), cfg.radius, cfg.penal,
-                          cfg.emin)
-
-
-def _out_dir(cfg: RunConfig) -> str:
-    path = os.environ.get("MPTOP_OUTDIR", cfg.out_dir)
-    os.makedirs(path, exist_ok=True)
-    return path
+        return build_problem1(cfg.nelx, cfg.nely, cfg.m, cfg.vbar, cfg.seed)
+    return build_problem2(cfg.nelx, cfg.nely, len(cfg.jbar),
+                          np.asarray(cfg.jbar))
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +203,23 @@ def write_timings(path, history):
                      f"\t{r.dual_newton}\t{r.dual_residual:.3e}\n")
 
 
-def write_density_pgm(path, problem, x_filtered):
-    """ASCII PGM, grid rows by grid columns, 255 = full material.
-
-    The conduction problem renders conductive material white; the mechanism
-    problem renders solid material black.
-    """
+def write_density(stem, problem, x_filtered):
+    """The design as ``stem.csv`` and as the ASCII PGM ``stem.pgm``, grid
+    rows by grid columns. In the PGM 255 = full material: the conduction
+    problem renders conductive material white, the mechanism problem
+    renders solid material black."""
     grid = problem.grid
     img = x_filtered.reshape(grid.nelx, grid.nely).T  # rows top to bottom
+    with open(stem + ".csv", "w") as fh:
+        for row in img:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     if problem.kind == "problem2":
         img = 1.0 - img
     pixels = np.clip(np.round(255 * img), 0, 255).astype(int)
     lines = ["P2", f"{grid.nelx} {grid.nely}", "255"]
-    for row in pixels:
-        lines.append(" ".join(str(v) for v in row))
-    with open(path, "w") as fh:
+    lines += [" ".join(str(v) for v in row) for row in pixels]
+    with open(stem + ".pgm", "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_density_csv(path, problem, x_filtered):
-    grid = problem.grid
-    img = x_filtered.reshape(grid.nelx, grid.nely).T
-    with open(path, "w") as fh:
-        for row in img:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_summary(path, pairs):
-    with open(path, "w") as fh:
-        for k, v in pairs:
-            fh.write(f"{k} = {v}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +227,9 @@ def write_summary(path, pairs):
 # ---------------------------------------------------------------------------
 
 def cmd_run(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     problem = build_problem(cfg)
+    out = cfg.output_dir
+    os.makedirs(out, exist_ok=True)
     pipelines = (["elementary", "condensed"] if cfg.pipeline == "both"
                  else [cfg.pipeline])
     results = {}
@@ -271,29 +241,19 @@ def cmd_run(cfg: RunConfig) -> int:
         write_iteration_log(os.path.join(out, f"iterations_{pipe}.tsv"),
                             res.history, problem.n_constraints)
         write_timings(os.path.join(out, f"timings_{pipe}.tsv"), res.history)
-        design = problem.design(res.x)
-        write_density_pgm(os.path.join(out, f"density_{pipe}.pgm"),
-                          problem, design.filtered)
-        write_density_csv(os.path.join(out, f"density_{pipe}.csv"),
-                          problem, design.filtered)
+        write_density(os.path.join(out, f"density_{pipe}"), problem,
+                      problem.design(res.x).filtered)
     wall = time.perf_counter() - t0
 
     summary = [("kind", cfg.kind), ("nelx", cfg.nelx), ("nely", cfg.nely),
                ("pipeline", cfg.pipeline), ("seed", cfg.seed),
                ("wall_seconds", f"{wall:.3f}")]
     for pipe, res in results.items():
-        if res.history:
-            last = res.history[-1]
-            summary += [(f"{pipe}_iterations", last.iteration),
-                        (f"{pipe}_objective", _fmt(last.objective)),
-                        (f"{pipe}_max_constraint",
-                         _fmt(max(last.constraints)))]
-        else:
-            ev = evaluate(problem, res.x, want_grads=False, pipeline=pipe)
-            summary += [(f"{pipe}_iterations", 0),
-                        (f"{pipe}_objective", _fmt(ev.objective)),
-                        (f"{pipe}_max_constraint",
-                         _fmt(max(ev.constraints)))]
+        # the last history record describes the design before the last update
+        final = evaluate(problem, res.x, pipeline=pipe, want_grads=False)
+        summary += [(f"{pipe}_iterations", len(res.history)),
+                    (f"{pipe}_objective", _fmt(final.objective)),
+                    (f"{pipe}_max_constraint", _fmt(max(final.constraints)))]
     if len(pipelines) == 2:
         pair = zip(results["elementary"].history,
                    results["condensed"].history)
@@ -301,12 +261,13 @@ def cmd_run(cfg: RunConfig) -> int:
                      / max(abs(a.objective), 1e-30) for a, b in pair),
                     default=0.0)
         summary.append(("pipeline_objective_drift", _fmt(drift)))
-    write_summary(os.path.join(out, "summary.txt"), summary)
+    with open(os.path.join(out, "summary.txt"), "w") as fh:
+        fh.writelines(f"{k} = {v}\n" for k, v in summary)
     print(f"run complete; artifacts in {out}")
     return 0
 
 
-def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     cap = replace(cfg, nelx=min(cfg.nelx, 10), nely=min(cfg.nely, 10),
                   m=min(cfg.m, 4))
     problem = build_problem(cap)
@@ -321,10 +282,6 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
         for j in range(problem.n_constraints):
             rows.append((f"g{j + 1}", ev.constraints[j], ev.d_constraints[j]))
         for name, _, grad in rows:
-            if tamper:
-                grad = grad.copy()
-                grad[np.argmax(np.abs(grad))] *= 1.5
-
             def g_of(xv, name=name):
                 e = evaluate(problem, xv, pipeline=pipe, want_grads=False)
                 if name == "g0":
@@ -342,29 +299,34 @@ def cmd_verify(cfg: RunConfig, tamper: bool = False) -> int:
 
 
 def cmd_gain(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    """One row per method and (n, m) of the sweep: the predicted gain and,
+    for the direct method when measured, the wall-clock one."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    gain = gain_problem1 if cfg.kind == "problem1" else gain_problem2
     ms = np.logspace(np.log10(cfg.gain_m_min), np.log10(cfg.gain_m_max),
                      cfg.gain_m_count)
-    tables = [gain_table(FlopModel(method), cfg.gain_n, ms, cfg.gain_kind)
-              for method in ("direct", "iterative")]
-    rows = []
-    for entries in zip(*tables):
-        n, m = entries[0][:2]
-        xi_t = ""
-        if cfg.gain_measure and n <= cfg.gain_measure_cap \
-                and cfg.gain_kind == "problem1" and 2 <= m < n / 4:
-            side = max(2, int(round(np.sqrt(n))) - 1)
-            prob = build_problem1(side, side, int(round(m)),
-                                  vbar=0.4, seed=cfg.seed)
-            xi_t = _fmt(measure_runtime_gain(prob, repeats=2).xi_measured)
-        rows += [entry + (xi_t if entry[2] == "direct" else "",)
-                 for entry in entries]
-    path = os.path.join(out, "gain.csv")
+    lines = ["n,m,model,xi_beta,xi_t\n"]
+    for n in cfg.gain_n:
+        for m in ms:
+            if cfg.kind == "problem2":
+                m = max(2 * round(m / 2), 2)   # even, at least 2
+            if m >= n:
+                continue
+            xi_t = ""
+            if cfg.gain_measure and n <= cfg.gain_measure_cap \
+                    and cfg.kind == "problem1" and 2 <= m < n / 4:
+                side = max(2, int(round(np.sqrt(n))) - 1)
+                prob = build_problem1(side, side, int(round(m)), vbar=0.4,
+                                      seed=cfg.seed)
+                xi_t = _fmt(measure_runtime_gain(prob, repeats=2).xi_measured)
+            lines += [f"{_fmt(n)},{_fmt(m)},{method},"
+                      f"{_fmt(gain(FlopModel(method), n, m))},"
+                      f"{xi_t if method == 'direct' else ''}\n"
+                      for method in METHODS]
+    path = os.path.join(cfg.output_dir, "gain.csv")
     with open(path, "w") as fh:
-        fh.write("n,m,model,xi_beta,xi_t\n")
-        for n, m, method, xi, xi_t in rows:
-            fh.write(f"{_fmt(n)},{_fmt(m)},{method},{_fmt(xi)},{xi_t}\n")
-    print(f"gain table with {len(rows)} rows written to {path}")
+        fh.writelines(lines)
+    print(f"gain table with {len(lines) - 1} rows written to {path}")
     return 0
 
 
@@ -373,14 +335,12 @@ def main(argv=None) -> int:
         prog="mptop",
         description="2D topology optimization with static condensation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "run an optimization"),
-                            ("verify", "finite-difference gradient check"),
-                            ("gain", "predicted/measured gain tables")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to the config file")
-        if name == "verify":
-            p.add_argument("--tamper", action="store_true",
-                           help="corrupt one gradient entry (negative control)")
+    commands = {"run": (cmd_run, "run an optimization"),
+                "verify": (cmd_verify, "finite-difference gradient check"),
+                "gain": (cmd_gain, "predicted/measured gain tables")}
+    for name, (_, help_text) in commands.items():
+        sub.add_parser(name, help=help_text).add_argument(
+            "config", help="path to the config file")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -388,11 +348,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, tamper=args.tamper)
-        return cmd_gain(cfg)
+        return commands[args.command][0](cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

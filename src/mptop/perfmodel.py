@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import solve_condensed, solve_elementary
-from .condensation import condense
-from .fem import assemble
+from .problems import evaluate
 from .sparse import CostLedger
 
 METHODS = ("direct", "iterative")
@@ -96,51 +94,28 @@ class RuntimeGain:
     xi_predicted: float
     seconds_elementary: float
     seconds_condensed: float
-    repeats: int
 
 
-def measure_runtime_gain(problem, x=None, repeats: int = 3) -> RuntimeGain:
-    """Measured wall-clock gain of the condensed pipeline on one problem.
+def measure_runtime_gain(problem, repeats: int = 3) -> RuntimeGain:
+    """Measured wall-clock gain of the condensed pipeline on one problem,
+    at its initial design.
 
-    Only preprocessing and solve time is compared (the ledgers time exactly
-    those events); assembly, extraction and response algebra are excluded on
-    both sides, matching what the cost model charges. One untimed warm-up
-    pass of each pipeline precedes the measurement so allocator and cache
-    state do not bias the (much shorter) condensed timings.
+    Only preprocessing and solve time is compared: the ledger of a
+    gradient-free :func:`evaluate` times exactly those events, so assembly,
+    extraction and response algebra are excluded on both sides, matching
+    what the cost model charges. One untimed warm-up pass of each pipeline
+    precedes the measurement so allocator and cache state do not bias the
+    (much shorter) condensed timings.
     """
-    design = problem.design(problem.x0 if x is None else np.asarray(x, float))
-    K = assemble(problem.grid, design)
-    t_elem, t_cond = [], []
+    seconds = {"elementary": [], "condensed": []}
     for rep in range(repeats + 1):
-        ledger = CostLedger()
-        solve_elementary(K, problem.sets, ledger=ledger)
-        if rep:
-            t_elem.append(ledger.seconds_total())
-        ledger = CostLedger()
-        model = condense(K, problem.plan, problem.sec_loads,
-                         problem.sec_values, ledger=ledger)
-        solve_condensed(model, problem.sets, ledger=ledger)
-        if rep:
-            t_cond.append(ledger.seconds_total())
-    te = float(np.median(t_elem))
-    tc = float(np.median(t_cond))
+        for pipe, times in seconds.items():
+            ledger = CostLedger()
+            evaluate(problem, problem.x0, pipe, want_grads=False,
+                     ledger=ledger)
+            if rep:
+                times.append(ledger.seconds_total())
+    te, tc = (float(np.median(times)) for times in seconds.values())
     gain = gain_problem1 if problem.kind == "problem1" else gain_problem2
     xi_pred = gain(FlopModel("direct"), problem.plan.n, problem.plan.m)
-    return RuntimeGain(te / tc, xi_pred, te, tc, repeats)
-
-
-def gain_table(model: FlopModel, n_values, m_values, kind: str = "problem1"):
-    """Rows (n, m, method, predicted gain) over a sweep grid.
-
-    For problem 2 each ``m`` is rounded to the nearest even count, at least 2.
-    """
-    fn = gain_problem1 if kind == "problem1" else gain_problem2
-    rows = []
-    for n in n_values:
-        for m in m_values:
-            if kind == "problem2":
-                m = max(2 * round(m / 2), 2)
-            if m >= n:
-                continue
-            rows.append((float(n), float(m), model.method, fn(model, n, m)))
-    return rows
+    return RuntimeGain(te / tc, xi_pred, te, tc)

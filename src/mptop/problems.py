@@ -13,6 +13,9 @@ output DOFs on the right. Analysis set j drives input j with a unit
 displacement; the transmission matrix entries are the output displacements.
 Material is maximized subject to one transmission constraint per input/output
 pair; the x constraints that read one set share its adjoint solve.
+
+Both filter the design at radius 2 and interpolate it by SIMP with penalty 3
+and floor 1e-9, the defaults of :class:`Filter` and :class:`DesignField`.
 """
 from __future__ import annotations
 
@@ -40,12 +43,10 @@ class ProblemSpec:
     sec_values: np.ndarray
     x0: np.ndarray
     n_constraints: int
-    penal: float = 3.0
-    emin: float = 1e-9
     params: dict = field(default_factory=dict)
 
     def design(self, x) -> DesignField:
-        return DesignField(self.grid, x, self.flt, self.penal, self.emin)
+        return DesignField(self.grid, x, self.flt)
 
 
 @dataclass
@@ -59,8 +60,7 @@ class Evaluation:
 
 
 def build_problem1(nelx: int, nely: int, m: int, vbar: float = 0.2,
-                   seed: int = 0, radius: float = 2.0, penal: float = 3.0,
-                   emin: float = 1e-9) -> ProblemSpec:
+                   seed: int = 0) -> ProblemSpec:
     """Multi-port conduction problem with seeded port placement and loads."""
     grid = Grid(nelx, nely, physics="conduction")
     n = grid.n_dofs
@@ -87,18 +87,15 @@ def build_problem1(nelx: int, nely: int, m: int, vbar: float = 0.2,
     plan = build_plan(sets, n)
     sec_loads, sec_values = gather_secondary(plan, sets)
     return ProblemSpec(
-        kind="problem1", grid=grid, flt=Filter(grid, radius), sets=sets,
+        kind="problem1", grid=grid, flt=Filter(grid), sets=sets,
         plan=plan, sec_loads=sec_loads, sec_values=sec_values,
-        x0=np.full(grid.n_elems, vbar), n_constraints=1, penal=penal,
-        emin=emin,
+        x0=np.full(grid.n_elems, vbar), n_constraints=1,
         params={"m": m, "vbar": vbar, "seed": seed, "ports": ports,
                 "magnitudes": magnitudes},
     )
 
 
-def build_problem2(nelx: int, nely: int, n_inputs: int, jbar,
-                   radius: float = 2.0, penal: float = 3.0,
-                   emin: float = 1e-9) -> ProblemSpec:
+def build_problem2(nelx: int, nely: int, n_inputs: int, jbar) -> ProblemSpec:
     """MIMO compliant-mechanism problem with target transmission matrix."""
     jbar = np.asarray(jbar, dtype=float)
     if jbar.shape != (n_inputs, n_inputs):
@@ -137,10 +134,9 @@ def build_problem2(nelx: int, nely: int, n_inputs: int, jbar,
     plan = build_plan(sets, n)
     sec_loads, sec_values = gather_secondary(plan, sets)
     return ProblemSpec(
-        kind="problem2", grid=grid, flt=Filter(grid, radius), sets=sets,
+        kind="problem2", grid=grid, flt=Filter(grid), sets=sets,
         plan=plan, sec_loads=sec_loads, sec_values=sec_values,
         x0=np.ones(grid.n_elems), n_constraints=n_inputs * n_inputs,
-        penal=penal, emin=emin,
         params={"n_inputs": n_inputs, "jbar": jbar, "in_dofs": in_dofs,
                 "out_dofs": out_dofs},
     )

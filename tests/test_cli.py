@@ -1,9 +1,15 @@
 """Config parsing, subcommands and artifact formats."""
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
+import mptop.cli
 from mptop.cli import (
+    SECTIONS,
     ConfigError,
+    RunConfig,
     build_problem,
     cmd_gain,
     cmd_run,
@@ -11,6 +17,11 @@ from mptop.cli import (
     main,
     parse_config,
 )
+from mptop.optimizer import optimize
+from mptop.perfmodel import FlopModel, gain_problem1, gain_problem2
+from mptop.problems import evaluate
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 P1_SMALL = """
 [problem]
@@ -34,7 +45,6 @@ P2_SMALL = """
 kind = problem2
 nelx = 8
 nely = 8
-inputs = 2
 jbar = 0.5,2.0;1.0,-1.0
 [solver]
 pipeline = condensed
@@ -73,6 +83,41 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[solver]\nbackend = direct\n")
         assert "line 2: unknown key [solver] backend" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config("kind = problem2\n[problem]\n")
+        assert "line 1: key kind is outside any [section]" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config("[gain]\nn = 1e3;1e4\n")
+        assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("keys", ["m_min = 0", "m_min = 0.5",
+                                      "m_min = 10\nm_max = 5",
+                                      "m_count = -1"],
+                             ids=["zero", "below-one", "reversed", "count"])
+    def test_gain_range_rejected(self, tmp_path, keys):
+        with pytest.raises(ConfigError, match=r"\[gain\] needs"):
+            parse_config(f"[gain]\n{keys}\n")
+        path = tmp_path / "gain.cfg"
+        path.write_text(f"[output]\ndir = {tmp_path}\n[gain]\n{keys}\n")
+        assert main(["gain", str(path)]) == 2
+
+    def test_readme_block_sets_every_key_once(self):
+        # README's [section] key = value block parses to the defaults and
+        # names exactly the keys the parser knows; each RunConfig field has
+        # one key
+        text = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(text) == RunConfig()   # shown at defaults
+        named, section = [], None
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                named.append((section, line.split("=", 1)[0].strip()))
+        fields = [name for names in SECTIONS.values() for name in names]
+        assert sorted(fields) == sorted(
+            f.name for f in dataclasses.fields(RunConfig))
+        assert sorted(named) == sorted(mptop.cli._FIELDS)
 
     def test_build_problem_dispatch(self):
         p1 = build_problem(parse_config("[problem]\nkind = problem1\nnelx = 5"
@@ -111,6 +156,29 @@ class TestRun:
             g0c = float(lc.split("\t")[1])
             g0e = float(le.split("\t")[1])
             assert abs(g0c - g0e) <= 1e-6 * abs(g0e)
+
+    @pytest.mark.parametrize("cfg_text", [P1_SMALL, P2_SMALL],
+                             ids=["p1-both", "p2-condensed"])
+    def test_summary_describes_the_written_design(self, tmp_path, cfg_text):
+        cfg = parse_config(cfg_text.format(out=tmp_path))
+        cmd_run(cfg)
+        summary = dict(line.split(" = ") for line in
+                       (tmp_path / "summary.txt").read_text().splitlines())
+        problem = build_problem(cfg)
+        pipes = (("elementary", "condensed") if cfg.pipeline == "both"
+                 else (cfg.pipeline,))
+        for pipe in pipes:
+            res = optimize(problem, pipeline=pipe, max_iters=cfg.max_iters,
+                           tol=cfg.tol)
+            csv = np.loadtxt(tmp_path / f"density_{pipe}.csv", delimiter=",")
+            np.testing.assert_allclose(
+                csv.T.ravel(), problem.design(res.x).filtered, atol=1e-10)
+            final = evaluate(problem, res.x, pipeline=pipe, want_grads=False)
+            assert summary[f"{pipe}_iterations"] == str(cfg.max_iters)
+            assert float(summary[f"{pipe}_objective"]) == pytest.approx(
+                final.objective, rel=1e-9)
+            assert float(summary[f"{pipe}_max_constraint"]) == pytest.approx(
+                max(final.constraints), rel=1e-9)
 
     def test_zero_iterations_writes_initial_design(self, tmp_path):
         text = P1_SMALL.format(out=tmp_path).replace(
@@ -161,19 +229,11 @@ class TestRun:
     def test_reference_mechanism_config_runs(self, tmp_path):
         cfg = parse_config(
             f"[problem]\nkind = problem2\nnelx = 100\nnely = 100\n"
-            f"inputs = 2\njbar = 0.5,2.0;1.0,-1.0\n"
+            f"jbar = 0.5,2.0;1.0,-1.0\n"
             f"[optimizer]\nmax_iters = 2\ntol = 0.0\n"
             f"[output]\ndir = {tmp_path}\n")
         assert cmd_run(cfg) == 0
         assert (tmp_path / "density_condensed.pgm").exists()
-
-    def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_dir"
-        monkeypatch.setenv("MPTOP_OUTDIR", str(target))
-        text = P1_SMALL.format(out=tmp_path / "ignored").replace(
-            "max_iters = 4", "max_iters = 1")
-        cmd_run(parse_config(text))
-        assert (target / "summary.txt").exists()
 
 
 class TestVerify:
@@ -187,10 +247,16 @@ class TestVerify:
         cfg = parse_config("[problem]\nkind = problem2\nnelx = 6\nnely = 6\n")
         assert cmd_verify(cfg) == 0
 
-    def test_tampered_gradient_fails(self):
+    def test_tampered_gradient_fails(self, monkeypatch):
+        def tampered(*args, **kwargs):
+            ev = evaluate(*args, **kwargs)
+            if ev.d_objective is not None:
+                ev.d_objective[np.argmax(np.abs(ev.d_objective))] *= 1.5
+            return ev
+        monkeypatch.setattr(mptop.cli, "evaluate", tampered)
         cfg = parse_config("[problem]\nkind = problem1\nnelx = 5\nnely = 5\n"
                            "m = 3\n")
-        assert cmd_verify(cfg, tamper=True) == 1
+        assert cmd_verify(cfg) == 1
 
     def test_grid_capped(self):
         cfg = parse_config("[problem]\nkind = problem1\nnelx = 50\nnely = 50\n"
@@ -206,10 +272,32 @@ class TestGain:
         lines = (tmp_path / "gain.csv").read_text().splitlines()
         assert lines[0] == "n,m,model,xi_beta,xi_t"
         assert len(lines) == 1 + 5 * 2
-        from mptop.perfmodel import FlopModel, gain_problem1
         row = lines[1].split(",")
         assert float(row[3]) == pytest.approx(
             gain_problem1(FlopModel("direct"), 1e4, float(row[1])))
+
+    def test_rows_with_m_not_below_n_dropped(self, tmp_path):
+        cfg = parse_config(f"[output]\ndir = {tmp_path}\n[gain]\nn = 1000\n"
+                           "m_min = 10\nm_max = 2000\nm_count = 3\n")
+        cmd_gain(cfg)
+        rows = [line.split(",") for line in
+                (tmp_path / "gain.csv").read_text().splitlines()[1:]]
+        assert [(float(r[0]), r[2]) for r in rows] == [
+            (1000.0, "direct"), (1000.0, "iterative")] * 2
+        assert float(rows[0][1]) == 10.0
+        assert float(rows[0][3]) == pytest.approx(
+            gain_problem1(FlopModel("direct"), 1000, 10))
+
+    def test_problem2_m_rounded_to_even(self, tmp_path):
+        cfg = parse_config(f"[problem]\nkind = problem2\n[output]\n"
+                           f"dir = {tmp_path}\n[gain]\nn = 1000\n"
+                           "m_min = 1\nm_max = 3.2\nm_count = 2\n")
+        cmd_gain(cfg)
+        rows = [line.split(",") for line in
+                (tmp_path / "gain.csv").read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == [2.0, 2.0, 4.0, 4.0]
+        assert float(rows[2][3]) == pytest.approx(
+            gain_problem2(FlopModel("direct"), 1000, 4))
 
     def test_reference_spot_value(self, tmp_path):
         m_ref = 91.0298177991522

@@ -10,7 +10,6 @@ from mptop.perfmodel import (
     gain_general,
     gain_problem1,
     gain_problem2,
-    gain_table,
     measure_runtime_gain,
 )
 from mptop.problems import build_problem1
@@ -182,13 +181,3 @@ class TestRuntimeGain:
         assert min(first, second) > 0
         assert max(first, second) / min(first, second) < 5.0
 
-
-class TestGainTable:
-    def test_rows(self):
-        rows = gain_table(DIRECT, [1000], [10, 100, 2000])
-        assert len(rows) == 2  # m >= n dropped
-        assert rows[0][:3] == (1000.0, 10.0, "direct")
-        assert rows[0][3] == pytest.approx(gain_problem1(DIRECT, 1000, 10))
-        rows = gain_table(DIRECT, [1000], [0.4, 3.2], kind="problem2")
-        assert [r[1] for r in rows] == [2.0, 4.0]  # rounded to even, >= 2
-        assert rows[1][3] == pytest.approx(gain_problem2(DIRECT, 1000, 4))
