@@ -4,18 +4,19 @@
 large constrained system and streams through them, up to two sets in
 flight: the calling thread gathers and factorizes set i while one helper
 thread solves set i - 1's states and adjoints in place, then collects set
-i - 1 and prepares set i's right-hand sides. The band kernels release the
-GIL, so on two cores both run at once. Only sets whose solve runs at level
-3 go to the helper; a set of few right-hand sides is solved on the calling
-thread, and released, before the next set factorizes. The helper allocates
-no array and lives for one call. States, adjoints and ledger events are
-collected in set order, so at most two factorizations are alive.
-``solve_condensed`` runs every pattern against one shared reduced model: a
-single large factorization total, then per set a small dense factorization,
-the state solve and the adjoint solve against it; it keeps the dense handles
-for the dependency cases of :func:`~mptop.sensitivity.sens_case`. Both
-produce the same primary states and return the solved adjoints; the cost
-ledgers differ.
+i - 1 and hands set i to the helper. The band kernels release the GIL, so
+on two cores both run at once. Only sets whose solve runs at level 3 go to
+the helper; a set of few right-hand sides is solved on the calling thread,
+and released, before the next set factorizes. The helper allocates no array
+and lives for one stream. Each set's states and solved adjoints are
+yielded, and its ledger events joined, in set order, the helper's set while
+the next one solves: at most two factorizations and two sets' full-length
+states are alive. ``solve_condensed`` runs every pattern against one
+shared reduced model: a single large factorization total, then per set a
+small dense factorization, the state solve and the adjoint solve against
+it; it keeps the dense handles for the dependency cases of
+:func:`~mptop.sensitivity.sens_case`. Both produce the same primary states
+and solved adjoints; the cost ledgers differ.
 
 Adjoint right-hand sides and solved adjoints travel as stacks, one
 (rows, free, cases) array per set with one row per response;
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condensation import ReducedModel
-from .partitions import PartitionPlan
 from .sparse import (
     CostLedger,
     DenseCholesky,
@@ -46,13 +46,12 @@ from .sparse import (
 class SetStates:
     """States of one analysis set, held once.
 
-    ``space`` records whether vectors span all DOFs ('full') or only the
-    primary DOFs of the reduced model ('reduced'); ``u_full`` is the composite
-    state in that space with prescribed values filled in.
+    ``u_full`` is the composite state with prescribed values filled in, on
+    all DOFs as :func:`solve_elementary` yields it, or on the primary DOFs
+    in the ascending order of the reduced model.
     """
 
-    space: str
-    u_full: np.ndarray          # (space dim, cases)
+    u_full: np.ndarray          # (all or primary DOFs, cases)
     free: np.ndarray            # rows of u_full at the set's free DOFs
     prescribed: np.ndarray      # rows at its prescribed DOFs
     reactions: np.ndarray | None = None
@@ -71,46 +70,40 @@ class StateSolution:
     """States of every analysis set.
 
     ``factorizations`` holds the condensed pipeline's dense handles, one per
-    set; the elementary pipeline keeps no factorization. ``adjoints`` holds
-    the solved adjoint stacks, one per set, or is None when no right-hand
-    sides were given (self-adjoint responses).
+    set. ``adjoints`` holds its solved adjoint stacks, one per set, or is
+    None when no right-hand sides were given (self-adjoint responses). An
+    elementary evaluation keeps each set's primary rows only, with neither.
     """
 
     sets: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     adjoints: list | None = None
 
-    def primary_states(self, plan: PartitionPlan, i: int) -> np.ndarray:
-        """State restricted to the primary DOFs, comparable across pipelines."""
-        s = self.sets[i]
-        if s.space == "reduced":
-            return s.u_full
-        return s.u_full[plan.primary.ids, :]
-
 
 def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
                      ledger: CostLedger | None = None,
-                     want_reactions: bool = False) -> StateSolution:
+                     want_reactions: bool = False):
     """Solve each analysis set against the full system matrix: factorize,
-    solve the states, solve the adjoints, release. A set whose solve runs at
-    level 3 is solved on a helper thread while the next set factorizes.
+    solve the states, solve the adjoints, release; yield each set's
+    :class:`SetStates` and solved adjoint stack (None without
+    ``adjoint_rhs``) in set order. A set whose solve runs at level 3 is
+    solved on a helper thread while the next set factorizes, and yielded
+    while that one solves.
 
     ``adjoint_rhs`` holds one (rows, free, cases) stack of adjoint
     right-hand sides per set, or is None for self-adjoint responses, which
     need no adjoint solve. Each stack is solved with its set's factorization
-    right after the states, and the solved stacks are returned as
-    ``adjoints``.
+    right after the states.
     """
     if adjoint_rhs is not None:
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(s.free), s.cases) for s in sets])
-    out = StateSolution(adjoints=None if adjoint_rhs is None else [])
     pending = None      # a set solving on the helper, and its result call
     with ThreadPoolExecutor(1, thread_name_prefix="mptop-elementary") as helper:
         for i, aset in enumerate(sets):
             job = _SetSolve(K, aset, ledger)    # while set i - 1 is solved
-            if pending is not None:
-                pending[0].collect(pending[1](), out, K, ledger, want_reactions)
+            done = None if pending is None else pending[0].collect(
+                pending[1](), K, ledger, want_reactions)
             job.prepare(None if adjoint_rhs is None else adjoint_rhs[i])
             pending = None
             # a solve of few columns is worth less than a second band alive
@@ -120,9 +113,10 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
             if i + 1 < len(sets) and job.fact.n and _solve_by_blocks(
                     job.fact.bandwidth, aset.cases):
                 pending = job, helper.submit(job).result
-            else:
-                job.collect(job(), out, K, ledger, want_reactions)
-    return out
+            if done is not None:
+                yield done      # consumed beside set i's solve
+            if pending is None:
+                yield job.collect(job(), K, ledger, want_reactions)
 
 
 class _SetSolve:
@@ -160,14 +154,16 @@ class _SetSolve:
                 lam = self.fact.solve_prepared(self.adjoints, self.ledger)
         return u_free, lam
 
-    def collect(self, solved, out: StateSolution, K, ledger, want_reactions):
+    def collect(self, solved, K, ledger, want_reactions):
+        """The set's states and solved adjoint stack; its band and buffers
+        are released here, on the calling thread, before the next set."""
         u_free, lam = solved
-        self.fact = None    # released on this thread, before the next set
+        self.fact = self.states = self.adjoints = None
         if ledger is not None:
             ledger.events.extend(self.ledger.events)
         aset = self.aset
-        if self.stack is not None:
-            out.adjoints.append(_unstack(lam, self.live, self.stack.shape))
+        stack = (None if self.stack is None
+                 else _unstack(lam, self.live, self.stack.shape))
         u_full = np.zeros((K.n, aset.cases))
         u_full[aset.free.ids, :] = u_free
         u_full[aset.prescribed.ids, :] = aset.prescribed_values
@@ -176,8 +172,8 @@ class _SetSolve:
             k_pp = extract(K, aset.prescribed, aset.prescribed)
             reactions = (self.k_fp.T @ u_free
                          + k_pp @ aset.prescribed_values)
-        out.sets.append(SetStates("full", u_full, aset.free.ids,
-                                  aset.prescribed.ids, reactions))
+        return SetStates(u_full, aset.free.ids, aset.prescribed.ids,
+                         reactions), stack
 
 
 def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
@@ -221,7 +217,7 @@ def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
             ft_presc = model.reduced_loads[
                 np.ix_(ppos, range(cols.start, cols.stop))]
             reactions = ktpf @ u_free + ktpp @ u_presc - ft_presc
-        out.sets.append(SetStates("reduced", u_full, fpos, ppos, reactions))
+        out.sets.append(SetStates(u_full, fpos, ppos, reactions))
         out.factorizations.append(fact)
     return out
 
@@ -237,13 +233,18 @@ def check_stacks(stacks, sizes) -> list:
     if len(stacks) != len(sizes):
         raise ValueError(f"{len(stacks)} adjoint stacks for {len(sizes)} "
                          "analysis sets")
-    stacks = [np.asarray(s, dtype=float) for s in stacks]
-    rows = stacks[0].shape[:1] if stacks else ()
-    for i, (stack, size) in enumerate(zip(stacks, sizes)):
-        if stack.shape != (*rows, *size):
-            raise ValueError(f"adjoint stack of set {i} has shape "
-                             f"{stack.shape}, expected {(*rows, *size)}")
-    return stacks
+    rows = np.shape(stacks[0])[:1] if stacks else ()
+    return [check_stack(stack, i, (*rows, *size))
+            for i, (stack, size) in enumerate(zip(stacks, sizes))]
+
+
+def check_stack(stack, i: int, shape: tuple) -> np.ndarray:
+    """Set i's ``stack`` as a float array, checked to have ``shape``."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape != shape:
+        raise ValueError(f"adjoint stack of set {i} has shape {stack.shape}, "
+                         f"expected {shape}")
+    return stack
 
 
 def adjoint_phase(ledger):

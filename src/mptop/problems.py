@@ -19,12 +19,14 @@ and floor 1e-9, the defaults of :class:`Filter` and :class:`DesignField`.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .analysis import solve_condensed, solve_elementary
+from .analysis import (SetStates, StateSolution, solve_condensed,
+                       solve_elementary)
 from .condensation import condense
 from .fem import DesignField, Filter, Grid, assemble
 from .partitions import AnalysisSet, PartitionPlan, build_plan, gather_secondary
@@ -158,7 +160,9 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     free DOFs, so they are built before the solve, and both pipelines solve
     them right after each set's states. One gradient call then contracts
     every response: the solved adjoints, or the states themselves for the
-    self-adjoint problem 1.
+    self-adjoint problem 1. The elementary sets stream through it, each one
+    contracted as it is solved; then only their (m, cases) primary rows,
+    which the responses read, are kept, as the condensed states are.
     """
     grid = problem.grid
     design = problem.design(np.asarray(x, dtype=float))
@@ -171,7 +175,7 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
         raise ValueError(f"unknown pipeline {pipeline!r}")
     adjoint_rhs = _adjoint_rhs(problem, free_sets) if want_grads else None
 
-    d_states = None
+    d_states = model = None
     if pipeline == "condensed":
         model = condense(K, problem.plan, problem.sec_loads,
                          problem.sec_values, ledger=ledger)
@@ -180,17 +184,30 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
             d_states = sens_condensed_state(grid, design, model, sol,
                                             problem.sets, sol.adjoints)
     else:
-        model = None
-        sol = solve_elementary(K, problem.sets, adjoint_rhs, ledger=ledger)
-        if want_grads:
-            d_states = sens_elementary(grid, design, sol, problem.sets,
-                                       sol.adjoints)
+        sol = StateSolution()
+        stream = _keep_primary_rows(problem.plan, sol, solve_elementary(
+            K, problem.sets, adjoint_rhs, ledger=ledger))
+        with closing(stream):   # a consumer that raises stops the helper
+            if want_grads:
+                d_states = sens_elementary(grid, design, stream)
+            else:
+                for _ in stream:
+                    pass
 
     if problem.kind == "problem1":
         responses = _evaluate_p1(problem, design, sol, d_states)
     else:
         responses = _evaluate_p2(problem, design, sol, d_states)
     return Evaluation(*responses, sol, model)
+
+
+def _keep_primary_rows(plan, kept, stream):
+    """``stream`` passed on, each set's primary rows appended to ``kept``."""
+    for i, (state, stack) in enumerate(stream):
+        kept.sets.append(SetStates(state.u_full[plan.primary.ids],
+                                   plan.free_primary_pos[i],
+                                   plan.presc_primary_pos[i]))
+        yield state, stack
 
 
 def _adjoint_rhs(problem, free_sets):
@@ -219,7 +236,7 @@ def _evaluate_p1(problem, design, sol, d_states):
     # compliance u^T K u is the work of the port loads: the grounded port
     # carries zero temperature, every other port is loaded and primary
     g0 = sum(float(np.sum(aset.loads_at(plan.primary)
-                          * sol.primary_states(plan, i)))
+                          * sol.sets[i].u_full))
              for i, aset in enumerate(problem.sets))
     g1 = float(design.filtered.sum() / (n_elems * vbar) - 1.0)
 
@@ -243,7 +260,7 @@ def _evaluate_p2(problem, design, sol, d_states):
     n_elems = problem.grid.n_elems
 
     # transmission entries: output displacement i under unit input j
-    jmat = np.column_stack([sol.primary_states(plan, j)[out_pos, 0]
+    jmat = np.column_stack([sol.sets[j].u_full[out_pos, 0]
                             for j in range(x_in)])
 
     g0 = -float(design.filtered.sum()) / n_elems

@@ -6,7 +6,8 @@ end; the full derivative of the system matrix is never formed. Both
 pipelines' state gradients only contract: :mod:`mptop.analysis`'s solve
 functions solve every adjoint stack right after its set's states, against
 the factor then alive. The elementary pipeline contracts full-length
-adjoints and states with :func:`~mptop.fem.contract_dk_raw`.
+adjoints and states with :func:`~mptop.fem.contract_dk_raw`, one set at a
+time as its solve stream yields them.
 
 The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
 sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import adjoint_phase, check_stacks, solve_stack
+from .analysis import adjoint_phase, check_stack, check_stacks, solve_stack
 from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
@@ -121,27 +122,24 @@ def _state_gradient(grid: Grid, design: DesignField, model: ReducedModel,
 # pipeline gradients for state-dependent responses
 # ---------------------------------------------------------------------------
 
-def sens_elementary(grid: Grid, design: DesignField, sol, sets,
-                    adjoints) -> np.ndarray:
+def sens_elementary(grid: Grid, design: DesignField, stream) -> np.ndarray:
     """Gradients of several responses, full-system route: (rows, n_elems).
 
-    ``adjoints[i]`` is set i's solved adjoint stack from
-    :func:`~mptop.analysis.solve_elementary`, (rows, free, cases) on its free
-    DOFs and zero where a response ignores the set. None stands for one
-    self-adjoint response, whose adjoint is each set's state on its free
-    DOFs: the state's full field itself, gathered once as both sides, when
-    the set prescribes zeros. Nothing is solved here.
+    ``stream`` yields each set's states and solved adjoint stack in set
+    order, as :func:`~mptop.analysis.solve_elementary` does: (rows, free,
+    cases) on the set's free DOFs and zero where a response ignores the
+    set. A None stack stands for one self-adjoint response, whose adjoint is
+    the set's state on its free DOFs: the state's full field itself,
+    gathered once as both sides, when the set prescribes zeros. Each set is
+    contracted as it arrives and then dropped; nothing is solved here.
     """
-    if len(sol.sets) != len(sets):
-        raise ValueError("solution does not match the analysis sets")
-    if adjoints is None:
-        stacks, rows = [None] * len(sets), 1
-    else:
-        stacks = check_stacks(adjoints,
-                              [(len(s.free), s.cases) for s in sets])
-        rows = len(stacks[0])
-    acc = np.zeros((rows, grid.n_elems))
-    for state, stack in zip(sol.sets, stacks):
+    acc = None
+    for i, (state, stack) in enumerate(stream):
+        if acc is None:
+            acc = np.zeros((1 if stack is None else len(stack), grid.n_elems))
+        if stack is not None:
+            stack = check_stack(stack, i, (len(acc), len(state.free),
+                                           state.u_full.shape[1]))
         for r, lam in _left_fields(state, stack):
             acc[r] -= contract_dk_raw(grid, design, lam, state.u_full)
     return _chain_rows(design, acc)
@@ -180,7 +178,7 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
     A = np.zeros((len(stacks[0]), plan.m, plan.total_cases))
     for i, stack in enumerate(stacks):
         A[:, plan.free_primary_pos[i], plan.case_slices[i]] = stack
-    U = np.hstack([sol.primary_states(plan, i) for i in range(len(sets))])
+    U = np.hstack([s.u_full for s in sol.sets])
     return _state_gradient(grid, design, model, A, U, slice(None))
 
 

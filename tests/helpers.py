@@ -2,6 +2,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from mptop.analysis import StateSolution, solve_elementary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sparse import IndexSet
@@ -68,3 +69,13 @@ def plan_and_secondary(sets, n):
         plan = build_plan(sets, n)
     sec_loads, sec_values = gather_secondary(plan, sets)
     return plan, sec_loads, sec_values
+
+
+def collect_elementary(*args, **kwargs) -> StateSolution:
+    """Every set :func:`solve_elementary` yields, full-length states and
+    solved adjoint stacks, collected into one :class:`StateSolution`."""
+    pairs = list(solve_elementary(*args, **kwargs))
+    adjoints = [stack for _, stack in pairs]
+    return StateSolution(
+        sets=[states for states, _ in pairs],
+        adjoints=adjoints if all(a is not None for a in adjoints) else None)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import plan_and_secondary, random_conduction_problem
-from mptop.analysis import solve_condensed, solve_elementary
+from helpers import (collect_elementary, plan_and_secondary,
+                     random_conduction_problem)
+from mptop.analysis import solve_condensed
 from mptop.condensation import condense
 from mptop.partitions import AnalysisSet, build_plan
 from mptop.sparse import CostLedger, IndexSet, SymmetricSparse
@@ -22,7 +23,7 @@ class TestElementary:
         aset = AnalysisSet(n, IndexSet([0], n), IndexSet([2], n),
                            loads=sp.csc_matrix(loads))
         K = SymmetricSparse(CHAIN3)
-        sol = solve_elementary(K, [aset], want_reactions=True)
+        sol = collect_elementary(K, [aset], want_reactions=True)
         np.testing.assert_allclose(sol.sets[0].u_free,
                                    [[1.0 / 3.0], [2.0 / 3.0]], rtol=1e-14)
         np.testing.assert_allclose(sol.sets[0].reactions, [[-1.0 / 3.0]],
@@ -40,7 +41,7 @@ class TestElementary:
                            loads=loads)
         assert loads.nnz == 3
         K = SymmetricSparse(CHAIN3)
-        sol = solve_elementary(K, [aset])
+        sol = collect_elementary(K, [aset])
         np.testing.assert_allclose(sol.sets[0].u_full,
                                    [[1.0 / 3.0], [2.0 / 3.0], [0.0]],
                                    rtol=1e-14)
@@ -50,7 +51,7 @@ class TestElementary:
         aset = AnalysisSet(n, IndexSet([0], n), IndexSet([], n),
                            prescribed_values=np.zeros((1, 2)))
         K = SymmetricSparse(CHAIN3)
-        sol = solve_elementary(K, [aset], want_reactions=True)
+        sol = collect_elementary(K, [aset], want_reactions=True)
         np.testing.assert_array_equal(sol.sets[0].u_full, 0.0)
         np.testing.assert_array_equal(sol.sets[0].reactions, 0.0)
 
@@ -59,7 +60,7 @@ class TestElementary:
         # free DOFs must close to machine precision
         rng = np.random.default_rng(21)
         K, sets, grid, _ = random_conduction_problem(rng, max_grid=6)
-        sol = solve_elementary(K, sets, want_reactions=True)
+        sol = collect_elementary(K, sets, want_reactions=True)
         for aset, states in zip(sets, sol.sets):
             resid = K.mat @ states.u_full - aset.loads.toarray()
             resid[aset.prescribed.ids, :] -= states.reactions
@@ -69,7 +70,7 @@ class TestElementary:
         rng = np.random.default_rng(22)
         K, sets, grid, _ = random_conduction_problem(rng, max_grid=6)
         ledger = CostLedger()
-        solve_elementary(K, sets, ledger=ledger)
+        collect_elementary(K, sets, ledger=ledger)
         assert ledger.count(op="factorize", matrix="sparse") == len(sets)
 
 
@@ -86,10 +87,11 @@ class TestCondensedPipeline:
         plan = build_plan(sets, n)
         model = condense(K, plan)
         sol = solve_condensed(model, sets, want_reactions=True)
-        ref = solve_elementary(K, sets, want_reactions=True)
+        ref = collect_elementary(K, sets, want_reactions=True)
         for i in range(2):
-            np.testing.assert_allclose(sol.primary_states(plan, i),
-                                       ref.primary_states(plan, i), rtol=1e-12)
+            np.testing.assert_allclose(sol.sets[i].u_full,
+                                       ref.sets[i].u_full[plan.primary.ids],
+                                       rtol=1e-12)
 
     def test_equivalence_randomized(self):
         rng = np.random.default_rng(23)
@@ -102,10 +104,10 @@ class TestCondensedPipeline:
             checked += 1
             model = condense(K, plan, sec_loads, sec_values)
             cond = solve_condensed(model, sets)
-            elem = solve_elementary(K, sets)
+            elem = collect_elementary(K, sets)
             for i in range(len(sets)):
-                a = cond.primary_states(plan, i)
-                b = elem.primary_states(plan, i)
+                a = cond.sets[i].u_full
+                b = elem.sets[i].u_full[plan.primary.ids]
                 scale = max(np.abs(b).max(), 1e-30)
                 assert np.abs(a - b).max() <= 1e-9 * scale
 
@@ -132,10 +134,10 @@ class TestCondensedPipeline:
         model = condense(K, plan, sec_loads, sec_values)
         np.testing.assert_array_equal(model.reduced_loads, 0.0)
         cond = solve_condensed(model, sets)
-        elem = solve_elementary(K, sets)
+        elem = collect_elementary(K, sets)
         for i in range(len(sets)):
-            np.testing.assert_allclose(cond.primary_states(plan, i),
-                                       elem.primary_states(plan, i),
+            np.testing.assert_allclose(cond.sets[i].u_full,
+                                       elem.sets[i].u_full[plan.primary.ids],
                                        atol=1e-11)
 
     def test_prescribed_echo(self):

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from helpers import plan_and_secondary, random_conduction_problem
-from mptop.analysis import solve_condensed, solve_elementary
+from helpers import (collect_elementary, plan_and_secondary,
+                     random_conduction_problem)
+from mptop.analysis import solve_condensed
 from mptop.condensation import EmptyPrimarySetError, condense, recover_secondary
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sparse import (
@@ -153,10 +154,10 @@ class TestCondense:
         k_mp = CHAIN3[np.ix_([0, 1], [2])]
         np.testing.assert_array_equal(model.reduced_loads, -(k_mp @ sec_values))
         cond = solve_condensed(model, [s1, s2])
-        elem = solve_elementary(K, [s1, s2])
+        elem = collect_elementary(K, [s1, s2])
         for i in range(2):
-            np.testing.assert_allclose(cond.primary_states(plan, i),
-                                       elem.primary_states(plan, i),
+            np.testing.assert_allclose(cond.sets[i].u_full,
+                                       elem.sets[i].u_full[plan.primary.ids],
                                        rtol=0.0, atol=1e-12)
 
 

@@ -166,7 +166,7 @@ class TestRuntimeGain:
         # On a shared machine a millisecond-scale run is now and then
         # 20-100x slower, in bursts over consecutive runs, so the two timings
         # are the medians of interleaved runs: a burst slows both alike
-        from mptop.analysis import solve_elementary
+        from helpers import collect_elementary
         from mptop.fem import assemble
         from mptop.sparse import CostLedger
 
@@ -175,7 +175,7 @@ class TestRuntimeGain:
         times = []
         for _ in range(10):
             ledger = CostLedger()
-            solve_elementary(K, p.sets, ledger=ledger)
+            collect_elementary(K, p.sets, ledger=ledger)
             times.append(ledger.seconds_total())
         first, second = np.median(times[0::2]), np.median(times[1::2])
         assert min(first, second) > 0

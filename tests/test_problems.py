@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mptop.analysis
+from helpers import collect_elementary
 from mptop.fem import assemble
 from mptop.problems import build_problem1, build_problem2, evaluate
 from mptop.sensitivity import fd_verify
@@ -92,22 +93,29 @@ class TestBuildProblem1:
         assert err <= 1e-6
 
     def test_elementary_gradient_takes_the_state_as_its_adjoint(self):
-        # the self-adjoint route contracts each state with itself: what the
-        # two-field route gives, to roundoff
+        # the self-adjoint route contracts each state with itself, set by set
+        # as the stream yields them: the bits of the collected states
+        # contracted in set order, and what the two-field route gives, to
+        # roundoff (at 3 columns the self route forms the element Gram)
         from mptop.fem import contract_dk_raw
 
         p = build_problem1(6, 5, m=4, vbar=0.3, seed=5)
         x = np.random.default_rng(2).uniform(0.3, 0.9, p.grid.n_elems)
         ev = evaluate(p, x, pipeline="elementary")
         design = p.design(x)
+        sol = collect_elementary(assemble(p.grid, design), p.sets)
         raw = np.zeros(p.grid.n_elems)
-        for aset, state in zip(p.sets, ev.states.sets):
+        raw_pair = np.zeros(p.grid.n_elems)
+        for aset, state in zip(p.sets, sol.sets):
+            raw -= contract_dk_raw(p.grid, design, state.u_full, state.u_full)
             lam = np.zeros((p.grid.n_dofs, aset.cases))
             lam[aset.free.ids, :] = state.u_free
-            raw -= contract_dk_raw(p.grid, design, lam, state.u_full)
-        ref = design.flt.chain(raw[:, None])[:, 0]
-        assert np.abs(ev.d_objective - ref).max() <= \
-            1e-14 * np.abs(ref).max()
+            raw_pair -= contract_dk_raw(p.grid, design, lam, state.u_full)
+        ref, ref_pair = (design.flt.chain(r[:, None])[:, 0]
+                         for r in (raw, raw_pair))
+        assert ev.d_objective.tobytes() == ref.tobytes()
+        assert np.abs(ev.d_objective - ref_pair).max() <= \
+            1e-14 * np.abs(ref_pair).max()
 
     def test_reference_configuration_builds(self):
         # the full-size benchmark layout: 100x100 elements, 100 ports,
@@ -400,6 +408,30 @@ class TestElementaryStreaming:
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("mptop-elementary")]
 
+    def test_consumer_that_stops_early_stops_the_helper(self, monkeypatch):
+        # the gradient raises on set 2 of 14 while the helper solves set 3:
+        # evaluate closes the stream, which joins the helper, even while the
+        # traceback keeps the consumer's frame alive
+        import mptop.sensitivity
+
+        p = build_problem1(30, 30, m=14, seed=4)
+        honest = mptop.sensitivity.contract_dk_raw
+        calls = []
+
+        def failing_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("stop")
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(mptop.sensitivity, "contract_dk_raw",
+                            failing_third)
+        with pytest.raises(FloatingPointError) as info:
+            evaluate(p, p.x0, pipeline="elementary")
+        assert info.traceback and len(calls) == 3
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("mptop-elementary")]
+
     # the condensed pipeline's per-set events are its dense ones, after the
     # one sparse factorization and solve of the condensation
     @pytest.mark.parametrize("pipeline, matrix", [
@@ -431,41 +463,84 @@ class TestElementaryStreaming:
                 [("response", aset.cases)] + [("adjoint", b)] * (b > 0)
 
     def test_each_state_held_once(self):
-        # one float array of n x cases per set; the free and prescribed
-        # states are read from it on demand
-        p = build_problem1(8, 8, m=4)
-        ev = evaluate(p, p.x0, pipeline="elementary")
-        assert ev.states.adjoints is None
-        for aset, state in zip(p.sets, ev.states.sets):
-            held = [v.shape for v in vars(state).values()
-                    if isinstance(v, np.ndarray) and v.dtype == float]
-            assert held == [(p.grid.n_dofs, aset.cases)]
-            np.testing.assert_array_equal(
-                state.u_free, state.u_full[aset.free.ids])
-            np.testing.assert_array_equal(
-                state.u_presc, aset.prescribed_values)
+        # an elementary evaluation keeps, per set, one float array of the
+        # (m, cases) primary rows the responses read, and no adjoint stack
+        # (problem 2 solves them); the free and prescribed primary rows are
+        # read from it on demand
+        for p in (build_problem1(8, 8, m=4), build_problem2(6, 6, 2, JBAR)):
+            plan = p.plan
+            ev = evaluate(p, p.x0, pipeline="elementary")
+            full = collect_elementary(assemble(p.grid, p.design(p.x0)),
+                                      p.sets)
+            assert ev.states.adjoints is None
+            assert ev.states.factorizations == []
+            for i, (aset, state) in enumerate(zip(p.sets, ev.states.sets)):
+                held = [v.shape for v in vars(state).values()
+                        if isinstance(v, np.ndarray) and v.dtype == float]
+                assert held == [(plan.m, aset.cases)]
+                u = full.sets[i].u_full
+                np.testing.assert_array_equal(state.u_full,
+                                              u[plan.primary.ids])
+                np.testing.assert_array_equal(
+                    state.u_free, u[plan.free_primary[i].ids])
+                np.testing.assert_array_equal(
+                    state.u_presc, aset.prescribed_values[
+                        plan.presc_primary[i].positions_in(aset.prescribed)])
 
-    def test_peak_memory_holds_two_bands(self):
-        # the pattern's block maps and band layouts are built by the first
-        # evaluate and kept; the traced one allocates numerical work only
-        p = build_problem1(40, 40, m=16)
+    @staticmethod
+    def _traced_peaks(p, runs):
+        """``tracemalloc`` peak of one elementary evaluate per (hold,
+        want_grads) of ``runs``, with the previous evaluation alive while it
+        runs when ``hold``, as ``optimize`` holds it. The pattern's block
+        maps and band layouts are built by a first evaluate and kept, so the
+        traced ones allocate numerical work only."""
         evaluate(p, p.x0, pipeline="elementary")
         gc.collect()
+        peaks = []
         tracemalloc.start()
         try:
-            evaluate(p, p.x0, pipeline="elementary")
-            peak = tracemalloc.get_traced_memory()[1]
+            for hold, want_grads in runs:
+                previous = (evaluate(p, p.x0, pipeline="elementary")
+                            if hold else None)
+                tracemalloc.reset_peak()
+                evaluate(p, p.x0, pipeline="elementary",
+                         want_grads=want_grads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del previous
         finally:
             tracemalloc.stop()
+        return peaks
 
+    @staticmethod
+    def _two_sets_bound(p):
+        """Two sets' states, every set's kept primary rows, two bands and
+        one set's contraction."""
         grid = p.grid
         K = assemble(grid, p.design(p.x0))
-        states = sum(8 * (len(s.free) + grid.n_dofs) * s.cases
+        # a set's states: its solved free block and its full-length field
+        states = max(8 * (len(s.free) + grid.n_dofs) * s.cases
                      for s in p.sets)
+        kept = sum(8 * p.plan.m * s.cases for s in p.sets)
         band = max(8 * (principal(K, s.free).pattern.band().bandwidth + 1)
                    * len(s.free) for s in p.sets)
         # the gradient of one set: its full-length adjoint and the three
         # (elements, element DOFs, cases) gathers of contract_dk_raw
         cases = max(s.cases for s in p.sets)
         contraction = 8 * cases * (grid.n_dofs + 3 * grid.edof.size)
-        assert peak < states + 2 * band + contraction
+        return 2 * states + kept + 2 * band + contraction
+
+    def test_peak_memory_holds_two_bands(self):
+        # each set is contracted as it is solved and then dropped, so at
+        # most two sets' full-length states are alive, also while the
+        # previous evaluation is held: it keeps primary rows only
+        p = build_problem1(40, 40, m=16)
+        bound = self._two_sets_bound(p)
+        for peak in self._traced_peaks(p, [(False, True), (True, True)]):
+            assert peak < bound
+
+    def test_gradient_free_evaluate_streams(self):
+        # without gradients the stream is drained as it is solved, under
+        # the same bound
+        p = build_problem1(40, 40, m=16)
+        peak, = self._traced_peaks(p, [(False, False)])
+        assert peak < self._two_sets_bound(p)

@@ -4,7 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 import mptop.sensitivity
-from helpers import plan_and_secondary, random_conduction_problem
+from helpers import (collect_elementary, plan_and_secondary,
+                     random_conduction_problem)
 from mptop import build_problem2, evaluate
 from mptop.analysis import solve_condensed, solve_elementary
 from mptop.condensation import condense, recover_secondary
@@ -49,7 +50,7 @@ class TestOperators:
             checked += 1
             model = condense(K, plan, None, None)
             cond = solve_condensed(model, sets)
-            elem = solve_elementary(K, sets)
+            elem = collect_elementary(K, sets)
             E = mptop.sensitivity._primary_basis(model)
             for i in range(len(sets)):
                 full = E @ cond.sets[i].u_full
@@ -267,7 +268,7 @@ class TestStateSensitivities:
 
             g_cond = sens_condensed_state(grid, design, model, cond, sets,
                                           cond.adjoints)
-            g_elem = sens_elementary(grid, design, elem, sets, elem.adjoints)
+            g_elem = sens_elementary(grid, design, elem)
             assert g_cond.shape == g_elem.shape == (2, grid.n_elems)
             for gc, ge in zip(g_cond, g_elem):
                 scale = max(np.abs(ge).max(), 1e-30)
@@ -309,7 +310,7 @@ class TestStateSensitivities:
 
         def g_elem(xv):
             d = DesignField(grid, xv, flt)
-            sol = solve_elementary(assemble(grid, d), sets)
+            sol = collect_elementary(assemble(grid, d), sets)
             return response_from_primary(
                 [sol.sets[i].u_full[plan.primary.ids, :] for i in range(2)])
 
@@ -319,7 +320,7 @@ class TestStateSensitivities:
                                       cond.adjoints)[0]
         elem = solve_elementary(assemble(grid, design), sets,
                                 self._elementary_stacks(sets, plan, weights))
-        grad_e = sens_elementary(grid, design, elem, sets, elem.adjoints)[0]
+        grad_e = sens_elementary(grid, design, elem)[0]
 
         assert fd_verify(g_cond, x, grad_c) <= 1e-5
         assert fd_verify(g_elem, x, grad_e) <= 1e-5
@@ -331,8 +332,8 @@ class TestStateSensitivities:
         K, sets, grid, design = random_conduction_problem(rng, max_grid=5)
         ledger = CostLedger()
         zero = [np.zeros((2, len(s.free), s.cases)) for s in sets]
-        elem = solve_elementary(K, sets, zero, ledger=ledger)
-        g = sens_elementary(grid, design, elem, sets, elem.adjoints)
+        g = sens_elementary(grid, design,
+                            solve_elementary(K, sets, zero, ledger=ledger))
         assert g.shape == (2, grid.n_elems)
         np.testing.assert_array_equal(g, 0.0)
         assert ledger.count(op="solve") == len(sets)
@@ -345,25 +346,36 @@ class TestStateSensitivities:
         K = assemble(p.grid, design)
         model = condense(K, p.plan, p.sec_loads, p.sec_values)
         cond = solve_condensed(model, p.sets)
-        elem = solve_elementary(K, p.sets)
+        elem = collect_elementary(K, p.sets)
         tiny = np.ones((1, 1, 1))
         ok_c = np.zeros((1, len(p.plan.free_primary[0]), 1))
         ok_e = np.zeros((1, len(p.sets[0].free), 1))
-        for ok, solve, sens in (
-                (ok_c, lambda st: solve_condensed(model, p.sets, st),
-                 lambda st: sens_condensed_state(p.grid, design, model, cond,
-                                                 p.sets, st)),
-                (ok_e, lambda st: solve_elementary(K, p.sets, st),
-                 lambda st: sens_elementary(p.grid, design, elem, p.sets,
-                                            st))):
+
+        def solve_c(st):
+            return solve_condensed(model, p.sets, st)
+
+        def sens_c(st):
+            return sens_condensed_state(p.grid, design, model, cond, p.sets,
+                                        st)
+
+        def solve_e(st):
+            return list(solve_elementary(K, p.sets, st))
+
+        def sens_e(st):
+            return sens_elementary(p.grid, design, zip(elem.sets, st))
+
+        for ok, solve, sens in ((ok_c, solve_c, sens_c),
+                                (ok_e, solve_e, sens_e)):
             for stacks, i in (([tiny] * 2, 0), ([ok, tiny], 1),
                               ([ok, ok[[0, 0]]], 1)):
                 for call in (solve, sens):
                     with pytest.raises(ValueError, match=f"set {i} "):
                         call(stacks)
-            for call in (solve, sens):
-                with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
-                    call([ok])
+        # the elementary gradient reads (states, stack) pairs, which cannot
+        # differ in count; every call that takes a list of stacks checks it
+        for ok, call in ((ok_c, solve_c), (ok_c, sens_c), (ok_e, solve_e)):
+            with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
+                call([ok])
 
     def test_no_large_solves_in_condensed_adjoint(self):
         rng = np.random.default_rng(39)
@@ -392,11 +404,11 @@ class TestStateSensitivities:
         rng = np.random.default_rng(42)
         K, sets, grid, design = random_conduction_problem(rng, max_grid=6)
         assert all(s.prescribed_values.any() for s in sets)
-        elem = solve_elementary(K, sets)
+        elem = collect_elementary(K, sets)
         np.testing.assert_array_equal(
-            sens_elementary(grid, design, elem, sets, None),
-            sens_elementary(grid, design, elem, sets,
-                            [s.u_free[None] for s in elem.sets]))
+            sens_elementary(grid, design, solve_elementary(K, sets)),
+            sens_elementary(grid, design, [(s, s.u_free[None])
+                                           for s in elem.sets]))
 
     def test_self_adjoint_shortcut_matches_solve(self):
         # feeding lam directly must equal solving for it
