@@ -255,9 +255,10 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
     element gathers are made once. Returns the gradient w.r.t. the *filtered*
     field; callers chain through the filter to reach the design variables.
     The gathers are made :data:`RAW_CHUNK` elements at a time, all columns
-    at once. A self-adjoint contraction forms each element's Gram
-    ``L_e L_e^T`` and reads it against ``k_e``; otherwise one einsum
-    contraction order serves the whole call.
+    at once. It serves both pipelines, the condensed one in the per-row
+    order of :func:`mptop.sensitivity._contract_reduced`. A self-adjoint
+    contraction forms each element's Gram ``L_e L_e^T`` and reads it against
+    ``k_e``; otherwise one einsum contraction order serves the whole call.
     """
     L = np.asarray(left, dtype=float)
     if L.ndim == 1:

@@ -11,22 +11,23 @@ time as its solve stream yields them.
 
 The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
 sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
-chunk by chunk. Both bases start from E, the expansion of reduced vectors
-through the coupling solutions retained from the condensation; the field B
-of the secondary sources joins R as extra columns. The reduced matrix
-contracts with ``(E, E, W)``. Every other response, the state responses of
-``evaluate`` and the dependency cases of :func:`sens_case` alike, has left
-fields ``E a (+ X)`` and right fields ``B - E u`` for reduced adjoints a and
-primary states u (:func:`_state_gradient`). Gradients of the reduced matrix
-and loads need no solve, state gradients only small dense adjoint solves.
-Responses that read secondary states or reactions are the exception: their
-one large adjoint solve against the retained factorization is X, made by
+in the cheaper of two orders for its shapes. Both bases start from E, the
+expansion of reduced vectors through the coupling solutions retained from
+the condensation; the field B of the secondary sources joins R as extra
+columns. The reduced matrix contracts with ``(E, E, W)``. Every other
+response, the state responses of ``evaluate`` and the dependency cases of
+:func:`sens_case` alike, has left fields ``E a (+ X)`` and right fields
+``B - E u`` for reduced adjoints a and primary states u
+(:func:`_state_gradient`). Gradients of the reduced matrix and loads need
+no solve, state gradients only small dense adjoint solves. Responses that
+read secondary states or reactions are the exception: their one large
+adjoint solve against the retained factorization is X, made by
 :func:`sens_case`.
 
-The kernel's products are einsums. As ``@`` they would run on numpy's own
-OpenBLAS, whose workers spin after a call; that slows no solver, as those
-run on one thread (a k = 101 banded Cholesky right after a numpy product:
-20.5 against 20.0 ms, 36 against 21 at two threads). The BLAS-3 calls live in
+The kernel's products run on numpy's own threaded OpenBLAS, whose workers
+spin after a call; that slows no solver, as those run on one thread (a
+k = 101 banded Cholesky right after a numpy product: 20.5 against 20.0 ms,
+36 against 21 at two threads). The solvers' BLAS-3 calls live in
 :mod:`mptop.sparse`'s block solve, through scipy's BLAS ``trmm``/``trsm`` on
 the band factor in place: numpy's ``@`` has no triangular product, so on
 those blocks it needs a masked copy per block, which at n = 4e4, k = 201 and
@@ -51,11 +52,14 @@ from .sparse import CostLedger
 def _primary_basis(model: ReducedModel) -> np.ndarray:
     """E (n x m): identity on the primary rows, minus the retained coupling
     solutions on the secondary-free rows, zero on the secondary-prescribed."""
-    plan = model.plan
-    E = np.zeros((plan.n, model.m))
-    E[plan.primary.ids, :] = np.eye(model.m)
-    E[plan.sec_free.ids, :] = -model.static_modes
-    return E
+    plan, m = model.plan, model.m
+    source = np.zeros((plan.f_sec + m + 1, m))      # [-S; I; 0]
+    np.negative(model.static_modes, out=source[:plan.f_sec])
+    source[plan.f_sec:-1] = np.eye(m)
+    row = np.full(plan.n, len(source) - 1)
+    row[plan.sec_free.ids] = np.arange(plan.f_sec)
+    row[plan.primary.ids] = plan.f_sec + np.arange(m)
+    return source[row]
 
 
 def load_field(model: ReducedModel):
@@ -81,14 +85,27 @@ def _chain_rows(design: DesignField, raw: np.ndarray) -> np.ndarray:
 def _contract_reduced(grid: Grid, design: DesignField, L: np.ndarray,
                       R: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Row r, element e: sum(W[r] * L_e^T dk_e R_e) w.r.t. the filtered
-    field; ``L`` (n, a) and ``R`` (n, b) full-length bases, ``W`` (rows, a, b)."""
-    out = np.empty((len(W), grid.n_elems))
+    field; ``L`` (n, a) and ``R`` (n, b) full-length bases, ``W`` (rows, a, b).
+
+    The order with fewer multiply-adds per element runs. Per row: the field
+    G = R W[r]^T (n, a), read against L by :func:`contract_dk_raw`. Or once:
+    each element's M_e = L_e^T k_e R_e, read for every row by one GEMM.
+    """
+    rows, a, b = W.shape
+    k = len(grid.ke)
+    out = np.empty((rows, grid.n_elems))
+    per_row = grid.n_dofs / grid.n_elems * a * b + k * (k + 1) * a
+    if rows * per_row < k * a * (k + b) + rows * a * b:
+        for r, w in enumerate(W):
+            out[r] = contract_dk_raw(grid, design, L, R @ w.T)
+        return out
+    flat = W.reshape(rows, a * b)
     for e0 in range(0, grid.n_elems, ELEMENT_CHUNK):
         dofs = grid.edof[e0:e0 + ELEMENT_CHUNK]
         Le = L[dofs]                                     # (chunk, k, a)
         Re = Le if R is L else R[dofs]
-        LtK = Le.transpose(0, 2, 1) @ grid.ke
-        out[:, e0:e0 + len(dofs)] = np.einsum("rij,eij->re", W, LtK @ Re)
+        M = Le.transpose(0, 2, 1) @ grid.ke @ Re
+        out[:, e0:e0 + len(dofs)] = flat @ M.reshape(len(dofs), a * b).T
     return design.dscales * out
 
 
@@ -114,7 +131,7 @@ def _state_gradient(grid: Grid, design: DesignField, model: ReducedModel,
     if B is not None:
         R = np.hstack([E, B[:, cols]])
         beta = np.vstack([beta, np.eye(q)])
-    W = np.einsum("rmc,nc->rmn", alpha, beta)
+    W = alpha @ beta.T
     return _chain_rows(design, _contract_reduced(grid, design, L, R, W))
 
 

@@ -71,6 +71,12 @@ def plan_and_secondary(sets, n):
     return plan, sec_loads, sec_values
 
 
+def jbar8():
+    """A fixed 8-input mechanism target: magnitudes 0.5 to 2, mixed signs."""
+    rng = np.random.default_rng(8)
+    return rng.uniform(0.5, 2.0, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8))
+
+
 def collect_elementary(*args, **kwargs) -> StateSolution:
     """Every set :func:`solve_elementary` yields, full-length states and
     solved adjoint stacks, collected into one :class:`StateSolution`."""

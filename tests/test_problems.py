@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mptop.analysis
-from helpers import collect_elementary
+from helpers import collect_elementary, jbar8
 from mptop.fem import assemble
 from mptop.problems import build_problem1, build_problem2, evaluate
 from mptop.sensitivity import fd_verify
@@ -116,6 +116,15 @@ class TestBuildProblem1:
         assert ev.d_objective.tobytes() == ref.tobytes()
         assert np.abs(ev.d_objective - ref_pair).max() <= \
             1e-14 * np.abs(ref_pair).max()
+
+    def test_condensed_gradient_repeats_bit_for_bit(self):
+        # at the benchmark's p1-ports size the contraction forms R W^T on
+        # numpy's threaded BLAS; two evaluations in one process agree in
+        # every bit, as the history hashes need
+        p = build_problem1(99, 99, m=32, vbar=0.3, seed=1)
+        a, b = (evaluate(p, p.x0, pipeline="condensed") for _ in range(2))
+        assert a.d_objective.tobytes() == b.d_objective.tobytes()
+        assert a.objective == b.objective
 
     def test_reference_configuration_builds(self):
         # the full-size benchmark layout: 100x100 elements, 100 ports,
@@ -312,6 +321,31 @@ class TestBuildProblem2:
                                         want_grads=False).constraints[k],
                     x, ev.d_constraints[k])
                 assert err <= 1e-5, f"{pipe} g[{k}] FD error {err:.2e}"
+
+    def test_eight_inputs_gradients(self):
+        # h = 64 constraints over m = 16 primaries: the condensed kernel reads
+        # its 16 x 16 element blocks with one GEMM per chunk. FD checks a
+        # random combination of all 64 rows at eps = 1e-4: its roundoff
+        # exceeds ulp(f) / eps, and at eps = 1e-6 alone reads 5e-5
+        p = build_problem2(20, 20, 8, jbar8())
+        assert p.plan.m == 16 and p.n_constraints == 64
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0.3, 0.9, p.grid.n_elems)
+        ev_c = evaluate(p, x, pipeline="condensed")
+        ev_e = evaluate(p, x, pipeline="elementary")
+        for k in range(64):
+            scale = np.abs(ev_e.d_constraints[k]).max()
+            assert np.abs(ev_c.d_constraints[k] - ev_e.d_constraints[k]).max() \
+                <= 1e-9 * scale, f"g[{k}]"
+        assert np.abs(ev_c.d_objective - ev_e.d_objective).max() \
+            <= 1e-9 * np.abs(ev_e.d_objective).max()
+        w = rng.normal(size=64)
+        for pipe, ev in (("condensed", ev_c), ("elementary", ev_e)):
+            err = fd_verify(
+                lambda xv: w @ evaluate(p, xv, pipeline=pipe,
+                                        want_grads=False).constraints,
+                x, w @ ev.d_constraints, eps=1e-4)
+            assert err <= 1e-5, f"{pipe} FD error {err:.2e}"
 
 
 class TestElementaryStreaming:

@@ -4,9 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 import mptop.sensitivity
-from helpers import (collect_elementary, plan_and_secondary,
+from helpers import (collect_elementary, jbar8, plan_and_secondary,
                      random_conduction_problem)
-from mptop import build_problem2, evaluate
+from mptop import build_problem1, build_problem2, evaluate
 from mptop.analysis import solve_condensed, solve_elementary
 from mptop.condensation import condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
@@ -58,6 +58,25 @@ class TestOperators:
                 keep = np.concatenate([plan.primary.ids, plan.sec_free.ids])
                 scale = max(np.abs(ref).max(), 1.0)
                 assert np.abs(full[keep] - ref[keep]).max() <= 1e-10 * scale
+
+    def test_basis_is_the_scatter_definition(self):
+        # E, gathered from [-S; I; 0], equals zeros plus two row scatters bit
+        # for bit; the secondary-prescribed rows are zero
+        rng = np.random.default_rng(39)
+        checked = 0
+        while checked < 5:
+            K, sets, grid, _ = random_conduction_problem(rng, max_grid=8)
+            plan, sec_loads, sec_values = plan_and_secondary(sets, grid.n_dofs)
+            if plan.m == 0 or plan.p_sec == 0:
+                continue
+            checked += 1
+            model = condense(K, plan, sec_loads, sec_values)
+            ref = np.zeros((plan.n, plan.m))
+            ref[plan.primary.ids, :] = np.eye(plan.m)
+            ref[plan.sec_free.ids, :] = -model.static_modes
+            E = mptop.sensitivity._primary_basis(model)
+            assert E.shape == ref.shape and E.tobytes() == ref.tobytes()
+            assert not E[plan.sec_prescribed.ids].any()
 
     def test_chain_expansion_rows(self):
         model, _ = chain_model()
@@ -590,22 +609,136 @@ def test_case_solve_counts():
 
 def test_condensed_gradients_use_only_the_reduced_contraction(monkeypatch):
     # the six dependency cases and the state route of evaluate all contract
-    # through the reduced basis, secondary loads and values included
-    def refuse(*args, **kwargs):
-        raise AssertionError("condensed gradient called contract_dk_raw")
+    # through the reduced kernel, secondary loads and values included; the
+    # elementary kernel runs only inside it, as its per-row order
+    reduced = mptop.sensitivity._contract_reduced
+    raw = mptop.sensitivity.contract_dk_raw
+    calls, inside = [], []
 
-    monkeypatch.setattr(mptop.sensitivity, "contract_dk_raw", refuse)
+    def spy_reduced(*args):
+        calls.append(args)
+        inside.append(True)
+        try:
+            return reduced(*args)
+        finally:
+            inside.pop()
+
+    def guarded_raw(*args):
+        if not inside:
+            raise AssertionError("condensed gradient called contract_dk_raw "
+                                 "outside the reduced contraction")
+        return raw(*args)
+
+    monkeypatch.setattr(mptop.sensitivity, "_contract_reduced", spy_reduced)
+    monkeypatch.setattr(mptop.sensitivity, "contract_dk_raw", guarded_raw)
     rig = CaseRig()
     design, model, sol, sets = rig.pipeline()
     assert model.load_states is not None and np.any(model.sec_values)
     for case, shape in CASE_SHAPES.items():
         for i in range(len(sets)):
             W = rig.rng.normal(size=shape(rig, i))
+            del calls[:]
             sens_case(case, rig.grid, design, model, W, sol=sol, set_index=i)
+            assert len(calls) == 1, case
     weights = [rig.rng.normal(size=(2, len(rig.plan.free_primary[i]), s.cases))
                for i, s in enumerate(sets)]
+    del calls[:]
     sens_condensed_state(rig.grid, design, model, sol, sets,
                          solve_condensed(model, sets, weights).adjoints)
+    assert len(calls) == 1
+
+
+def _einsum_contraction(grid, design, L, R, W):
+    """Reference: every element's L_e^T k_e R_e, read by one einsum."""
+    M = L[grid.edof].transpose(0, 2, 1) @ grid.ke @ R[grid.edof]
+    return design.dscales * np.einsum("rij,eij->re", W, M)
+
+
+class TestReducedContraction:
+    """The reduced kernel's two orders against the einsum reference. Each
+    row of W alone runs the per-row order (G = R W[r]^T through
+    contract_dk_raw); W under 64 zero rows runs the per-element GEMM."""
+
+    @staticmethod
+    def _spy_raw(monkeypatch):
+        raw = mptop.sensitivity.contract_dk_raw
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(mptop.sensitivity, "contract_dk_raw", spy)
+        return calls
+
+    def _check_both_orders(self, monkeypatch, grid, design, L, R, W):
+        calls = self._spy_raw(monkeypatch)
+        kernel = mptop.sensitivity._contract_reduced
+        ref = _einsum_contraction(grid, design, L, R, W)
+        scale = np.abs(ref).max(axis=1)
+        assert scale.all()
+        per_row = np.stack([kernel(grid, design, L, R, W[r:r + 1])[0]
+                            for r in range(len(W))])
+        assert len(calls) == len(W)
+        del calls[:]
+        pad = np.zeros((64,) + W.shape[1:])
+        gemm = kernel(grid, design, L, R, np.concatenate([W, pad]))[:len(W)]
+        assert not calls
+        for got in (per_row, gemm):
+            assert (np.abs(got - ref).max(axis=1) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("physics, rows, a, b", [
+        ("conduction", 1, 32, 32),      # p1: one compliance row
+        ("plane-stress", 4, 4, 4),      # p2: 2 inputs
+        ("plane-stress", 64, 16, 16),   # MIMO: 8 inputs
+    ])
+    def test_orders_match_the_einsum(self, monkeypatch, physics, rows, a, b):
+        rng = np.random.default_rng(rows + a)
+        grid = Grid(14, 12, physics)
+        design = DesignField(grid, rng.uniform(0.3, 0.9, grid.n_elems),
+                             Filter(grid, 1.5))
+        L = rng.normal(size=(grid.n_dofs, a))
+        R = L if a == b else rng.normal(size=(grid.n_dofs, b))
+        W = rng.normal(size=(rows, a, b))
+        self._check_both_orders(monkeypatch, grid, design, L, R, W)
+
+    def test_dependency_case_bases_match_the_einsum(self, monkeypatch):
+        # sens_case's bases carry X columns (L is not R), and the state
+        # route's right basis B columns that the left lacks (a != b)
+        reduced = mptop.sensitivity._contract_reduced
+        captured = []
+
+        def capture(*args):
+            captured.append(args)
+            return reduced(*args)
+
+        monkeypatch.setattr(mptop.sensitivity, "_contract_reduced", capture)
+        rig = CaseRig()
+        design, model, sol, sets = rig.pipeline()
+        for case in ("primary-state", "secondary-state", "secondary-reaction"):
+            W = rig.rng.normal(size=CASE_SHAPES[case](rig, 0))
+            sens_case(case, rig.grid, design, model, W, sol=sol, set_index=0)
+        weights = [rig.rng.normal(size=(2, len(rig.plan.free_primary[i]),
+                                        s.cases)) for i, s in enumerate(sets)]
+        sens_condensed_state(rig.grid, design, model, sol, sets,
+                             solve_condensed(model, sets, weights).adjoints)
+        monkeypatch.undo()
+        assert all(L is not R for _, _, L, R, _ in captured)
+        assert any(W.shape[1] != W.shape[2] for *_, W in captured)
+        for grid, design, L, R, W in captured:
+            self._check_both_orders(monkeypatch, grid, design, L, R, W)
+
+    def test_order_follows_the_shapes(self, monkeypatch):
+        # p1's one compliance row against 32-wide bases takes the per-row
+        # order; an 8-input mechanism's 64 rows against 16-wide bases, the GEMM
+        calls = self._spy_raw(monkeypatch)
+        p = build_problem1(40, 40, m=32, vbar=0.3, seed=1)
+        evaluate(p, p.x0, pipeline="condensed")
+        assert len(calls) == 1 and calls[0][2].shape == (p.grid.n_dofs, 32)
+        del calls[:]
+        p = build_problem2(20, 20, 8, jbar8())
+        evaluate(p, p.x0, pipeline="condensed")
+        assert not calls
 
 
 class TestFdVerify:
