@@ -1,22 +1,22 @@
 """End-to-end response pipelines over the analysis sets.
 
 ``solve_elementary`` treats every boundary-condition pattern as its own
-large constrained system and streams through them, up to two sets in
-flight: the calling thread gathers and factorizes set i while one helper
-thread solves set i - 1's states and adjoints in place, then collects set
-i - 1 and hands set i to the helper. The band kernels release the GIL, so
-on two cores both run at once. Only sets whose solve runs at level 3 go to
-the helper; a set of few right-hand sides is solved on the calling thread,
-and released, before the next set factorizes. The helper allocates no array
-and lives for one stream. Each set's states and solved adjoints are
-yielded, and its ledger events joined, in set order, the helper's set while
-the next one solves: at most two factorizations and two sets' full-length
-states are alive. ``solve_condensed`` runs every pattern against one
-shared reduced model: a single large factorization total, then per set a
-small dense factorization, the state solve and the adjoint solve against
-it; it keeps the dense handles for the dependency cases of
-:func:`~mptop.sensitivity.sens_case`. Both produce the same primary states
-and solved adjoints; the cost ledgers differ.
+large constrained system and streams through them in set order: the
+calling thread solves set i's states and adjoints and yields them while one
+helper thread gathers and factorizes set i + 1, and releases set i's
+factorization when it takes set i + 1's. The band kernels release the GIL,
+so on two cores both run at once. Only while a set's solve runs at level 3
+does the next set go to the helper; after a solve of few right-hand sides,
+set i is released and set i + 1 factorized on the calling thread. The
+helper only factorizes, records into a ledger of its own that joins the
+caller's in set order, and lives for one stream: at most two
+factorizations and two sets' full-length states are alive.
+``solve_condensed`` runs every pattern against one shared reduced model: a
+single large factorization total, then per set a small dense factorization,
+the state solve and the adjoint solve against it; it keeps the dense
+handles for the dependency cases of :func:`~mptop.sensitivity.sens_case`.
+Both produce the same primary states and solved adjoints, and solve the
+adjoint stacks through :func:`solve_stack`; the cost ledgers differ.
 
 Adjoint right-hand sides and solved adjoints travel as stacks, one
 (rows, free, cases) array per set with one row per response;
@@ -86,9 +86,8 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     """Solve each analysis set against the full system matrix: factorize,
     solve the states, solve the adjoints, release; yield each set's
     :class:`SetStates` and solved adjoint stack (None without
-    ``adjoint_rhs``) in set order. A set whose solve runs at level 3 is
-    solved on a helper thread while the next set factorizes, and yielded
-    while that one solves.
+    ``adjoint_rhs``) in set order. While a set's solve runs at level 3, a
+    helper thread factorizes the next set.
 
     ``adjoint_rhs`` holds one (rows, free, cases) stack of adjoint
     right-hand sides per set, or is None for self-adjoint responses, which
@@ -98,82 +97,55 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     if adjoint_rhs is not None:
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(s.free), s.cases) for s in sets])
-    pending = None      # a set solving on the helper, and its result call
+    ahead = None        # the next set's factorization, on the helper
     with ThreadPoolExecutor(1, thread_name_prefix="mptop-elementary") as helper:
         for i, aset in enumerate(sets):
-            job = _SetSolve(K, aset, ledger)    # while set i - 1 is solved
-            done = None if pending is None else pending[0].collect(
-                pending[1](), K, ledger, want_reactions)
-            job.prepare(None if adjoint_rhs is None else adjoint_rhs[i])
-            pending = None
-            # a solve of few columns is worth less than a second band alive
-            # (fresh pages to fill; p2-mechanism, 1-2 columns: 2.4 ms solved
-            # beside about 6 ms of slower fills and factorizations), so only
-            # level-3 solves go to the helper; the last set solves here
-            if i + 1 < len(sets) and job.fact.n and _solve_by_blocks(
-                    job.fact.bandwidth, aset.cases):
-                pending = job, helper.submit(job).result
-            if done is not None:
-                yield done      # consumed beside set i's solve
-            if pending is None:
-                yield job.collect(job(), K, ledger, want_reactions)
+            fact, k_fp, own = (_factorize_set(K, aset, ledger) if ahead is None
+                               else ahead.result())
+            if own is not ledger:       # factorized on the helper
+                ledger.events.extend(own.events)
+            ahead = None
+            # a second band alive pays beside a level-3 solve only: with
+            # every set prefetched, p2-mechanism's 1-2 column sets took
+            # 16.1 -> 14.5 ms per evaluate but 84 -> 96 MB peak RSS, and
+            # p2-slender's 19.0 -> 15.8 ms but 98 -> 114 MB
+            if i + 1 < len(sets) and fact.n and _solve_by_blocks(
+                    fact.bandwidth, aset.cases):
+                # its events join the ledger in set order, stamped with the
+                # phase the caller is in now: the helper reads no phase
+                own = None if ledger is None else CostLedger(
+                    _phase=ledger._phase)
+                ahead = helper.submit(_factorize_set, K, sets[i + 1], own)
+            states = _set_states(K, aset, fact, k_fp, ledger, want_reactions)
+            stack = (None if adjoint_rhs is None
+                     else solve_stack(fact, adjoint_rhs[i], ledger))
+            if ahead is None:   # released before the next set factorizes;
+                fact = None     # else when the helper hands that one over
+            yield states, stack
 
 
-class _SetSolve:
-    """One set of :func:`solve_elementary`: factorized and prepared on the
-    calling thread, solved in place when called, collected in set order.
-    The previous set is collected, and its band and buffers released,
-    between the two steps on the calling thread, which bounds what is alive
-    to two bands and two sets' right-hand sides."""
+def _factorize_set(K, aset, ledger):
+    """Set ``aset``'s factorized free block, recorded into ``ledger``, its
+    free x prescribed block, and ``ledger``."""
+    return (factorize(principal(K, aset.free), ledger=ledger),
+            extract(K, aset.free, aset.prescribed), ledger)
 
-    def __init__(self, K, aset, ledger):
-        self.aset = aset
-        # the events join the caller's ledger when the set is collected
-        self.ledger = (None if ledger is None
-                       else CostLedger(_phase=ledger._phase))
-        self.fact = factorize(principal(K, aset.free), ledger=self.ledger)
-        self.k_fp = extract(K, aset.free, aset.prescribed)
 
-    def prepare(self, stack):
-        aset = self.aset
-        rhs = -(self.k_fp @ aset.prescribed_values)
-        f = aset.loads.tocoo()      # no load sits at a prescribed DOF
-        rhs[np.searchsorted(aset.free.ids, f.row), f.col] += f.data
-        self.states = self.fact.prepare(rhs)
-        self.stack, self.adjoints = stack, None
-        if stack is not None:
-            cols, self.live = _stack_columns(stack)
-            if self.live.any():
-                self.adjoints = self.fact.prepare(cols[:, self.live])
-
-    def __call__(self):
-        u_free = self.fact.solve_prepared(self.states, self.ledger)
-        lam = None
-        if self.adjoints is not None:
-            with adjoint_phase(self.ledger):
-                lam = self.fact.solve_prepared(self.adjoints, self.ledger)
-        return u_free, lam
-
-    def collect(self, solved, K, ledger, want_reactions):
-        """The set's states and solved adjoint stack; its band and buffers
-        are released here, on the calling thread, before the next set."""
-        u_free, lam = solved
-        self.fact = self.states = self.adjoints = None
-        if ledger is not None:
-            ledger.events.extend(self.ledger.events)
-        aset = self.aset
-        stack = (None if self.stack is None
-                 else _unstack(lam, self.live, self.stack.shape))
-        u_full = np.zeros((K.n, aset.cases))
-        u_full[aset.free.ids, :] = u_free
-        u_full[aset.prescribed.ids, :] = aset.prescribed_values
-        reactions = None
-        if want_reactions:
-            k_pp = extract(K, aset.prescribed, aset.prescribed)
-            reactions = (self.k_fp.T @ u_free
-                         + k_pp @ aset.prescribed_values)
-        return SetStates(u_full, aset.free.ids, aset.prescribed.ids,
-                         reactions), stack
+def _set_states(K, aset, fact, k_fp, ledger, want_reactions):
+    """Set ``aset``'s :class:`SetStates` on all DOFs, solved with ``fact``;
+    no buffer of the solve outlives it."""
+    rhs = -(k_fp @ aset.prescribed_values)
+    f = aset.loads.tocoo()      # no load sits at a prescribed DOF
+    rhs[np.searchsorted(aset.free.ids, f.row), f.col] += f.data
+    u_free = fact.solve(rhs, ledger=ledger)
+    u_full = np.zeros((K.n, aset.cases))
+    u_full[aset.free.ids, :] = u_free
+    u_full[aset.prescribed.ids, :] = aset.prescribed_values
+    reactions = None
+    if want_reactions:
+        k_pp = extract(K, aset.prescribed, aset.prescribed)
+        reactions = k_fp.T @ u_free + k_pp @ aset.prescribed_values
+    return SetStates(u_full, aset.free.ids, aset.prescribed.ids, reactions)
 
 
 def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
@@ -253,26 +225,12 @@ def adjoint_phase(ledger):
 
 def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
     """Solve a (rows, free, cases) stack in one call, every response's
-    columns side by side; columns that are exactly zero are not solved."""
-    cols, live = _stack_columns(stack)
-    lam = None
-    if np.any(live):
-        with adjoint_phase(ledger):
-            lam = fact.solve(cols[:, live], ledger=ledger)
-    return _unstack(lam, live, stack.shape)
-
-
-def _stack_columns(stack):
-    """A stack's responses side by side, (free, rows * cases), and which of
-    those columns are not exactly zero."""
+    columns side by side; columns that are exactly zero are not solved, and
+    stay zero."""
     cols = np.hstack(stack)
-    return cols, cols.any(axis=0)
-
-
-def _unstack(lam, live, shape):
-    """The (rows, free, cases) stack of the solved ``live`` columns ``lam``
-    (None when no column is live), zero elsewhere."""
-    full = np.zeros((shape[1], live.size))
-    if lam is not None:
-        full[:, live] = lam
-    return np.stack(np.hsplit(full, shape[0]))
+    live = cols.any(axis=0)
+    lam = np.zeros_like(cols)
+    if live.any():
+        with adjoint_phase(ledger):
+            lam[:, live] = fact.solve(cols[:, live], ledger=ledger)
+    return np.stack(np.hsplit(lam, len(stack)))

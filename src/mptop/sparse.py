@@ -21,8 +21,7 @@ block by block on the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per
 k x k block and direction (Golub & Van Loan, *Matrix Computations*, section
 4.3: a band of half-width k is block bidiagonal at block size k), on
 right-hand sides padded to a multiple of 8 columns. These kernels release
-the GIL, and a solve is prepared (checked and copied) apart from its
-in-place run, which allocates no array, so another thread can run it.
+the GIL, so another thread can factorize or solve beside them.
 There is no CG solver: with an ichol0 preconditioner it condensed the three
 benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
@@ -540,15 +539,14 @@ class Band:
 class _Solver:
     """The one solve path shared by every factorization handle.
 
-    A subclass sets ``matrix`` (its ledger label) and supplies three steps:
-    ``_factor(A) -> flops``, run once at construction on finite values,
-    ``_layout(B)``, the copy of B the kernel works on (B itself by default),
-    and ``_kernel(buffer, columns) -> (X, flops)`` for a block with rows and
-    columns. This class runs the factor and kernel steps on one OpenBLAS
-    thread, checks the right-hand side's rows and values, short-cuts empty
-    blocks, times both steps and records one ledger event per factorization
-    and per solve call, with ``bandwidth``. A handle of an empty (0 x 0)
-    block does no work and records nothing.
+    A subclass sets ``matrix`` (its ledger label) and supplies two steps:
+    ``_factor(A) -> flops``, run once at construction on finite values, and
+    ``_kernel(B) -> (X, flops)`` for a block with rows and columns. This
+    class runs both steps on one OpenBLAS thread, checks the right-hand
+    side's rows and values, short-cuts empty blocks, times both steps and
+    records one ledger event per factorization and per solve call, with
+    ``bandwidth``. A handle of an empty (0 x 0) block does no work and
+    records nothing.
     """
 
     bandwidth = None
@@ -560,9 +558,6 @@ class _Solver:
             with _one_blas_thread:
                 self._record(ledger, "factorize", 0, self._factor(A), t0)
 
-    def _layout(self, B):
-        return B
-
     def _record(self, ledger, op, nrhs, flops, t0):
         if ledger is not None:
             ledger.record(op, self.matrix, self.n, nrhs, flops,
@@ -570,31 +565,17 @@ class _Solver:
 
     def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
         """Solve A X = B for a vector or a matrix of right-hand sides."""
-        B = np.asarray(B, dtype=float)
-        X = self.solve_prepared(
-            self.prepare(B[:, None] if B.ndim == 1 else B), ledger)
-        return X[:, 0] if B.ndim == 1 else X
-
-    def prepare(self, B) -> tuple:
-        """``(buffer, columns)``: the n x columns block ``B``, checked for
-        infs and NaNs and copied into the layout of the solve kernel."""
         B = np.asarray_chkfinite(B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != self.n:
-            raise ValueError(f"rhs has {B.shape[0]} rows, expected {self.n}")
-        return self._layout(B) if self.n else B, B.shape[1]
-
-    def solve_prepared(self, rhs: tuple,
-                       ledger: CostLedger | None = None) -> np.ndarray:
-        """Solve the right-hand sides of :meth:`prepare`. A sparse handle
-        solves in place and allocates no array."""
-        buf, columns = rhs
+        Bm = B[:, None] if B.ndim == 1 else B
+        if Bm.ndim != 2 or Bm.shape[0] != self.n:
+            raise ValueError(f"rhs has {Bm.shape[0]} rows, expected {self.n}")
         if self.n == 0:
-            return buf
+            return B
         t0 = time.perf_counter()
         with _one_blas_thread:
-            X, fl = (self._kernel(buf, columns) if columns else (buf, 0.0))
-        self._record(ledger, "solve", columns, fl, t0)
-        return X
+            X, fl = self._kernel(Bm) if Bm.shape[1] else (Bm, 0.0)
+        self._record(ledger, "solve", Bm.shape[1], fl, t0)
+        return X[:, 0] if B.ndim == 1 else X
 
 
 class Factorization(_Solver):
@@ -629,21 +610,18 @@ class Factorization(_Solver):
         self.bandwidth = kbw
         return _flops_banded_factor(K.n, kbw)
 
-    def _layout(self, B):
-        if not _solve_by_blocks(self.bandwidth, B.shape[1]):
-            return np.array(B, order="F")
-        # row-major, padded with zero columns to a multiple of 8 (OpenBLAS's
-        # BLAS-3 kernels run faster on aligned widths: at n = 9999, k = 101,
-        # one thread, 31 columns took 8.8 ms and 32 took 6.2, on a 2-vCPU
-        # x86-64 VM), and k scratch rows below the solution
-        buf = np.zeros((self.n + self.bandwidth, -(-B.shape[1] // 8) * 8))
-        buf[:self.n, :B.shape[1]] = B
-        return buf
-
-    def _kernel(self, buf, columns):
+    def _kernel(self, B):
+        columns = B.shape[1]
         if _solve_by_blocks(self.bandwidth, columns):
+            # row-major, padded with zero columns to a multiple of 8
+            # (OpenBLAS's BLAS-3 kernels run faster on aligned widths: at
+            # n = 9999, k = 101, one thread, 31 columns took 8.8 ms and 32
+            # took 6.2, on a 2-vCPU x86-64 VM), and k scratch rows below
+            buf = np.zeros((self.n + self.bandwidth, -(-columns // 8) * 8))
+            buf[:self.n, :columns] = B
             _solve_band_blocks(self._cb, buf)
         else:
+            buf = np.array(B, order="F")
             _pbtrs(self._cb, buf)
         return (buf[:self.n, :columns],
                 _flops_banded_solve(self.n, self.bandwidth, columns))
@@ -716,6 +694,6 @@ class DenseCholesky(_Solver):
                 f"dense Cholesky failed (n={self.n}): {exc}") from exc
         return _flops_dense_factor(self.n)
 
-    def _kernel(self, B, columns):
+    def _kernel(self, B):
         return (cho_solve(self._cf, B, check_finite=False),
-                _flops_dense_solve(self.n, columns))
+                _flops_dense_solve(self.n, B.shape[1]))

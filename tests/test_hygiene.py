@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and no
+private name is defined that the package never references."""
 import ast
 from pathlib import Path
 
@@ -23,3 +24,45 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, line) of each private module-level function, class and
+    constant, and each private method, defined in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node.lineno
+            yield from ((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((name.id, node.lineno) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_unreferenced_private_names():
+    # a refactor that folds a caller away leaves its private helper behind;
+    # a reference in another module or a test does not keep one alive here
+    # unless the package reads it
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{module}:{line} {name}"
+                    for module, tree in trees.items()
+                    for name, line in _private_definitions(tree)
+                    if _is_private(name) and name not in read)
+    assert not unread, f"private names the package never reads: {unread}"

@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -351,13 +352,13 @@ class TestBuildProblem2:
 class TestElementaryStreaming:
     """The elementary pipeline runs factorize -> state solve -> adjoint solve
     -> release per pattern, as the paper's cost model charges it, with up to
-    two patterns in flight: the calling thread factorizes set i while a
-    helper thread solves set i - 1 against its factor (when that solve runs
-    at level 3), and results and ledger events are collected in set order."""
+    two patterns in flight: a helper thread factorizes set i + 1 while the
+    calling thread solves set i against its factor (when that solve runs at
+    level 3), and results and ledger events are collected in set order."""
 
     # problem 1's 13 right-hand sides per set at k = 32 take the block solve,
-    # so each set but the last is solved on the helper; problem 2's sets
-    # solve 1 and 2 columns, on the calling thread
+    # so each set but the first is factorized on the helper; problem 2's sets
+    # solve 1 and 2 columns, and factorize on the calling thread
     @pytest.mark.parametrize("build, helper", [
         (lambda: build_problem1(30, 30, m=14, seed=4), True),
         (lambda: build_problem2(6, 6, 2, JBAR), False),
@@ -365,7 +366,7 @@ class TestElementaryStreaming:
     def test_at_most_two_factorizations_alive(self, monkeypatch, build,
                                               helper):
         # when set j factorizes, the only other handle alive is set j - 1's
-        # while the helper solves it; the earlier ones were released in order
+        # while the caller solves it; the earlier ones were released in order
         p = build()
         honest = mptop.analysis.factorize
         handles, alive = [], []
@@ -391,8 +392,9 @@ class TestElementaryStreaming:
         lambda: build_problem2(8, 8, 2, JBAR),
     ], ids=["problem1", "problem2"])
     def test_helper_matches_inline_solves(self, monkeypatch, build):
-        # the helper thread changes where the solves run, not their bits
-        # (problem 2's few-column sets solve on the calling thread anyway)
+        # the helper thread changes where the factorizations run, not their
+        # bits (problem 2's few-column sets factorize on the calling thread
+        # anyway)
         class Inline:
             """An executor that runs each job on the calling thread."""
 
@@ -405,9 +407,9 @@ class TestElementaryStreaming:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn):
+            def submit(self, fn, *args):
                 done = Future()
-                done.set_result(fn())
+                done.set_result(fn(*args))
                 return done
 
         p = build()
@@ -422,7 +424,7 @@ class TestElementaryStreaming:
 
     def test_singular_set_mid_stream_stops_the_helper(self, monkeypatch):
         # set 2 of 14 is negative definite: its factorization fails on the
-        # calling thread while the helper solves set 1, and evaluate raises
+        # helper while the calling thread solves set 1, and evaluate raises
         # once the helper is joined
         p = build_problem1(30, 30, m=14, seed=4)
         honest = mptop.analysis.principal
@@ -443,9 +445,9 @@ class TestElementaryStreaming:
                     if t.name.startswith("mptop-elementary")]
 
     def test_consumer_that_stops_early_stops_the_helper(self, monkeypatch):
-        # the gradient raises on set 2 of 14 while the helper solves set 3:
-        # evaluate closes the stream, which joins the helper, even while the
-        # traceback keeps the consumer's frame alive
+        # the gradient raises on set 2 of 14 while the helper factorizes
+        # set 3: evaluate closes the stream, which joins the helper, even
+        # while the traceback keeps the consumer's frame alive
         import mptop.sensitivity
 
         p = build_problem1(30, 30, m=14, seed=4)
@@ -465,6 +467,51 @@ class TestElementaryStreaming:
         assert info.traceback and len(calls) == 3
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("mptop-elementary")]
+
+    def test_prefetched_factorizations_take_the_callers_phase(self,
+                                                              monkeypatch):
+        # each helper job is held until the caller is inside its previous
+        # set's adjoint phase, and the caller is held there until the job is
+        # done: the factorizations still record the phase of their submit
+        p = build_problem1(30, 30, m=14, seed=4)
+        K = assemble(p.grid, p.design(p.x0))
+        rng = np.random.default_rng(2)
+        stacks = [rng.normal(size=(1, len(s.free), s.cases)) for s in p.sets]
+        entered, done = threading.Semaphore(0), threading.Semaphore(0)
+        held = []
+        executor = mptop.analysis.ThreadPoolExecutor
+        honest_phase = mptop.analysis.adjoint_phase
+
+        class Held(executor):
+            def submit(self, fn, *args):
+                def job():
+                    assert entered.acquire(timeout=60)
+                    try:
+                        return fn(*args)
+                    finally:
+                        done.release()
+                held.append(None)
+                return super().submit(job)
+
+        @contextmanager
+        def phase(ledger):
+            with honest_phase(ledger):
+                if held:
+                    held.pop()
+                    entered.release()
+                    assert done.acquire(timeout=60)
+                yield
+
+        monkeypatch.setattr(mptop.analysis, "ThreadPoolExecutor", Held)
+        monkeypatch.setattr(mptop.analysis, "adjoint_phase", phase)
+        ledger = CostLedger()
+        solved = list(mptop.analysis.solve_elementary(K, p.sets, stacks,
+                                                      ledger=ledger))
+        assert len(solved) == len(p.sets) and not held
+        phases = [(e.op, e.phase) for e in ledger.events]
+        assert phases.count(("solve", "adjoint")) == len(p.sets)
+        assert [ph for op, ph in phases if op == "factorize"] == \
+            ["response"] * len(p.sets)
 
     # the condensed pipeline's per-set events are its dense ones, after the
     # one sparse factorization and solve of the condensation

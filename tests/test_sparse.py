@@ -625,26 +625,28 @@ class TestBlasThreads:
                 assert np.asarray(getattr(a, name)).tobytes() \
                     == np.asarray(getattr(b, name)).tobytes(), name
 
-    def test_helper_solves_on_one_thread(self, monkeypatch):
+    def test_helper_factorizes_on_one_thread(self, monkeypatch):
         # the elementary pipeline's helper thread enters the same scope: its
-        # solves run on one OpenBLAS thread, and the caller's count is back
-        # after the evaluation
+        # factorizations, like the caller's solves, run on one OpenBLAS
+        # thread, and the caller's count is back after the evaluation
         import threading
 
         seen = []
-        for name in ("_pbtrs", "_solve_band_blocks"):
-            def spy(*args, real=getattr(mptop.sparse, name)):
-                seen.append((threading.current_thread().name, self.counts()))
+        for name in ("_pbtrf", "_pbtrs", "_solve_band_blocks"):
+            def spy(*args, name=name, real=getattr(mptop.sparse, name)):
+                seen.append((name, threading.current_thread().name,
+                             self.counts()))
                 return real(*args)
             monkeypatch.setattr(mptop.sparse, name, spy)
         p = build_problem1(30, 30, m=14)     # 13 columns at k = 32: blocks
         with self.caller_threads(2) as before:
             evaluate(p, p.x0, pipeline="elementary")
             assert self.counts() == before
-        helper = [counts for name, counts in seen
-                  if name.startswith("mptop-elementary")]
-        assert len(helper) == len(p.sets) - 1   # the last set solves inline
-        assert all(counts == [1] * len(before) for _, counts in seen)
+        helper = [name for name, thread, _ in seen
+                  if thread.startswith("mptop-elementary")]
+        # the first set factorizes on the calling thread, which solves all
+        assert helper == ["_pbtrf"] * (len(p.sets) - 1)
+        assert all(counts == [1] * len(before) for _, _, counts in seen)
 
     def test_no_library_found(self, monkeypatch):
         monkeypatch.setattr(mptop.sparse, "_openblas_threads", lambda: ())
