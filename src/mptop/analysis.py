@@ -8,9 +8,9 @@ factorization when it takes set i + 1's. The band kernels release the GIL,
 so on two cores both run at once. Only while a set's solve runs at level 3
 does the next set go to the helper; after a solve of few right-hand sides,
 set i is released and set i + 1 factorized on the calling thread. The
-helper only factorizes, records into a ledger of its own that joins the
-caller's in set order, and lives for one stream: at most two
-factorizations and two sets' full-length states are alive.
+helper only factorizes, into the other of the stream's two band buffers,
+records into a ledger of its own that joins the caller's in set order,
+and lives for one stream: at most two sets' full-length states are alive.
 ``solve_condensed`` runs every pattern against one shared reduced model: a
 single large factorization total, then per set a small dense factorization,
 the state solve and the adjoint solve against it; it keeps the dense
@@ -36,6 +36,7 @@ from .sparse import (
     DenseCholesky,
     SymmetricSparse,
     _solve_by_blocks,
+    band_storage,
     extract,
     factorize,
     principal,
@@ -97,25 +98,30 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     if adjoint_rhs is not None:
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(s.free), s.cases) for s in sets])
+    blocks = [principal(K, aset.free) for aset in sets]
+    # a second band alive pays beside a level-3 solve only: with every set
+    # prefetched, p2-mechanism's 1-2 column sets took 16.1 -> 14.5 ms per
+    # evaluate but 84 -> 96 MB peak RSS, and p2-slender's 19.0 -> 15.8 ms
+    # but 98 -> 114 MB. Set i's band fills buffer i mod 2 of the stream's
+    prefetch = [_solve_by_blocks(block.bandwidth, aset.cases)
+                for block, aset in zip(blocks[:-1], sets)] + [False]
+    bands = [band_storage(blocks) for _ in range(bool(sets) + any(prefetch))]
     ahead = None        # the next set's factorization, on the helper
     with ThreadPoolExecutor(1, thread_name_prefix="mptop-elementary") as helper:
         for i, aset in enumerate(sets):
-            fact, k_fp, own = (_factorize_set(K, aset, ledger) if ahead is None
-                               else ahead.result())
+            fact, k_fp, own = (_factorize_set(K, blocks[i], aset, ledger,
+                                              bands[i % len(bands)])
+                               if ahead is None else ahead.result())
             if own is not ledger:       # factorized on the helper
                 ledger.events.extend(own.events)
             ahead = None
-            # a second band alive pays beside a level-3 solve only: with
-            # every set prefetched, p2-mechanism's 1-2 column sets took
-            # 16.1 -> 14.5 ms per evaluate but 84 -> 96 MB peak RSS, and
-            # p2-slender's 19.0 -> 15.8 ms but 98 -> 114 MB
-            if i + 1 < len(sets) and fact.n and _solve_by_blocks(
-                    fact.bandwidth, aset.cases):
+            if prefetch[i]:
                 # its events join the ledger in set order, stamped with the
                 # phase the caller is in now: the helper reads no phase
                 own = None if ledger is None else CostLedger(
                     _phase=ledger._phase)
-                ahead = helper.submit(_factorize_set, K, sets[i + 1], own)
+                ahead = helper.submit(_factorize_set, K, blocks[i + 1],
+                                      sets[i + 1], own, bands[(i + 1) % 2])
             states = _set_states(K, aset, fact, k_fp, ledger, want_reactions)
             stack = (None if adjoint_rhs is None
                      else solve_stack(fact, adjoint_rhs[i], ledger))
@@ -124,10 +130,9 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
             yield states, stack
 
 
-def _factorize_set(K, aset, ledger):
-    """Set ``aset``'s factorized free block, recorded into ``ledger``, its
-    free x prescribed block, and ``ledger``."""
-    return (factorize(principal(K, aset.free), ledger=ledger),
+def _factorize_set(K, block, aset, ledger, storage):
+    """``block`` factorized in ``storage``, ``aset``'s K_fp, ``ledger``."""
+    return (factorize(block, ledger=ledger, storage=storage),
             extract(K, aset.free, aset.prescribed), ledger)
 
 

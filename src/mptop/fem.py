@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .sparse import Pattern, SymmetricSparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
-RAW_CHUNK = 2048      # elements per pass of contract_dk_raw
+RAW_CHUNK = 2048      # elements per pass of contract_dk_raw, to 8 columns
 ELEMENT_CHUNK = 128   # elements per pass of the reduced-derivative contraction
 
 
@@ -254,9 +254,10 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
     column counts; when they are one object (a self-adjoint response), its
     element gathers are made once. Returns the gradient w.r.t. the *filtered*
     field; callers chain through the filter to reach the design variables.
-    The gathers are made :data:`RAW_CHUNK` elements at a time, all columns
-    at once. It serves both pipelines, the condensed one in the per-row
-    order of :func:`mptop.sensitivity._contract_reduced`. A self-adjoint
+    The gathers take all columns at once, :data:`RAW_CHUNK` elements at a
+    time up to 8 columns and RAW_CHUNK · 8 / q at q > 8 (no more bytes).
+    It serves both pipelines, the condensed one in the per-row order of
+    :func:`mptop.sensitivity._contract_reduced`. A self-adjoint
     contraction forms each element's Gram ``L_e L_e^T`` and reads it against
     ``k_e``; otherwise one einsum contraction order serves the whole call.
     """
@@ -270,8 +271,9 @@ def contract_dk_raw(grid: Grid, design: DesignField, left, right) -> np.ndarray:
         raise ValueError("left/right must be n x q with matching shapes")
     out = np.empty(grid.n_elems)
     path = None
-    for e0 in range(0, grid.n_elems, RAW_CHUNK):
-        dofs = grid.edof[e0:e0 + RAW_CHUNK]
+    chunk = RAW_CHUNK * 8 // max(L.shape[1], 8)
+    for e0 in range(0, grid.n_elems, chunk):
+        dofs = grid.edof[e0:e0 + chunk]
         Le = L[dofs]                                     # (chunk, k, q)
         if R is L:
             gram = Le @ Le.transpose(0, 2, 1)

@@ -3,8 +3,8 @@
 Work that depends on a matrix's structure only is done once per structure,
 George & Liu's analyse step: a :class:`Pattern` holds the CSR structure and
 keeps, built on first use, the map of every block extracted from it and
-the band layout of every block factorized. Per matrix, extraction is then
-one gather of values and filling the band one scatter.
+the band map of every principal block factorized. Per matrix, extraction
+is then one gather of values, and so is filling a band.
 
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
 Cholesky ``A = L L^T`` (LAPACK ``pbtrf``) in the matrix's own order. A
@@ -56,6 +56,10 @@ class SingularMatrixError(RuntimeError):
 
 class BandStorageError(MemoryError):
     """Raised when the banded-Cholesky storage of a matrix cannot be allocated."""
+
+    def __init__(self, n: int, bandwidth: int):
+        super().__init__(f"cannot allocate banded storage for n={n}, bandwidth "
+                         f"{bandwidth}: {(bandwidth + 1) * n * 8} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +219,12 @@ class Pattern:
     """The symbolic half of a sparse matrix: its CSR structure, and what
     follows from the structure alone, each built on first use and kept.
 
-    That is the half-bandwidth, the pattern of every block extracted and the
-    positions of its entries in this pattern's values (:meth:`block`), and
-    for a square pattern the slots of its banded Cholesky (:meth:`band`).
-    Values live beside it, one array aligned with ``indices`` per matrix,
-    so every matrix of one structure (every iteration's K of one grid)
-    shares one pattern and its maps.
+    That is the pattern of every block extracted and the positions of its
+    entries in this pattern's values (:meth:`block`), and for a square
+    pattern the band map of each principal block factorized
+    (:meth:`band`). Values live beside it, one array aligned with
+    ``indices`` per matrix, so every matrix of one structure (every
+    iteration's K of one grid) shares one pattern and its maps.
     """
 
     def __init__(self, indptr, indices, shape):
@@ -228,21 +232,8 @@ class Pattern:
         self.indptr = _index_array(indptr, bound)
         self.indices = _index_array(indices, bound)
         self.shape = (int(shape[0]), int(shape[1]))
-        self._bandwidth = None
         self._blocks = {}
-        self._band = None
-
-    def entry_rows(self) -> np.ndarray:
-        """Row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
-                         np.diff(self.indptr))
-
-    @property
-    def bandwidth(self) -> int:
-        if self._bandwidth is None:
-            self._bandwidth = int(np.abs(self.entry_rows() - self.indices)
-                                  .max(initial=0))
-        return self._bandwidth
+        self._bands = {}
 
     def block(self, rows: IndexSet, cols: IndexSet):
         """``(pattern, positions)`` of the block at ``rows`` x ``cols``: its
@@ -270,11 +261,11 @@ class Pattern:
         sub = Pattern(indptr, col[keep], (rows.size, cols.size))
         return sub, _index_array(pos[keep], len(self.indices))
 
-    def band(self) -> "Band":
-        """The banded-Cholesky layout of this (square) pattern."""
-        if self._band is None:
-            self._band = Band(self)
-        return self._band
+    def band(self, idx: IndexSet | None = None) -> "Band":
+        """The :class:`Band` of the principal block at ``idx`` (or all)."""
+        if idx not in self._bands:
+            self._bands[idx] = Band(self, idx)
+        return self._bands[idx]
 
 
 class SymmetricSparse:
@@ -284,8 +275,7 @@ class SymmetricSparse:
     The constructor checks external input and symmetrizes it numerically
     (averaging with the transpose), so that stored entries satisfy
     ``K[i, j] == K[j, i]`` exactly. Values symmetric by construction, an
-    assembled K or a principal block of one, are wrapped by :meth:`trusted`
-    on a pattern that is reused, without the check.
+    assembled K, are wrapped by :meth:`trusted` without the check.
     """
 
     def __init__(self, matrix):
@@ -317,10 +307,37 @@ class SymmetricSparse:
 
     @property
     def bandwidth(self) -> int:
-        return self.pattern.bandwidth
+        return self._band.bandwidth
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
+
+    @functools.cached_property
+    def _band(self) -> "Band":
+        return self.pattern.band()
+
+    def _band_values(self) -> np.ndarray:
+        # every value is checked: a trusted upper triangle may differ
+        return np.asarray_chkfinite(self.mat.data)
+
+
+class _Principal(SymmetricSparse):
+    """Principal block of ``K`` at ``idx``, factorized from ``K``'s values
+    and band map; its own ``pattern`` and ``mat`` are built if read."""
+
+    def __init__(self, K: SymmetricSparse, idx: IndexSet):
+        self.n, self._parent, self._idx = len(idx), K, idx
+        self._band = K.pattern.band(idx)
+
+    def __getattr__(self, name):
+        if name not in ("pattern", "mat"):
+            raise AttributeError(name)
+        sub, pos = self._parent.pattern._select(self._idx.ids, self._idx.ids)
+        self._wrap(sub, self._parent.mat.data[pos])
+        return getattr(self, name)
+
+    def _band_values(self) -> np.ndarray:
+        return self._parent.mat.data
 
 
 def extract(K: SymmetricSparse, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix:
@@ -333,12 +350,11 @@ def extract(K: SymmetricSparse, rows: IndexSet, cols: IndexSet) -> sp.csr_matrix
 
 
 def principal(K: SymmetricSparse, idx: IndexSet) -> SymmetricSparse:
-    """Principal block of ``K`` at ``idx``, on the block pattern that
-    ``K.pattern`` keeps, so the block's band layout is built only once."""
+    """Principal block of ``K`` at ``idx``; a factorization reads only the
+    band map ``K.pattern`` keeps for ``idx``, and ``K``'s values."""
     if idx.n != K.n:
         raise ValueError("index set sized for a different matrix dimension")
-    sub, pos = K.pattern.block(idx, idx)
-    return SymmetricSparse.trusted(sub, K.mat.data[pos])
+    return _Principal(K, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +525,48 @@ def _pbtrs(cb: np.ndarray, B: np.ndarray) -> None:
 
 
 class Band:
-    """Banded-Cholesky layout of a square symmetric pattern, in its own order.
+    """Banded-Cholesky layout of the principal block at ``idx`` (or all) of
+    a square symmetric pattern, in the block's own order.
 
-    ``bandwidth`` is the half-bandwidth stored, the pattern's own. ``slots``
+    ``bandwidth`` is the half-bandwidth stored, the block's own. ``slots``
     are the flat positions, in LAPACK's lower storage
     ``ab[i - j, j] = A[i, j]`` (i >= j) laid out column-major as LAPACK
-    reads it, i.e. ``i + j * k``, of the lower entries, whose positions
-    among the pattern's values are ``lower``.
+    reads it, i.e. ``i + j * k``, of the block's lower entries, whose
+    positions among the pattern's values are ``lower``.
     """
 
-    def __init__(self, pattern: Pattern):
-        n = self.n = pattern.shape[0]
-        k = self.bandwidth = pattern.bandwidth
-        row, col = pattern.entry_rows(), pattern.indices
-        lower = np.flatnonzero(row >= col)
+    def __init__(self, pattern: Pattern, idx: IndexSet | None = None):
+        ids = np.arange(pattern.shape[0]) if idx is None else idx.ids
+        where = np.full(pattern.shape[0], -1, dtype=np.int64)
+        where[ids] = np.arange(ids.size)
+        row = np.repeat(where, np.diff(pattern.indptr))
+        col = where[pattern.indices]
+        lower = np.flatnonzero((col >= 0) & (row >= col))
+        row, col = row[lower], col[lower]
+        n = self.n = ids.size
+        k = self.bandwidth = int((row - col).max(initial=0))
         self.lower = _index_array(lower, len(pattern.indices))
-        self.slots = _index_array(
-            row[lower] + col[lower].astype(np.int64) * k, (k + 1) * n)
+        self.slots = _index_array(row + col * k, (k + 1) * n)
 
-    def fill(self, data: np.ndarray) -> np.ndarray:
-        """The (k + 1) x n banded array of the matrix with values ``data``,
-        Fortran-ordered, so LAPACK factors it in place; zero off the
-        matrix's entries, also past its last row."""
-        ab = np.zeros((self.bandwidth + 1) * self.n)
-        ab[self.slots] = data[self.lower]
+    def fill(self, data: np.ndarray, out: np.ndarray | None = None):
+        """The block's (k + 1) x n band, in ``out``'s head or a new array,
+        Fortran-ordered for LAPACK, zero off the block's entries (also past
+        its last row), gathered from the pattern's values ``data``, which
+        are checked for infs and NaNs there."""
+        size = (self.bandwidth + 1) * self.n
+        ab = np.empty(size) if out is None else out[:size]
+        ab[:] = 0.0
+        ab[self.slots] = np.asarray_chkfinite(data[self.lower])
         return ab.reshape((self.bandwidth + 1, self.n), order="F")
+
+
+def band_storage(blocks) -> np.ndarray:
+    """A buffer, as :func:`factorize`'s ``storage``, for any of ``blocks``."""
+    big = max(blocks, key=lambda K: (K.bandwidth + 1) * K.n)
+    try:
+        return np.empty((big.bandwidth + 1) * big.n)
+    except MemoryError as exc:
+        raise BandStorageError(big.n, big.bandwidth) from exc
 
 
 class _Solver:
@@ -582,25 +615,25 @@ class Factorization(_Solver):
     """Reusable handle for solving against one sparse SPD matrix.
 
     The matrix is factorized exactly once at construction; any number of
-    right-hand sides can then be solved without re-factorizing. Instances are
-    immutable and safe to share. ``bandwidth`` is the half-bandwidth
+    right-hand sides can then be solved without re-factorizing. A handle in
+    its own band is immutable and safe to share, one in a lent ``storage``
+    only until that is refilled. ``bandwidth`` is the half-bandwidth
     stored and factorized, :class:`Band`'s (None for an empty block).
     """
 
     matrix = "sparse"
 
-    def __init__(self, K: SymmetricSparse, *, ledger: CostLedger | None = None):
+    def __init__(self, K: SymmetricSparse, *, ledger: CostLedger | None = None,
+                 storage: np.ndarray | None = None):
+        self._storage = storage
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
-        band = K.pattern.band()
-        kbw = band.bandwidth
+        kbw = K.bandwidth
         try:
-            ab = band.fill(np.asarray_chkfinite(K.mat.data))
+            ab = K._band.fill(K._band_values(), self._storage)
         except MemoryError as exc:
-            raise BandStorageError(
-                f"cannot allocate banded storage for n={K.n}, bandwidth "
-                f"{kbw}: {(kbw + 1) * K.n * 8} bytes") from exc
+            raise BandStorageError(K.n, kbw) from exc
         info = _pbtrf(ab)
         if info:
             raise SingularMatrixError(
@@ -672,9 +705,9 @@ def _solve_band_blocks(cb: np.ndarray, buf: np.ndarray) -> None:
         _dtrsm(_R, _L, _N, _N, pq, sizes[i][0], _ONE, d, pk, z, pq)
 
 
-def factorize(K: SymmetricSparse, *,
-              ledger: CostLedger | None = None) -> Factorization:
-    return Factorization(K, ledger=ledger)
+def factorize(K: SymmetricSparse, *, ledger: CostLedger | None = None,
+              storage: np.ndarray | None = None) -> Factorization:
+    return Factorization(K, ledger=ledger, storage=storage)
 
 
 class DenseCholesky(_Solver):

@@ -229,6 +229,33 @@ class TestDkContract:
                 contract_dk_raw(grid, design, field, field.copy()),
                 rtol=1e-14, atol=0.0)
 
+    def test_chunk_shrinks_with_the_columns(self, monkeypatch):
+        # at 32 columns a chunk is RAW_CHUNK / 4 elements: one call's
+        # transient stays under four of its gathers (it was three gathers of
+        # a RAW_CHUNK chunk), and each element's sum is the one a
+        # RAW_CHUNK-element chunk gives, bit for bit
+        import tracemalloc
+
+        import mptop.fem
+        grid = Grid(64, 64)
+        rng = np.random.default_rng(10)
+        design = make_design(grid, rng.uniform(0.3, 0.9, grid.n_elems))
+        L, R = rng.normal(size=(2, grid.n_dofs, 32))
+        gather = 8 * (mptop.fem.RAW_CHUNK // 4) * grid.edof.size // \
+            grid.n_elems * 32
+        for right in (R, L):        # two operands, then self-adjoint
+            tracemalloc.start()
+            try:
+                got = contract_dk_raw(grid, design, L, right)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * gather
+            with monkeypatch.context() as m:
+                m.setattr(mptop.fem, "RAW_CHUNK", 4 * mptop.fem.RAW_CHUNK)
+                ref = contract_dk_raw(grid, design, L, right)
+            assert got.tobytes() == ref.tobytes()
+
     def test_zero_left(self):
         grid = Grid(2, 2)
         design = make_design(grid, np.full(4, 0.6))

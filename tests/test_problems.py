@@ -3,7 +3,7 @@ import gc
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,13 +11,24 @@ import pytest
 
 import mptop.analysis
 from helpers import collect_elementary, jbar8
-from mptop.fem import assemble
+from mptop.analysis import solve_elementary
+from mptop.fem import DesignField, Filter, Grid, assemble
+from mptop.partitions import AnalysisSet
 from mptop.problems import build_problem1, build_problem2, evaluate
 from mptop.sensitivity import fd_verify
-from mptop.sparse import (CostLedger, SingularMatrixError, SymmetricSparse,
-                          principal)
+from mptop.sparse import (BandStorageError, CostLedger, IndexSet,
+                          SingularMatrixError, SymmetricSparse, principal)
 
 JBAR = np.array([[0.5, 2.0], [1.0, -1.0]])
+
+
+class InlineExecutor(ThreadPoolExecutor):
+    """An executor that runs each job on the calling thread at submit."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 class TestBuildProblem1:
@@ -427,20 +438,27 @@ class TestElementaryStreaming:
         # helper while the calling thread solves set 1, and evaluate raises
         # once the helper is joined
         p = build_problem1(30, 30, m=14, seed=4)
-        honest = mptop.analysis.principal
-        calls = []
+        honest_principal = mptop.analysis.principal
+        honest = mptop.analysis.factorize
+        blocks, threads = [], []
 
         def negated_third(K, idx):
-            block = honest(K, idx)
-            calls.append(idx)
-            if len(calls) == 3:
-                return SymmetricSparse.trusted(block.pattern, -block.mat.data)
-            return block
+            blocks.append(idx)
+            if len(blocks) == 3:
+                K = SymmetricSparse.trusted(K.pattern, -K.mat.data)
+            return honest_principal(K, idx)
+
+        def recording(K, **kwargs):
+            threads.append(threading.current_thread().name)
+            return honest(K, **kwargs)
 
         monkeypatch.setattr(mptop.analysis, "principal", negated_third)
+        monkeypatch.setattr(mptop.analysis, "factorize", recording)
         with pytest.raises(SingularMatrixError):
             evaluate(p, p.x0, pipeline="elementary")
-        assert len(calls) == 3
+        assert len(blocks) == len(p.sets)
+        assert len(threads) == 3
+        assert threads[2].startswith("mptop-elementary")
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("mptop-elementary")]
 
@@ -512,6 +530,108 @@ class TestElementaryStreaming:
         assert phases.count(("solve", "adjoint")) == len(p.sets)
         assert [ph for op, ph in phases if op == "factorize"] == \
             ["response"] * len(p.sets)
+
+    @staticmethod
+    def _varied_sets():
+        """A conduction K and two sets whose free blocks differ in n and in
+        bandwidth: a corner prescribed, and every third DOF. Each set has 16
+        cases, so its solve runs at level 3 and the next set factorizes on
+        the helper."""
+        grid = Grid(40, 40)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.3, 1.0, grid.n_elems)
+        K = assemble(grid, DesignField(grid, x, Filter(grid, 1.5)))
+        sets = [AnalysisSet(K.n, IndexSet(ids, K.n), IndexSet([], K.n),
+                            rng.normal(size=(len(ids), 16)))
+                for ids in (np.arange(4), np.arange(0, K.n, 3))]
+        return K, sets
+
+    @pytest.mark.parametrize("order", [(0, 1, 0), (1, 0, 1)],
+                             ids=["wide-narrow-wide", "narrow-wide-narrow"])
+    @pytest.mark.parametrize("executor", [ThreadPoolExecutor, InlineExecutor],
+                             ids=["helper", "inline"])
+    def test_stream_bands_match_fresh_factorizations(self, monkeypatch,
+                                                     order, executor):
+        # the stream refills its two buffers set after set, at whatever size
+        # each set takes; every set's states and adjoints are those of a
+        # factorization in a band of its own, bit for bit
+        K, varied = self._varied_sets()
+        wide, narrow = (principal(K, s.free) for s in varied)
+        assert wide.n > narrow.n and wide.bandwidth > narrow.bandwidth
+        sets = [varied[j] for j in order]
+        rng = np.random.default_rng(6)
+        stacks = [rng.normal(size=(1, len(s.free), s.cases)) for s in sets]
+        honest = mptop.analysis.factorize
+        buffers = []
+
+        def in_buffer(K, **kwargs):
+            buffers.append(kwargs["storage"])
+            return honest(K, **kwargs)
+
+        def fresh(K, ledger=None, storage=None):
+            return honest(K, ledger=ledger)
+
+        monkeypatch.setattr(mptop.analysis, "ThreadPoolExecutor", executor)
+        solved = {}
+        for name, factorize in (("stream", in_buffer), ("fresh", fresh)):
+            monkeypatch.setattr(mptop.analysis, "factorize", factorize)
+            solved[name] = list(solve_elementary(K, sets, stacks))
+        assert len(buffers) == 3 and len({id(b) for b in buffers}) == 2
+        for (states, stack), (ref, ref_stack) in zip(*solved.values()):
+            assert states.u_full.tobytes() == ref.u_full.tobytes()
+            assert stack.tobytes() == ref_stack.tobytes()
+
+    @pytest.mark.parametrize("build, count", [
+        (lambda: build_problem1(30, 30, m=14, seed=4), 2),
+        (lambda: build_problem2(6, 6, 2, JBAR), 1),
+    ], ids=["problem1", "problem2"])
+    def test_band_buffers_per_stream(self, monkeypatch, build, count):
+        # every set factorizes into one of the stream's buffers: two when
+        # sets factorize on the helper, one when all factorize on the
+        # calling thread (problem 2's few-column sets)
+        p = build()
+        honest = mptop.analysis.factorize
+        buffers = []
+
+        def recording(K, **kwargs):
+            buffers.append(kwargs["storage"])
+            return honest(K, **kwargs)
+
+        monkeypatch.setattr(mptop.analysis, "factorize", recording)
+        evaluate(p, p.x0, pipeline="elementary")
+        assert len(buffers) == len(p.sets)
+        assert len({id(b) for b in buffers}) == count
+
+    def test_band_buffer_failure_is_named(self, monkeypatch):
+        # the stream's second buffer cannot be allocated: evaluate raises a
+        # BandStorageError that names the largest band, and no helper is
+        # left running
+        p = build_problem1(30, 30, m=14, seed=4)
+        K = assemble(p.grid, p.design(p.x0))
+        big = max((principal(K, s.free) for s in p.sets),
+                  key=lambda b: (b.bandwidth + 1) * b.n)
+        size = (big.bandwidth + 1) * big.n
+        honest, made = np.empty, []
+
+        def failing_second(shape, *args, **kwargs):
+            if shape == size:
+                made.append(shape)
+                if len(made) == 2:
+                    raise MemoryError
+            return honest(shape, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", failing_second)
+            with pytest.raises(BandStorageError) as err:
+                evaluate(p, p.x0, pipeline="elementary")
+        assert len(made) == 2
+        assert isinstance(err.value, MemoryError)
+        msg = str(err.value)
+        assert f"n={big.n}" in msg
+        assert f"bandwidth {big.bandwidth}" in msg
+        assert f"{size * 8} bytes" in msg
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("mptop-elementary")]
 
     # the condensed pipeline's per-set events are its dense ones, after the
     # one sparse factorization and solve of the condensation
@@ -602,8 +722,8 @@ class TestElementaryStreaming:
         states = max(8 * (len(s.free) + grid.n_dofs) * s.cases
                      for s in p.sets)
         kept = sum(8 * p.plan.m * s.cases for s in p.sets)
-        band = max(8 * (principal(K, s.free).pattern.band().bandwidth + 1)
-                   * len(s.free) for s in p.sets)
+        band = max(8 * (principal(K, s.free).bandwidth + 1) * len(s.free)
+                   for s in p.sets)
         # the gradient of one set: its full-length adjoint and the three
         # (elements, element DOFs, cases) gathers of contract_dk_raw
         cases = max(s.cases for s in p.sets)

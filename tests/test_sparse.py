@@ -167,12 +167,33 @@ class TestBlockMaps:
         K2 = assemble(grid, DesignField(grid, np.full(12, 0.9), flt))
         assert K1.pattern is K2.pattern
         idx = IndexSet(np.arange(5, K1.n), K1.n)
-        first = K1.pattern.block(idx, idx)
+        cols = IndexSet(np.arange(5), K1.n)
+        first = K1.pattern.block(idx, cols)
         again = IndexSet(idx.ids.copy(), K1.n)     # equal, not identical
-        assert K2.pattern.block(again, again) is first
-        assert principal(K2, again).pattern is first[0]
-        np.testing.assert_array_equal(principal(K2, idx).toarray(),
+        assert K2.pattern.block(again, cols) is first
+        # a principal block keeps its band map in the parent's pattern; its
+        # CSR, read here, is the block's own
+        band = K1.pattern.band(idx)
+        assert K2.pattern.band(again) is band
+        np.testing.assert_array_equal(principal(K2, again).toarray(),
                                       K2.toarray()[5:, 5:])
+        assert K2.pattern.band(idx) is band
+        assert (idx, idx) not in K2.pattern._blocks
+
+    def test_pattern_keeps_band_maps_only(self):
+        # after an elementary run, the pattern keeps one band map per free
+        # set, at most 8 bytes per lower entry, and no principal block's CSR
+        p = build_problem1(30, 30, m=14, seed=4)
+        optimize(p, pipeline="elementary", max_iters=2)
+        pattern = assemble(p.grid, p.design(p.x0)).pattern
+        frees = {aset.free for aset in p.sets}
+        assert set(pattern._bands) == frees
+        for idx, band in pattern._bands.items():
+            kept = [a.nbytes for a in vars(band).values()
+                    if isinstance(a, np.ndarray)]
+            assert len(kept) == 2 and sum(kept) <= 8 * band.lower.size
+            assert band.n == len(idx)
+            assert (idx, idx) not in pattern._blocks
 
     @pytest.mark.parametrize("nelx, nely, narrow", [(40, 40, False),
                                                     (5, 60, True)])
@@ -202,9 +223,9 @@ class TestBlockMaps:
         calls = []
 
         class CountingBand(mptop.sparse.Band):
-            def __init__(self, pattern):
-                calls.append(pattern.shape[0])
-                super().__init__(pattern)
+            def __init__(self, pattern, idx=None):
+                calls.append(idx)
+                super().__init__(pattern, idx)
         monkeypatch.setattr(mptop.sparse, "Band", CountingBand)
         p = build_problem2(4, 30, 2, [[0.5, 2.0], [1.0, -1.0]])
         res = optimize(p, pipeline=pipeline, max_iters=3, tol=0.0,
