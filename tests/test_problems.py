@@ -608,9 +608,9 @@ class TestElementaryStreaming:
         # left running
         p = build_problem1(30, 30, m=14, seed=4)
         K = assemble(p.grid, p.design(p.x0))
-        big = max((principal(K, s.free) for s in p.sets),
-                  key=lambda b: (b.bandwidth + 1) * b.n)
-        size = (big.bandwidth + 1) * big.n
+        big = max((K.pattern.band(s.free) for s in p.sets),
+                  key=lambda b: b.size)
+        size = big.size
         honest, made = np.empty, []
 
         def failing_second(shape, *args, **kwargs):
