@@ -34,7 +34,7 @@ from .sparse import Pattern, SymmetricSparse
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 RAW_CHUNK = 2048      # elements per pass of contract_dk_raw, to 8 columns
-ELEMENT_CHUNK = 128   # elements per pass of the reduced-derivative contraction
+ELEMENT_CHUNK = 512   # elements per pass of the reduced-derivative contraction
 
 
 def _quad_points(order: int):

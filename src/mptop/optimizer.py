@@ -2,15 +2,13 @@
 
 The update solves the separable convex subproblem through its dual. Given
 the multipliers, the primal minimizer has a closed form per variable; the
-multipliers maximize the concave dual on [0, penalty]^h. Each sweep of the
-dual solve is a coordinate pass, which finds every multiplier in turn by
-bracketed false position and so copes with the near-kinks where a variable
-jumps between its move limits, followed by one projected Newton step on the
-interior multipliers (Bertsekas, 1982), which resolves the coupling that
-stalls plain cyclic coordinate ascent when constraint gradients are nearly
-parallel. The solve runs to a projected dual gradient of 1e-12 relative to
-its terms; one that cannot get there raises MMADualError instead of
-returning an inexact design.
+multipliers maximize the concave dual on [0, penalty]^h. From the last
+step's multipliers, each iteration searches exactly, by bracketed false
+position, toward the maximizer in the box of a local model: the projected
+Newton quadratic (Bertsekas, 1982), or the linear dual where every variable
+sits at a move limit. A coordinate pass is the fallback. The solve runs to
+a projected dual gradient of 1e-12 relative to its terms; one that cannot
+get there raises MMADualError instead of returning an inexact design.
 
 A small deadband on the oscillation indicator keeps the asymptote update
 deterministic when two mathematically equivalent pipelines feed the
@@ -31,7 +29,7 @@ X_MIN = 1e-3   # lower bound of every design variable in optimize
 
 
 class MMADualError(RuntimeError):
-    """The MMA subproblem dual did not converge within its sweep cap."""
+    """The MMA subproblem dual did not converge within its iteration cap."""
 
 
 class MMA:
@@ -51,7 +49,8 @@ class MMA:
     penalty = 1000.0
     # the dual solve stops when every component of the projected dual
     # gradient is below dual_tol times the magnitude of its terms, and
-    # raises MMADualError after max_sweeps coordinate passes
+    # raises MMADualError after max_sweeps iterations (line searches and
+    # coordinate passes together)
     dual_tol = 1e-12
     max_sweeps = 100
 
@@ -65,10 +64,12 @@ class MMA:
         self.upp = None
         self.xold1 = None
         self.xold2 = None
-        # health of the last dual solve: passes, Newton steps, residual
+        # health of the last dual solve: passes, line searches, residual
         self.dual_sweeps = 0
         self.dual_newton = 0
         self.dual_residual = 0.0
+        # the last solve's multipliers, where the next one starts
+        self.multipliers = np.zeros(n_cons)
 
     def step(self, x, g0, dg0, g=None, dg=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -76,8 +77,11 @@ class MMA:
         if self.h:
             g = np.asarray(g, dtype=float).reshape(self.h)
             dg = np.asarray(dg, dtype=float).reshape(self.h, self.n)
-        if not np.all(np.isfinite(dg0)) or (self.h and not np.all(np.isfinite(dg))):
-            raise ValueError("non-finite gradients passed to the optimizer")
+        if not np.all(np.isfinite(dg0)) or (
+                self.h and not (np.all(np.isfinite(g))
+                                and np.all(np.isfinite(dg)))):
+            raise ValueError("non-finite constraints or gradients passed to "
+                             "the optimizer")
         self.iteration += 1
         rng_span = self.upper - self.lower
 
@@ -105,159 +109,153 @@ class MMA:
         beta = np.minimum.reduce([self.upper, self.upp - 0.1 * (self.upp - x),
                                   x + self.move * rng_span])
 
-        du = self.upp - x
-        dl = x - self.low
+        du, dl = self.upp - x, x - self.low
         base = self.raa0 / np.maximum(rng_span, 1e-12)
-        p0 = du ** 2 * (1.001 * np.maximum(dg0, 0.0)
-                        + 0.001 * np.maximum(-dg0, 0.0) + base)
-        q0 = dl ** 2 * (0.001 * np.maximum(dg0, 0.0)
-                        + 1.001 * np.maximum(-dg0, 0.0) + base)
+
+        def pq(d):
+            pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
+            return (du ** 2 * (1.001 * pos + 0.001 * neg + base),
+                    dl ** 2 * (0.001 * pos + 1.001 * neg + base))
+
+        p0, q0 = pq(dg0)
         if not self.h:
             return self._primal(p0, q0, alpha, beta)
-        P = du ** 2 * (1.001 * np.maximum(dg, 0.0)
-                       + 0.001 * np.maximum(-dg, 0.0) + base)
-        Q = dl ** 2 * (0.001 * np.maximum(dg, 0.0)
-                       + 1.001 * np.maximum(-dg, 0.0) + base)
+        P, Q = pq(dg)
         b = P @ (1.0 / du) + Q @ (1.0 / dl) - g
-        x_new, self.dual_sweeps, self.dual_newton, self.dual_residual = \
-            self._solve_dual(p0, q0, P, Q, b, alpha, beta)
-        return x_new
+        return self._solve_dual(p0, q0, P, Q, b, alpha, beta)
 
     def _primal(self, pl, ql, alpha, beta):
         """Closed-form subproblem minimizer for the folded terms pl, ql."""
-        sp = np.sqrt(pl)
-        sq = np.sqrt(ql)
+        sp, sq = np.sqrt(pl), np.sqrt(ql)
         return np.clip((self.low * sp + self.upp * sq) / (sp + sq),
                        alpha, beta)
 
     def _solve_dual(self, p0, q0, P, Q, b, alpha, beta):
         """Subproblem minimizer through the concave dual on [0, penalty]^h.
 
-        Alternates a coordinate pass (bracketed false position on each
-        monotone dual-gradient component) with one projected Newton step on
-        the interior multipliers. Returns (x, sweeps, Newton steps,
-        residual); raises MMADualError when ``max_sweeps`` passes leave the
-        scaled projected gradient above ``dual_tol``.
+        From the last step's multipliers, each iteration searches exactly
+        toward the local model's maximizer (:meth:`_target`), or makes a
+        coordinate pass if there is none or the search finds no step.
+        Returns x and records the solve's health; raises MMADualError when
+        ``max_sweeps`` iterations leave the residual above ``dual_tol``.
         """
         low, upp, cap = self.low, self.upp, self.penalty
 
         def measure(lam):
-            pl = p0 + lam @ P
-            ql = q0 + lam @ Q
+            pl, ql = p0 + lam @ P, q0 + lam @ Q
             x = self._primal(pl, ql, alpha, beta)
-            ui = 1.0 / (upp - x)
-            li = 1.0 / (x - low)
+            ui, li = 1.0 / (upp - x), 1.0 / (x - low)
             terms = P @ ui + Q @ li
             grad = terms - b
-            value = pl @ ui + ql @ li - lam @ b
             proj = np.abs(lam - np.clip(lam + grad, 0.0, cap))
             res = float((proj / (terms + np.abs(b))).max())
             return dict(lam=lam, x=x, pl=pl, ql=ql, ui=ui, li=li,
-                        grad=grad, value=value, res=res)
+                        grad=grad, res=res)
 
-        lam = np.zeros(self.h)
-        newton = 0
-        for sweep in range(1, self.max_sweeps + 1):
-            pl = p0 + lam @ P
-            ql = q0 + lam @ Q
-            for i in range(self.h):
-                new = self._coordinate(lam[i], pl, ql, P[i], Q[i], b[i],
-                                       alpha, beta)
-                pl += (new - lam[i]) * P[i]
-                ql += (new - lam[i]) * Q[i]
-                lam[i] = new
-            cur = measure(lam)
-            point = None
-            if cur["res"] > self.dual_tol:
-                point = self._newton(cur, P, Q, alpha, beta)
-            if point is not None:
-                trial = measure(point)
-                if trial["value"] > cur["value"] or trial["res"] < cur["res"]:
-                    cur = trial
-                    newton += 1
-            if cur["res"] <= self.dual_tol:
-                return cur["x"], sweep, newton, cur["res"]
+        cur = measure(np.clip(self.multipliers, 0.0, cap))
+        sweeps = newton = 0
+        while cur["res"] > self.dual_tol:
+            if sweeps + newton >= self.max_sweeps:
+                raise MMADualError(
+                    f"MMA dual did not converge at iteration "
+                    f"{self.iteration}: h={self.h}, projected-gradient "
+                    f"residual {cur['res']:.3e} after {self.max_sweeps} sweeps")
             lam = cur["lam"].copy()
-        raise MMADualError(
-            f"MMA dual did not converge at iteration {self.iteration}: "
-            f"h={self.h}, projected-gradient residual {cur['res']:.3e} "
-            f"after {self.max_sweeps} sweeps")
+            new = self._target(cur, P, Q, alpha, beta)
+            t = 0.0
+            if new is not None:
+                newton += 1
+                d = new - lam
+                t = self._search(cur["pl"], cur["ql"], d @ P, d @ Q, d @ b,
+                                 alpha, beta)
+                lam = new if t == 1.0 else np.clip(lam + t * d, 0.0, cap)
+            if t == 0.0:
+                sweeps += 1
+                pl, ql = cur["pl"].copy(), cur["ql"].copy()
+                for i in range(self.h):
+                    for end in (cap, 0.0):
+                        s = end - lam[i]
+                        t = self._search(pl, ql, s * P[i], s * Q[i], s * b[i],
+                                         alpha, beta)
+                        if t > 0.0:
+                            pl += t * s * P[i]
+                            ql += t * s * Q[i]
+                            lam[i] = end if t == 1.0 else lam[i] + t * s
+                            break
+            cur = measure(lam)
+        self.multipliers, self.dual_residual = cur["lam"], cur["res"]
+        self.dual_sweeps, self.dual_newton = sweeps, newton
+        return cur["x"]
 
-    def _newton(self, cur, P, Q, alpha, beta):
-        """Projected Newton trial point from ``cur``, or None.
+    def _target(self, cur, P, Q, alpha, beta):
+        """Maximizer in the box of the dual's local model at ``cur``, or None.
 
-        Newton ascent on the interior multipliers of the local quadratic
-        model. While the step leaves [0, penalty], the multiplier that
-        leaves first is fixed at its bound and the step is re-solved for
-        the rest.
+        Where every variable sits at a move limit the model is the linear
+        dual, maximized at a vertex. Otherwise multipliers at a bound whose
+        gradient points out stay; the rest maximize the Newton quadratic by
+        active set: a Newton step, cut where one meets a bound, which stays
+        fixed there until its model gradient points back in.
         """
-        lam = cur["lam"]
+        lam, grad, cap = cur["lam"], cur["grad"], self.penalty
         fx = (cur["x"] > alpha) & (cur["x"] < beta)
-        free = (lam > 0.0) & (lam < self.penalty)
         if not fx.any():
-            return None
+            return np.where(grad > 0.0, cap, 0.0)
+        move = ~(((lam <= 0.0) & (grad <= 0.0))
+                 | ((lam >= cap) & (grad >= 0.0)))
         ui, li = cur["ui"][fx], cur["li"][fx]
-        jac = P[:, fx] * ui ** 2 - Q[:, fx] * li ** 2
+        jac = P[move][:, fx] * ui ** 2 - Q[move][:, fx] * li ** 2
         curv = 2.0 * (cur["pl"][fx] * ui ** 3 + cur["ql"][fx] * li ** 3)
         hess = (jac / curv) @ jac.T
-        new = lam.copy()
-        while free.any():
-            fixed = ~free
-            rhs = cur["grad"][free] - hess[free][:, fixed] @ (new - lam)[fixed]
+        y, slope, fixed = lam[move], grad[move], np.zeros(move.sum(), bool)
+        for _ in range(4 * self.h):
+            step = np.zeros(y.size)
             try:
-                new[free] = lam[free] + np.linalg.solve(
-                    hess[free][:, free], rhs)
+                step[~fixed] = np.linalg.solve(
+                    hess[np.ix_(~fixed, ~fixed)], slope[~fixed])
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(np.isfinite(new)):
-                return None
-            out = free & ((new < 0.0) | (new > self.penalty))
-            if not out.any():
-                return new
-            # fix the multiplier whose step leaves the box first
-            idx = np.flatnonzero(out)
-            bound = np.clip(new[idx], 0.0, self.penalty)
-            k = np.argmin((bound - lam[idx]) / (new[idx] - lam[idx]))
-            new[idx[k]] = bound[k]
-            free[idx[k]] = False
+            bound = np.where(step > 0.0, cap, 0.0)
+            nz = np.flatnonzero(step)
+            ratio = (bound[nz] - y[nz]) / step[nz]
+            cut = min(1.0, ratio.min(initial=np.inf))
+            y, slope = y + cut * step, slope - cut * (hess @ step)
+            if cut < 1.0:
+                k = nz[np.argmin(ratio)]
+                y[k], fixed[k] = bound[k], True
+                continue
+            back = fixed & (((y <= 0.0) & (slope > 0.0))
+                            | ((y >= cap) & (slope < 0.0)))
+            if not back.any():
+                new = lam.copy()
+                new[move] = np.clip(y, 0.0, cap)
+                return new if np.all(np.isfinite(new)) else None
+            fixed[np.flatnonzero(back)[np.argmax(np.abs(slope[back]))]] = False
         return None
 
-    def _coordinate(self, t0, pl, ql, Pi, Qi, bi, alpha, beta):
-        """Root in [0, penalty] of one dual-gradient component.
+    def _search(self, pl, ql, dP, dQ, db, alpha, beta):
+        """Step in [0, 1] that maximizes the dual along a direction.
 
-        The component (terms ``Pi``, ``Qi``, ``bi``) decreases in its own
-        multiplier, now ``t0``; the other multipliers stay as folded into
-        ``pl``/``ql``. Illinois false position on the bracket, each
-        evaluation O(n).
+        ``pl``/``ql`` fold in the multipliers, ``dP``, ``dQ``, ``db`` the
+        direction. The derivative along it decreases: 1 while it is >= 0
+        there, 0 if it is <= 0 at the start, else its root by Illinois
+        false position, each evaluation O(n).
         """
-        low, upp = self.low, self.upp
-        tol = 0.25 * self.dual_tol
+        low, upp, tol = self.low, self.upp, 0.25 * self.dual_tol
+        aP, aQ = np.abs(dP), np.abs(dQ)
 
         def f(t):
-            x = self._primal(pl + (t - t0) * Pi, ql + (t - t0) * Qi,
-                             alpha, beta)
-            terms = Pi @ (1.0 / (upp - x)) + Qi @ (1.0 / (x - low))
-            return terms - bi, tol * (terms + abs(bi))
+            x = self._primal(pl + t * dP, ql + t * dQ, alpha, beta)
+            ui, li = 1.0 / (upp - x), 1.0 / (x - low)
+            return (dP @ ui + dQ @ li - db,
+                    tol * (aP @ ui + aQ @ li + abs(db)))
 
-        f0, eps = f(t0)
-        if abs(f0) <= eps:
-            return t0
-        if f0 > 0.0:
-            if t0 >= self.penalty:
-                return t0
-            a, fa = t0, f0
-            c = self.penalty
-            fc, eps = f(c)
-            if fc >= 0.0:
-                return c
-        else:
-            if t0 <= 0.0:
-                return t0
-            c, fc = t0, f0
-            a = 0.0
-            fa, eps = f(a)
-            if fa <= 0.0:
-                return a
+        a, c = 0.0, 1.0
+        fa, eps = f(a)
+        if fa <= eps:
+            return 0.0
+        fc, eps = f(c)
+        if fc >= 0.0:
+            return 1.0
         # Illinois: an end kept twice in a row has its value halved, so the
         # secant cannot stall against it
         side = 0

@@ -196,8 +196,11 @@ class TestRun:
         assert rows[0] == ["iteration", "seconds", "dual_sweeps",
                            "dual_newton", "dual_residual"]
         assert len(rows) == 3
+        # the first solve starts from zero multipliers and must move them;
+        # a warm-started one may already be converged
+        assert int(rows[1][2]) + int(rows[1][3]) >= 1
         for row in rows[1:]:
-            assert int(row[2]) >= 1
+            assert int(row[2]) >= 0 and int(row[3]) >= 0
             assert 0.0 <= float(row[4]) <= 1e-12
 
     def test_pgm_format_and_conventions(self, tmp_path):

@@ -1,9 +1,11 @@
 """Moving-asymptote update and the outer optimization loop."""
+import copy
+
 import numpy as np
 import pytest
 
 from mptop.optimizer import MMA, MMADualError, optimize
-from mptop.problems import build_problem1, build_problem2
+from mptop.problems import build_problem1, build_problem2, evaluate
 
 
 def _subproblem(mma, x, dg0, g, dg):
@@ -104,6 +106,59 @@ class TestMMA:
         with pytest.raises(ValueError):
             mma.step(np.array([0.5, 0.5]), 1.0, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_constraint(self, bad):
+        mma = MMA(2, 2, lower=0.0, upper=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            mma.step(np.array([0.5, 0.5]), 1.0, np.array([1.0, -1.0]),
+                     np.array([bad, 0.1]), np.eye(2))
+
+
+# a fixed 8-input mechanism target: magnitudes 0.52 to 1.97, mixed signs
+JBAR8 = [
+    [-1.79, 1.39, -0.83, 0.57, -1.15, 1.93, -0.66, 1.21],
+    [1.08, -0.52, 1.67, -1.44, 0.91, -1.26, 0.74, -1.88],
+    [-0.61, 1.52, 1.13, -0.98, -1.71, 0.86, 1.35, -0.55],
+    [1.97, -1.05, -0.69, 1.41, 0.63, -1.59, -1.22, 0.95],
+    [-1.31, 0.78, 1.84, 0.54, -0.88, -1.47, 1.06, -1.63],
+    [0.72, -1.91, 0.58, -1.17, 1.76, 1.02, -0.81, 1.45],
+    [-1.03, 1.28, -1.74, 0.89, 1.19, -0.67, 1.58, -0.93],
+    [1.54, -0.76, 0.97, -1.86, -1.38, 0.61, -1.11, 1.69],
+]
+
+
+def _assert_kkt(mma, x, dg0, g, dg, x_new):
+    """KKT conditions of ``mma``'s last subproblem at its answer ``x_new``.
+
+    The multipliers are recovered from stationarity in the interior
+    variables, not read from the solver. A multiplier at the elastic cap
+    ``penalty`` may leave its constraint violated; every other one meets
+    feasibility and complementarity.
+    """
+    assert mma.dual_residual <= MMA.dual_tol
+    sub = _subproblem(mma, x, dg0, g, dg)
+    ui = 1.0 / (mma.upp - x_new)
+    li = 1.0 / (x_new - mma.low)
+    terms = sub["P"] @ ui + sub["Q"] @ li
+    gt = terms - sub["b"]
+    scale = terms + np.abs(sub["b"])
+    free = (x_new > sub["alpha"]) & (x_new < sub["beta"])
+    assert free.sum() > g.size
+    d0 = sub["p0"] * ui ** 2 - sub["q0"] * li ** 2
+    D = sub["P"] * ui ** 2 - sub["Q"] * li ** 2
+    w = 1.0 / np.abs(d0[free])
+    lam = np.linalg.lstsq((D[:, free] * w).T, -d0[free] * w,
+                          rcond=None)[0]
+    stationarity = (d0 + lam @ D)[free] * w
+    assert np.abs(stationarity).max() <= 1e-9
+    assert np.all(lam >= -1e-9 * lam.max())
+    assert np.all(lam <= (1.0 + 1e-9) * mma.penalty)
+    held = lam >= (1.0 - 1e-9) * mma.penalty
+    assert np.all(gt[held] >= -1e-9 * scale[held])
+    assert np.all(gt[~held] <= 1e-9 * scale[~held])
+    # complementarity, against the size of the multipliers
+    assert np.all(np.abs(lam * gt)[~held] <= 1e-9 * lam.max() * scale[~held])
+
 
 class TestMMADual:
     def test_nearly_parallel_constraints_meet_kkt(self):
@@ -112,29 +167,76 @@ class TestMMADual:
         x, dg0, g, dg = _nearly_parallel()
         mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
         x_new = mma.step(x, 0.0, dg0, g, dg)
-        # the coupling is resolved by Newton steps, not by sweeping
-        assert 1 <= mma.dual_newton <= mma.dual_sweeps
+        # the coupling is resolved by Newton line searches, with no
+        # coordinate pass
+        assert mma.dual_newton >= 1 and mma.dual_sweeps == 0
+        _assert_kkt(mma, x, dg0, g, dg, x_new)
+
+    def test_mechanism_steps_meet_kkt(self):
+        # 64 elastic constraints, the most the mechanism has at 8 inputs
+        p = build_problem2(60, 60, 8, JBAR8)
+        mma = MMA(p.grid.n_elems, p.n_constraints, lower=1e-3, upper=1.0)
+        x = p.x0
+        for _ in range(3):
+            ev = evaluate(p, x)
+            x_new = mma.step(x, ev.objective, ev.d_objective,
+                             ev.constraints, ev.d_constraints)
+            _assert_kkt(mma, x, ev.d_objective, ev.constraints,
+                        ev.d_constraints, x_new)
+            x = x_new
+
+    def test_reachable_mechanism_run_keeps_the_dual_converged(self):
+        # a target the 8-input mechanism can meet, so constraints cross
+        # between violated and met and many multipliers change bounds
+        # between steps; a Newton step cut at the first bound it meets
+        # ran out of iterations at step 43 of this run
+        jbar = 1e-4 * np.array([
+            [2.5, 3.4, -6.8, -5.5, -2.6, 4.6, 4.9, -3.0],
+            [6.4, 2.7, 4.3, 5.1, 4.6, 5.5, 6.4, 7.7],
+            [3.7, 5.9, -6.2, 3.8, 2.0, -7.8, 3.8, -3.9],
+            [-7.4, -5.5, -4.8, -6.6, 2.2, -6.2, 4.2, 2.5],
+            [-6.0, -7.6, -3.2, -5.8, -3.8, -6.5, -6.3, 3.3],
+            [7.0, 5.9, 6.1, 6.9, -4.6, -6.6, 7.3, 2.6],
+            [7.1, 4.4, 4.9, -2.9, -6.2, 3.8, 7.2, -3.7],
+            [-5.4, 4.4, -5.7, 3.2, 3.1, 6.5, -6.5, 5.4],
+        ])
+        res = optimize(build_problem2(40, 40, 8, jbar), max_iters=45, tol=0.0)
+        assert len(res.history) == 45
+        for r in res.history:
+            assert r.dual_residual <= MMA.dual_tol
+            assert r.dual_sweeps + r.dual_newton <= MMA.max_sweeps // 4
+        # the line searches carry the solves; the fallback pass stays rare
+        assert sum(r.dual_sweeps for r in res.history) <= 5
+
+    def test_warm_start_matches_cold(self):
+        x, dg0, g, dg = _nearly_parallel(seed=5)
+        warm = MMA(x.size, g.size, lower=0.0, upper=1.0)
+        x1 = warm.step(x, 0.0, dg0, g, dg)
+        cold = copy.deepcopy(warm)
+        cold.multipliers = np.zeros(g.size)
+        g2 = 0.9 * g
+        x_warm = warm.step(x1, 0.0, dg0, g2, dg)
+        x_cold = cold.step(x1, 0.0, dg0, g2, dg)
+        assert np.abs(x_warm - x_cold).max() <= 1e-10 * np.abs(x_cold).max()
+        # the warm start is used: it needs fewer line searches
+        assert warm.dual_newton < cold.dual_newton
+
+    def test_coordinate_fallback_matches_newton(self, monkeypatch):
+        # three constraints with unrelated gradients, where plain
+        # coordinate passes converge too
+        rng = np.random.default_rng(11)
+        n, h = 120, 3
+        x = rng.uniform(0.2, 0.8, n)
+        dg0 = -rng.uniform(0.5, 1.5, n)
+        dg = rng.uniform(-1.0, 1.0, (h, n)) / n
+        g = 0.02 + 0.02 * rng.random(h)
+        ref = MMA(n, h, lower=0.0, upper=1.0).step(x, 0.0, dg0, g, dg)
+        monkeypatch.setattr(MMA, "_target", lambda self, *args: None)
+        mma = MMA(n, h, lower=0.0, upper=1.0)
+        x_new = mma.step(x, 0.0, dg0, g, dg)
+        assert mma.dual_newton == 0 and mma.dual_sweeps >= 1
         assert mma.dual_residual <= MMA.dual_tol
-        sub = _subproblem(mma, x, dg0, g, dg)
-        ui = 1.0 / (mma.upp - x_new)
-        li = 1.0 / (x_new - mma.low)
-        terms = sub["P"] @ ui + sub["Q"] @ li
-        gt = terms - sub["b"]
-        scale = terms + np.abs(sub["b"])
-        # multipliers recovered from stationarity in the interior variables
-        free = (x_new > sub["alpha"]) & (x_new < sub["beta"])
-        assert free.sum() > g.size
-        d0 = sub["p0"] * ui ** 2 - sub["q0"] * li ** 2
-        D = sub["P"] * ui ** 2 - sub["Q"] * li ** 2
-        w = 1.0 / np.abs(d0[free])
-        lam = np.linalg.lstsq((D[:, free] * w).T, -d0[free] * w,
-                              rcond=None)[0]
-        stationarity = (d0 + lam @ D)[free] * w
-        assert np.abs(stationarity).max() <= 1e-9
-        assert np.all(lam >= -1e-9 * lam.max())
-        assert np.all(gt <= 1e-9 * scale)
-        # complementarity, against the size of the multipliers
-        assert np.all(np.abs(lam * gt) <= 1e-9 * lam.max() * scale)
+        assert np.abs(x_new - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_single_constraint_matches_bisection(self):
         rng = np.random.default_rng(7)
