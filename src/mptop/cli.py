@@ -1,29 +1,7 @@
 """Command-line front end: optimization runs, gradient checks, gain tables.
 
-Subcommands operate on a flat key=value config file with [section] headers::
-
-    [problem]
-    kind = problem1        # or problem2
-    nelx = 40
-    nely = 40
-    m = 8                  # problem1: port count
-    vbar = 0.3             # problem1: material bound
-    seed = 0
-    jbar = 0.5,2.0;1.0,-1.0  # problem2: target transmission matrix
-    [solver]
-    pipeline = condensed   # elementary | condensed | both
-    [optimizer]
-    max_iters = 50
-    tol = 0.01
-    [output]
-    dir = out
-    [gain]
-    n = 1e3,1e4,1e6        # system sizes of the sweep
-    m_min = 1
-    m_max = 1000
-    m_count = 25           # log-spaced primary counts from m_min to m_max
-    measure = 0            # also time both pipelines (problem1, n <= cap)
-    measure_cap = 12000
+Subcommands operate on a flat key=value config file with [section] headers;
+README's "Command line" section shows every key with its default.
 
 Each key sets the :class:`RunConfig` field of the same name (``gain_`` and
 ``output_`` prefixed for the last two sections) and is read as the type of

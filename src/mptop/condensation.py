@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from .partitions import PartitionPlan
 from .sparse import (
     CostLedger,
-    DenseCholesky,
     Factorization,
     SymmetricSparse,
     extract,
@@ -38,7 +37,7 @@ class ReducedModel:
     reduced_loads: np.ndarray         # m x total cases
     static_modes: np.ndarray          # f_sec x m solutions against the coupling block
     load_states: np.ndarray | None    # f_sec x cases, None when no secondary sources
-    kff_fact: Factorization | DenseCholesky   # 0 x 0 dense when f_sec == 0
+    kff_fact: Factorization           # of K_ff; 0 x 0 when f_sec == 0
     k_fp: sp.csr_matrix               # secondary-free rows, secondary-prescribed cols
     k_pm: sp.csr_matrix               # secondary-prescribed rows, primary cols
     k_pp: sp.csr_matrix
@@ -59,10 +58,9 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
     and no load columns are solved.
 
     The secondary-free block is factorized once. With no secondary-free DOFs
-    the same path runs on a
-    0 x 0 :class:`DenseCholesky`: the reduced matrix is the primary block,
-    the reduced loads are ``-K_mp @ sec_values``, and nothing is recorded in
-    the ledger.
+    the same path runs on its 0 x 0 factorization, which does no work: the
+    reduced matrix is the primary block, the reduced loads are
+    ``-K_mp @ sec_values``, and nothing is recorded in the ledger.
     """
     if plan.m == 0:
         raise EmptyPrimarySetError("empty primary set: nothing to condense onto")
@@ -83,10 +81,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
     have_loads = sec_loads is not None and (
         sec_loads.nnz > 0 if sp.issparse(sec_loads) else np.any(sec_loads))
 
-    if plan.f_sec:
-        fact = factorize(principal(K, fset), ledger=ledger)
-    else:
-        fact = DenseCholesky(np.zeros((0, 0)))
+    fact = factorize(principal(K, fset), ledger=ledger)
 
     rhs = [k_fm.toarray()]
     if have_loads or have_values:

@@ -141,16 +141,10 @@ def build_plan(sets: list, n: int) -> PartitionPlan:
 
     # candidate secondary prescribed DOFs, then drop magnitude conflicts
     cand = presc_all.minus(interest_any)
-    keep = []
-    for d in cand.ids:
-        vals = []
-        for s in sets:
-            pos = int(np.searchsorted(s.prescribed.ids, d))
-            vals.append(s.prescribed_values[pos, :])
-        vals = np.concatenate(vals)
-        if np.all(vals == vals[0]):
-            keep.append(d)
-    sec_prescribed = IndexSet(keep, n)
+    vals = np.hstack([s.prescribed_values[cand.positions_in(s.prescribed)]
+                      for s in sets])
+    sec_prescribed = IndexSet(
+        cand.ids[np.all(vals == vals[:, :1], axis=1)], n)
 
     all_dofs = IndexSet(np.arange(n), n)
     sec_free = all_dofs.minus(presc_any).minus(interest_any)

@@ -31,15 +31,18 @@ benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
 
 Dense blocks arising from condensed systems use a dense Cholesky
-(:class:`DenseCholesky`). Every handle factors and solves through one
-shared path. It checks the matrix values once and each right-hand side once
-for infs and NaNs (the LAPACK calls skip their own scans), runs each kernel
-on one OpenBLAS thread (a second core goes to the other half, not to a
-second OpenBLAS thread) and restores the caller's count after. It can
-report into a :class:`CostLedger`: one event per factorization / multi-RHS
-solve with its dimension (and a sparse handle's half-bandwidth),
-right-hand-side count, an operation-count estimate and wall time. An empty
-block solves trivially and records nothing.
+(:class:`DenseCholesky`, LAPACK ``potrf`` / ``potrs``). Every LAPACK and
+BLAS kernel, dense or banded, is called through one ctypes route to the
+pointers scipy's Cython modules export, which releases the GIL. Every
+handle factors and solves through one shared path. It checks the matrix
+values once and each right-hand side once for infs and NaNs (the LAPACK
+calls skip their own scans), runs each kernel on one OpenBLAS thread (a
+second core goes to the other half, not to a second OpenBLAS thread) and
+restores the caller's count after. It can report into a
+:class:`CostLedger`: one event per factorization / multi-RHS solve with its
+dimension (and a sparse handle's half-bandwidth), right-hand-side count, an
+operation-count estimate and wall time. An empty block solves trivially
+and records nothing.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, cython_blas, cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 
 
 class SingularMatrixError(RuntimeError):
@@ -826,22 +829,26 @@ def factorize(K: SymmetricSparse, *, ledger: CostLedger | None = None,
 
 
 class DenseCholesky(_Solver):
-    """Dense Cholesky for the (small, dense) condensed systems."""
+    """Dense Cholesky ``A = U^T U`` for the (small, dense) condensed systems:
+    LAPACK ``potrf`` / ``potrs`` in upper storage on a Fortran copy of ``A``."""
 
     matrix = "dense"
 
     def __init__(self, A: np.ndarray, ledger: CostLedger | None = None):
         A = np.asarray_chkfinite(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {A.shape}")
         super().__init__(A, A.shape[0], ledger)
 
     def _factor(self, A):
-        try:
-            self._cf = cho_factor(A, lower=False, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"dense Cholesky failed (n={self.n}): {exc}") from exc
+        self._u = np.array(A, order="F")
+        info = _call(_dpotrf, "U", self.n, self._u, self.n, 0)
+        if info:
+            raise SingularMatrixError(f"non-positive pivot in dense Cholesky "
+                                      f"(n={self.n}): row {info - 1}")
         return _flops_dense_factor(self.n)
 
     def _kernel(self, B):
-        return (cho_solve(self._cf, B, check_finite=False),
-                _flops_dense_solve(self.n, B.shape[1]))
+        X = np.array(B, order="F")
+        _call(_dpotrs, "U", self.n, X.shape[1], self._u, self.n, X, self.n, 0)
+        return X, _flops_dense_solve(self.n, X.shape[1])

@@ -1,17 +1,21 @@
 """Reduced-model construction against dense Schur-complement oracles."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (collect_elementary, plan_and_secondary,
                      random_conduction_problem)
 from mptop.analysis import solve_condensed
 from mptop.condensation import EmptyPrimarySetError, condense, recover_secondary
+from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sparse import (
     CostLedger,
+    Factorization,
     IndexSet,
     SingularMatrixError,
     SymmetricSparse,
+    extract,
 )
 
 CHAIN3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -159,6 +163,38 @@ class TestCondense:
             np.testing.assert_allclose(cond.sets[i].u_full,
                                        elem.sets[i].u_full[plan.primary.ids],
                                        rtol=0.0, atol=1e-12)
+
+    def test_every_dof_of_interest_factorizes_an_empty_block(self):
+        # every DOF of a 3 x 2 conduction grid is primary: the secondary-free
+        # block is 0 x 0, and its factorization runs the sparse path unchanged
+        grid = Grid(3, 2)
+        n = grid.n_dofs
+        K = assemble(grid, DesignField(grid, np.full(grid.n_elems, 0.7),
+                                       Filter(grid, 1.5)))
+        loads = np.zeros((n, 2))
+        loads[[5, 11], [0, 1]] = [1.0, -0.5]
+        sets = [AnalysisSet(n, IndexSet([dof], n), IndexSet(np.arange(n), n),
+                            prescribed_values=[[0.3, -0.2]],
+                            loads=sp.csc_matrix(loads))
+                for dof in (0, 3)]
+        with pytest.warns(UserWarning, match="no reduction"):
+            plan = build_plan(sets, n)
+        assert (plan.m, plan.f_sec, plan.p_sec) == (n, 0, 0)
+        ledger = CostLedger()
+        sec_loads, sec_values = gather_secondary(plan, sets)
+        model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
+        np.testing.assert_array_equal(model.reduced_matrix,
+                                      extract(K, plan.primary,
+                                              plan.primary).toarray())
+        assert isinstance(model.kff_fact, Factorization)
+        assert model.kff_fact.n == 0
+        assert ledger.events == []
+        cond = solve_condensed(model, sets)
+        elem = collect_elementary(K, sets)
+        for i in range(2):
+            np.testing.assert_allclose(cond.sets[i].u_full,
+                                       elem.sets[i].u_full[plan.primary.ids],
+                                       rtol=1e-12, atol=1e-14)
 
 
 class TestRecoverSecondary:

@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and no
-private name is defined that the package never references."""
+"""Source hygiene: no package module imports a name it never uses or a
+scipy.linalg kernel that holds the GIL, and no private name is defined that
+the package never references."""
 import ast
 from pathlib import Path
 
@@ -24,6 +25,28 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+# scipy.linalg's f2py wrappers hold the GIL for a whole kernel call; its
+# Cython modules export the same routines as pointers that mptop.sparse
+# calls through ctypes, which releases it
+GIL_FREE_LINALG = {"scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_linalg_only_through_its_cython_pointers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported += [(f"{node.module}.{alias.name}", node.lineno)
+                         for alias in node.names]
+    found = [f"{name} (line {line})" for name, line in imported
+             if name.split(".")[:2] == ["scipy", "linalg"]
+             and ".".join(name.split(".")[:3]) not in GIL_FREE_LINALG]
+    assert not found, f"{path.name} imports from scipy.linalg: {found}"
 
 
 def _private_definitions(tree):

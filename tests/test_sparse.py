@@ -510,7 +510,7 @@ class TestBlockedSolve:
             f = self.factor(101, 350)
             q = BLOCKED_SOLVE_COLUMNS if path == "blocks" else 1
             assert _solve_by_blocks(101, q) == (path == "blocks")
-        for name in ("cho_solve", "_tbtrs", "_solve_band_blocks"):
+        for name in ("_dpotrs", "_tbtrs", "_solve_band_blocks"):
             monkeypatch.setattr(mptop.sparse, name, None)
         B = np.ones((f.n, q))
         B[1, q - 1] = np.inf
@@ -760,7 +760,7 @@ class TestBlasThreads:
         assert inside == [[1] * len(before)] * calls
 
     def test_dense_cholesky_runs_on_one_thread(self, monkeypatch):
-        inside = self.watch(monkeypatch, "cho_factor", "cho_solve")
+        inside = self.watch(monkeypatch, "_dpotrf", "_dpotrs")
         with self.caller_threads(2) as before:
             f = DenseCholesky(CHAIN3)
             assert self.counts() == before
@@ -948,8 +948,13 @@ class TestDenseCholesky:
         assert ledger.count(op="solve", matrix="dense") == 1
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError):
+        # the second pivot is 1 - 1 = 0: named by its row, as a band's are
+        with pytest.raises(SingularMatrixError, match="row 1"):
             DenseCholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DenseCholesky(np.ones((2, 3)))
 
 
 class TestLedgerPhases:
