@@ -5,18 +5,16 @@ large constrained system and streams through them in set order: the calling
 thread solves set i's states and adjoints and yields them while one helper
 thread gathers and factorizes set i + 1, and releases set i's factorization
 when it takes set i + 1's. The band kernels release the GIL, so on two
-cores both run at once. Each factorization and solve also runs its band's
-two halves at once on the :mod:`~mptop.sparse` band worker while no other
-thread is in a band kernel, else in turn. Only while a set's solve runs at
-level 3 does the next set go to the helper; after a solve of few right-hand
-sides, set i is released and set i + 1 factorized on the calling thread.
-The helper only factorizes, into the other of the stream's two band
-buffers, records into a ledger of its own that joins the caller's in set
-order, and lives for one stream: at most two sets' full-length states are
-alive. ``solve_condensed`` runs every pattern against one shared reduced
-model: a single large factorization total, its two halves on both cores,
-then per set a small dense factorization, the state solve and the adjoint
-solve against it; it keeps the dense handles for the dependency cases of
+cores both run at once. Only while a set's solve runs at level 3 does the
+next set go to the helper; after a solve of few right-hand sides, set i is
+released and set i + 1 factorized on the calling thread. The helper only
+factorizes, into the other of the stream's two band buffers, records into
+a ledger of its own that joins the caller's in set order, and lives for
+one stream: at most two sets' full-length states are alive.
+``solve_condensed`` runs every pattern against one shared reduced model: a
+single large factorization total, then per set a small dense
+factorization, the state solve and the adjoint solve against it; it keeps
+the dense handles for the dependency cases of
 :func:`~mptop.sensitivity.sens_case`. Both produce the same primary states
 and solved adjoints, and solve the adjoint stacks through
 :func:`solve_stack`; the cost ledgers differ.
@@ -106,6 +104,7 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     # prefetched, p2-mechanism's 1-2 column sets took 16.1 -> 14.5 ms per
     # evaluate but 84 -> 96 MB peak RSS, and p2-slender's 19.0 -> 15.8 ms
     # but 98 -> 114 MB. Set i's band fills buffer i mod 2 of the stream's
+    # two, or its only one when no set is prefetched
     prefetch = [_solve_by_blocks(block.bandwidth, aset.cases)
                 for block, aset in zip(blocks[:-1], sets)] + [False]
     bands = [band_storage(blocks) for _ in range(bool(sets) + any(prefetch))]

@@ -183,12 +183,16 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
     ``adjoints[i]`` is set i's solved adjoint stack from
     :func:`~mptop.analysis.solve_condensed`, (rows, free, cases) on its free
     primary DOFs and zero where a response ignores the set. None stands for
-    one self-adjoint response, whose adjoint is each set's free state.
+    one self-adjoint response, whose adjoint is each set's full state: the
+    left field ``E u - B``, with B the field of the secondary sources.
     Nothing is solved here.
     """
     plan = model.plan
+    X = None
     if adjoints is None:
         adjoints = [s.u_free[None] for s in sol.sets]
+        B = load_field(model)
+        X = None if B is None else -B
     stacks = check_stacks(adjoints,
                           [(len(f), s.cases)
                            for f, s in zip(plan.free_primary, sets)])
@@ -196,7 +200,7 @@ def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
     for i, stack in enumerate(stacks):
         A[:, plan.free_primary_pos[i], plan.case_slices[i]] = stack
     U = np.hstack([s.u_full for s in sol.sets])
-    return _state_gradient(grid, design, model, A, U, slice(None))
+    return _state_gradient(grid, design, model, A, U, slice(None), X)
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,21 @@ the band map of every principal block factorized. Per matrix, extraction
 is then one gather of values, and so is filling a band.
 
 Large sparse SPD systems are solved by one :class:`Factorization`: banded
-Cholesky ``A = L L^T`` in the matrix's own order. A
-:class:`~mptop.fem.Grid` numbers its DOFs along its shorter side, so that
-order already has a band of the grid's short side, whatever its
-orientation, and every block taken from it inherits the band. A band of
-half-width k splits at its middle k rows, which separate the rows before
-them from those after (George's nested dissection, one level): its two
-halves factor (LAPACK ``pbtrf``) at once, one on the calling thread and one
-on a single band worker thread, then the k x k separator densely. Each half is stored at the band's half-bandwidth
-in LAPACK's lower storage, on which OpenBLAS's ``pbtrf`` runs ~30 % faster
-than on the upper at k >= 100, and factored in place. A band too large to
-allocate raises :class:`BandStorageError`. A solve sweeps both halves
-forward at once, solves the separator, and sweeps both back: few
-right-hand sides by LAPACK's ``tbtrs``, which reads a factor once per
+Cholesky ``A = L L^T`` (LAPACK ``pbtrf``) in the matrix's own order, on
+the calling thread. A :class:`~mptop.fem.Grid` numbers its DOFs along its
+shorter side, so that order already has a band of the grid's short side,
+whatever its orientation, and every block taken from it inherits the band.
+Each band is stored at its own half-bandwidth in LAPACK's lower storage, on
+which OpenBLAS's ``pbtrf`` runs ~30 % faster than on the upper at
+k >= 100, and factored in place. A band too large to allocate raises
+:class:`BandStorageError`. A solve sweeps forward, then back: few
+right-hand sides by LAPACK's ``tbtrs``, which reads the factor once per
 column; from :data:`BLOCKED_SOLVE_COLUMNS` columns on, a wide enough band
 block by block on the factor in place, one BLAS-3 ``trmm`` and ``trsm`` per
-k x k block (Golub & Van Loan, *Matrix Computations*, section 4.3: a band
-of half-width k is block bidiagonal at block size k), on right-hand sides
-padded to a multiple of 8 columns, both halves at once only from
-:data:`PAIRED_BLOCKS_BAND` on. These kernels release the GIL.
+k x k block and direction (Golub & Van Loan, *Matrix Computations*,
+section 4.3: a band of half-width k is block bidiagonal at block size k),
+on right-hand sides padded to a multiple of 8 columns. These kernels
+release the GIL, so another thread can factorize or solve beside them.
 There is no CG solver: with an ichol0 preconditioner it condensed the three
 benchmark problems 48-232x slower than this one, so its cost is only a
 predicted curve in :mod:`mptop.perfmodel`.
@@ -36,13 +32,12 @@ BLAS kernel, dense or banded, is called through one ctypes route to the
 pointers scipy's Cython modules export, which releases the GIL. Every
 handle factors and solves through one shared path. It checks the matrix
 values once and each right-hand side once for infs and NaNs (the LAPACK
-calls skip their own scans), runs each kernel on one OpenBLAS thread (a
-second core goes to the other half, not to a second OpenBLAS thread) and
-restores the caller's count after. It can report into a
-:class:`CostLedger`: one event per factorization / multi-RHS solve with its
-dimension (and a sparse handle's half-bandwidth), right-hand-side count, an
-operation-count estimate and wall time. An empty block solves trivially
-and records nothing.
+calls skip their own scans), runs each kernel on one OpenBLAS thread (on
+two cores no kernel here gains from a second) and restores the caller's
+count after. It can report into a :class:`CostLedger`: one event per
+factorization / multi-RHS solve with its dimension (and a sparse handle's
+half-bandwidth), right-hand-side count, an operation-count estimate and
+wall time. An empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
@@ -50,7 +45,6 @@ import ctypes
 import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -66,9 +60,9 @@ class SingularMatrixError(RuntimeError):
 class BandStorageError(MemoryError):
     """Raised when the banded-Cholesky storage of a matrix cannot be allocated."""
 
-    def __init__(self, n: int, bandwidth: int, size: int):
+    def __init__(self, n: int, bandwidth: int):
         super().__init__(f"cannot allocate banded storage for n={n}, bandwidth "
-                         f"{bandwidth}: {size * 8} bytes")
+                         f"{bandwidth}: {(bandwidth + 1) * n * 8} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +395,6 @@ def _flops_dense_solve(n, nrhs):
 # ~11 at k = 30; ~16 at k = 22; ~30 at k = 13. The rule: 10, 10, 12, 17, 28.
 BLOCKED_BAND = 36
 BLOCKED_SOLVE_COLUMNS = 10
-# Half-width from which the two halves' block solves run at once; below it
-# the GIL hand-offs between their 4n/k short BLAS calls cost more than the
-# second core gives. At once / in turn, n = 1e4, 2-vCPU VM: 16 columns
-# 1.04-1.05 at k = 60, 0.91 at k = 65; 32 columns 0.97 at k = 50.
-PAIRED_BLOCKS_BAND = 65
 
 
 def _solve_by_blocks(k: int, columns: int) -> bool:
@@ -454,28 +443,27 @@ class _OneBlasThread:
 
     The count is process-wide, so entries from several threads share one
     switch: the first saves the counts and sets one thread, the last
-    restores them; ``depth`` counts the threads inside. A BLAS call that
-    another thread makes meanwhile, outside this scope, runs on one thread
-    too; none can leave the count at one.
+    restores them. A BLAS call that another thread makes meanwhile, outside
+    this scope, runs on one thread too; none can leave the count at one.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.depth = 0
+        self._depth = 0
         self._saved = []
 
     def __enter__(self):
         with self._lock:
-            if not self.depth:
+            if not self._depth:
                 self._saved = [(put, get()) for get, put in _openblas_threads()]
                 for put, _ in self._saved:
                     put(1)
-            self.depth += 1
+            self._depth += 1
 
     def __exit__(self, *exc):
         with self._lock:
-            self.depth -= 1
-            if not self.depth:
+            self._depth -= 1
+            if not self._depth:
                 for put, count in self._saved:
                     put(count)
 
@@ -506,8 +494,6 @@ _dpotrf = _routine(cython_lapack, "dpotrf", 5)
 _dpotrs = _routine(cython_lapack, "dpotrs", 8)
 _dtrsm = _routine(cython_blas, "dtrsm", 11)
 _dtrmm = _routine(cython_blas, "dtrmm", 11)
-_dsyrk = _routine(cython_blas, "dsyrk", 10)
-_dgemm = _routine(cython_blas, "dgemm", 13)
 _dcopy = _routine(cython_blas, "dcopy", 5)
 _daxpy = _routine(cython_blas, "daxpy", 6)
 
@@ -552,52 +538,15 @@ def _tbtrs(ab: np.ndarray, Y: np.ndarray, forward: bool) -> None:
           Y.strides[1] // 8, 0)
 
 
-def _factor_half(ab: np.ndarray, coupling: np.ndarray) -> int:
-    """``dpbtrf`` on one half's band ``ab``, then ``L_last^-1 coupling`` in
-    place (its last rows x the separator); returns ``pbtrf``'s ``info``."""
-    info = _pbtrf(ab)
-    (k, m), sep = (ab.shape[0] - 1, ab.shape[1]), coupling.shape[1]
-    if sep and not info:
-        # the last diagonal block in place, as in _solve_band_blocks
-        last = ab.reshape(-1, order="F")[(m - sep) * (k + 1):]
-        _call(_dtrsm, "L", "L", "N", "N", sep, sep, 1.0, last, k, coupling,
-              coupling.strides[1] // 8)
-    return info
-
-
-# The one thread that runs a band's bottom half beside the calling thread's
-# top half. The executor starts it on the first submit: importing this
-# module starts none.
-_band_worker = ThreadPoolExecutor(1, thread_name_prefix="mptop-band")
-
-
-def _pair(jobs, at_once: bool) -> list:
-    """Each of one or two ``jobs``' results: the second's on the band worker
-    beside the first here when ``at_once`` and no other thread is in a band
-    kernel (else both cores are busy already), else in turn here. Both
-    have ended when this returns or raises; an error of either is raised."""
-    if len(jobs) < 2 or not at_once or _one_blas_thread.depth > 1:
-        return [job() for job in jobs]
-    second = _band_worker.submit(jobs[1])
-    try:
-        return [jobs[0](), second.result()]
-    finally:
-        wait([second])
-
-
 class Band:
     """Banded-Cholesky layout of the principal block at ``idx`` (or all) of
     a square symmetric pattern, in the block's own order.
 
-    ``bandwidth`` is the half-bandwidth k, the block's own. For n >= 3k >= 3
-    the ``sep`` = k rows from ``split`` = (n - k) // 2 on separate the rows
-    before them from those after; else ``split`` = n and ``sep`` = 0.
-    ``slots`` place the lower entries, at ``lower`` among the pattern's
-    values, in ``size`` doubles: each half's band in LAPACK's lower storage
-    ``ab[i - j, j] = A[i, j]`` (i >= j), flat ``i + j * k``, the bottom's
-    rows reversed so that those next to the separator are its last; then a
-    Fortran (3 sep) x sep block: the separator's couplings to the top's and
-    the bottom's last sep rows, and its own lower triangle.
+    ``bandwidth`` is the half-bandwidth k stored, the block's own. ``slots``
+    place the block's lower entries, at ``lower`` among the pattern's
+    values, in LAPACK's lower storage ``ab[i - j, j] = A[i, j]`` (i >= j) of
+    ``size`` = (k + 1) n doubles, laid out column-major as LAPACK reads it:
+    flat ``i + j * k``.
     """
 
     def __init__(self, pattern: Pattern, idx: IndexSet | None = None):
@@ -610,33 +559,19 @@ class Band:
         row, col = row[lower], col[lower]
         n = self.n = ids.size
         k = self.bandwidth = int((row - col).max(initial=0))
-        s, sep = self.split, self.sep = (((n - k) // 2, k) if 0 < 3 * k <= n
-                                         else (n, 0))
-        # the bottom half's rows reversed and numbered on from the top's
-        qr, qc = (np.where(v < s, v, n - 1 + s - v) for v in (row, col))
-        band = np.maximum(qr, qc) + np.minimum(qr, qc) * k
-        # an entry in a separator row or column (no half couples the other
-        # one): x is its other row, sigma its separator column
-        dense = (row >= s) & (col < s + sep)
-        x, sigma = (np.where(col >= s, row, col),
-                    np.where(col >= s, col, row) - s)
-        u = np.select([x < s, x >= s + sep],
-                      [x - s + sep, s + 3 * sep - 1 - x], x - s + 2 * sep)
-        base = (k + 1) * (n - sep)
-        self.size = base + 3 * sep * sep
+        self.size = (k + 1) * n
         self.lower = _index_array(lower, len(pattern.indices))
-        self.slots = _index_array(
-            np.where(dense, base + u + 3 * sep * sigma, band), self.size)
+        self.slots = _index_array(row + col * k, self.size)
 
     def fill(self, data: np.ndarray, out: np.ndarray | None = None):
-        """The block's flat storage, in ``out``'s head or a new array, zero
-        off the block's entries (also past each half's last row), gathered
-        from the pattern's values ``data``, which are checked for infs and
-        NaNs there."""
+        """The block's (k + 1) x n band, in ``out``'s head or a new array,
+        Fortran-ordered for LAPACK, zero off the block's entries (also past
+        its last row), gathered from the pattern's values ``data``, which
+        are checked for infs and NaNs there."""
         ab = np.empty(self.size) if out is None else out[:self.size]
         ab[:] = 0.0
         ab[self.slots] = np.asarray_chkfinite(data[self.lower])
-        return ab
+        return ab.reshape((self.bandwidth + 1, self.n), order="F")
 
 
 def band_storage(blocks) -> np.ndarray:
@@ -645,7 +580,7 @@ def band_storage(blocks) -> np.ndarray:
     try:
         return np.empty(big._band.size)
     except MemoryError as exc:
-        raise BandStorageError(big.n, big.bandwidth, big._band.size) from exc
+        raise BandStorageError(big.n, big.bandwidth) from exc
 
 
 class _Solver:
@@ -698,9 +633,6 @@ class Factorization(_Solver):
     its own band is immutable and safe to share, one in a lent ``storage``
     only until that is refilled. ``bandwidth`` is the half-bandwidth
     stored and factorized, :class:`Band`'s (None for an empty block).
-
-    Each half's coupling to the separator becomes ``X = L_last^-1 A_last``,
-    and the separator ``S = A_sep - X_top^T X_top - X_bottom^T X_bottom``.
     """
 
     matrix = "sparse"
@@ -711,70 +643,34 @@ class Factorization(_Solver):
         super().__init__(K, K.n, ledger)
 
     def _factor(self, K):
-        band = self._band = K._band
-        k, s, sep, n = band.bandwidth, band.split, band.sep, K.n
+        band, n = K._band, K.n
         try:
-            flat = band.fill(K._band_values(), self._storage)
+            ab = band.fill(K._band_values(), self._storage)
         except MemoryError as exc:
-            raise BandStorageError(n, k, band.size) from exc
-        bands = flat[:(k + 1) * (n - sep)].reshape((k + 1, -1), order="F")
-        self._halves = [bands[:, :s], bands[:, s:]][:1 + bool(sep)]
-        dense = flat[bands.size:].reshape((3 * sep, sep), order="F")
-        self._coupling, self._schur = dense[:2 * sep], dense[2 * sep:]
-        infos = _pair([functools.partial(_factor_half, ab,
-                                         dense[i * sep:(i + 1) * sep])
-                       for i, ab in enumerate(self._halves)], True)
-        if sep and not any(infos):
-            _call(_dsyrk, "L", "T", sep, 2 * sep, -1.0, dense, 3 * sep, 1.0,
-                  self._schur, 3 * sep)
-            infos.append(_call(_dpotrf, "L", sep, self._schur, 3 * sep, 0))
-        # a pivot's row in the block's order: the bottom half runs backwards
-        for part, info, first, step in zip(
-                ("top half", "bottom half", "separator"), infos,
-                (0, n - 1, s), (1, -1, 1)):
-            if info:
-                raise SingularMatrixError(
-                    f"non-positive pivot in banded Cholesky (n={n}): {part}, "
-                    f"row {first + step * (info - 1)} of the block")
-        self.bandwidth = k
-        return _flops_banded_factor(n, k)
+            raise BandStorageError(n, band.bandwidth) from exc
+        info = _pbtrf(ab)
+        if info:
+            raise SingularMatrixError(
+                f"non-positive pivot in banded Cholesky (n={n}): row "
+                f"{info - 1} of the block")
+        self._cb = ab
+        self.bandwidth = band.bandwidth
+        return _flops_banded_factor(n, band.bandwidth)
 
     def _kernel(self, B):
         (n, k), columns = (self.n, self.bandwidth), B.shape[1]
-        s, sep = self._band.split, self._band.sep
-        m = n - s - sep
-        blocks = _solve_by_blocks(k, columns)
-        # the top half in place in X, the bottom half reversed in Y, each
-        # with k scratch rows; Fortran for dtbtrs, row-major for blocks and
-        # padded to a multiple of 8 columns (OpenBLAS's BLAS-3 kernels run
-        # faster on aligned widths: n = 9999, k = 101, 31 columns 8.8 ms, 32
-        # columns 6.2 ms, one thread, 2-vCPU VM)
-        width, order = ((-(-columns // 8) * 8, "C") if blocks
-                        else (columns, "F"))
-        X = np.zeros((n + k, width), order=order)
-        Y = np.zeros((m + k, width), order=order)
-        X[:s, :columns], Y[:m, :columns] = B[:s], B[s + sep:][::-1]
-        parts = X[:s + k], Y
-        sweep = _solve_band_blocks if blocks else _tbtrs
-        at_once = not blocks or k >= PAIRED_BLOCKS_BAND
-        Z = np.array(B[s:s + sep], order="F")
+        if _solve_by_blocks(k, columns):
+            # row-major, padded with zero columns to a multiple of 8
+            # (OpenBLAS's BLAS-3 kernels run faster on aligned widths: n =
+            # 9999, k = 101, 31 columns 8.8 ms, 32 columns 6.2 ms, one
+            # thread, 2-vCPU VM), and k scratch rows below
+            X = np.zeros((n + k, -(-columns // 8) * 8))
+            X[:n, :columns] = B
+            sweep = _solve_band_blocks
+        else:
+            X, sweep = np.array(B, order="F"), _tbtrs
         for forward in (True, False):
-            _pair([functools.partial(sweep, ab, part, forward)
-                   for ab, part in zip(self._halves, parts)], at_once)
-            if forward and sep:
-                # the separator's rows against S, then the halves' last rows
-                # corrected by the couplings; the padded columns stay zero
-                tails = X[s - sep:s, :columns], Y[m - sep:m, :columns]
-                W = np.asfortranarray(np.concatenate(tails))
-                _call(_dgemm, "T", "N", sep, columns, 2 * sep, -1.0,
-                      self._coupling, 3 * sep, W, 2 * sep, 1.0, Z, sep)
-                _call(_dpotrs, "L", sep, columns, self._schur, 3 * sep, Z,
-                      sep, 0)
-                _call(_dgemm, "N", "N", 2 * sep, columns, sep, -1.0,
-                      self._coupling, 3 * sep, Z, sep, 1.0, W, 2 * sep)
-                tails[0][:], tails[1][:] = W[:sep], W[sep:]
-        X[s:s + sep, :columns] = Z
-        X[s + sep:n, :columns] = Y[:m][::-1, :columns]
+            sweep(self._cb, X, forward)
         return X[:n, :columns], _flops_banded_solve(n, k, columns)
 
 

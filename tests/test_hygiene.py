@@ -1,6 +1,6 @@
 """Source hygiene: no package module imports a name it never uses or a
-scipy.linalg kernel that holds the GIL, and no private name is defined that
-the package never references."""
+scipy.linalg kernel that holds the GIL, or builds a thread or executor at
+import, and no private name is defined that the package never references."""
 import ast
 from pathlib import Path
 
@@ -47,6 +47,34 @@ def test_scipy_linalg_only_through_its_cython_pointers(path):
              if name.split(".")[:2] == ["scipy", "linalg"]
              and ".".join(name.split(".")[:3]) not in GIL_FREE_LINALG]
     assert not found, f"{path.name} imports from scipy.linalg: {found}"
+
+
+# a thread or executor built at import is shared by every caller for the
+# life of the process; the package builds each inside the call that uses it
+THREAD_CONSTRUCTORS = {"Thread", "Timer", "ThreadPoolExecutor",
+                       "ProcessPoolExecutor"}
+
+
+def _import_time_calls(node):
+    """Every call under ``node`` outside function and lambda bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _import_time_calls(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_thread_built_at_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = [(getattr(call.func, "id", None)
+               or getattr(call.func, "attr", None), call.lineno)
+              for call in _import_time_calls(tree)]
+    found = [f"{name} (line {line})" for name, line in called
+             if name in THREAD_CONSTRUCTORS]
+    assert not found, f"{path.name} builds at import: {found}"
 
 
 def _private_definitions(tree):

@@ -429,6 +429,45 @@ class TestStateSensitivities:
             sens_elementary(grid, design, [(s, s.u_free[None])
                                            for s in elem.sets]))
 
+    def test_self_adjoint_gradient_with_secondary_sources(self):
+        # 12 x 10 conduction grid, four corner ports: each set grounds one
+        # and loads the next, with a 0.01 source on every other DOF, so the
+        # full state has a secondary-source part the condensed route must
+        # carry; the response is sum f^T u over all DOFs
+        grid = Grid(12, 10)
+        n = grid.n_dofs
+        ports = grid.node(np.array([0, 0, 10, 10]), np.array([0, 12, 0, 12]))
+        interest = IndexSet(ports, n)
+        sets = []
+        for i, port in enumerate(ports):
+            f = np.full((n, 1), 0.01)
+            f[port], f[ports[(i + 1) % 4]] = 0.0, 1.0
+            sets.append(AnalysisSet(n, IndexSet([port], n), interest,
+                                    loads=f))
+        plan = build_plan(sets, n)
+        flt = Filter(grid, 1.5)
+        x = np.random.default_rng(0).uniform(0.3, 1.0, grid.n_elems)
+        design = DesignField(grid, x, flt)
+        K = assemble(grid, design)
+        model = condense(K, plan, *gather_secondary(plan, sets))
+        assert load_field(model) is not None
+        g_cond = sens_condensed_state(grid, design, model,
+                                      solve_condensed(model, sets), sets,
+                                      None)[0]
+        g_elem = sens_elementary(grid, design, solve_elementary(K, sets))[0]
+        assert np.abs(g_cond - g_elem).max() <= 1e-9 * np.abs(g_elem).max()
+
+        elems = np.array([0, 37, 64, 119])
+
+        def compliance(xs):
+            xv = x.copy()
+            xv[elems] = xs
+            K = assemble(grid, DesignField(grid, xv, flt))
+            return sum(float(aset.loads.toarray().ravel() @ st.u_full[:, 0])
+                       for aset, st in zip(sets,
+                                           collect_elementary(K, sets).sets))
+        assert fd_verify(compliance, x[elems], g_cond[elems]) < 1e-5
+
     def test_self_adjoint_shortcut_matches_solve(self):
         # feeding lam directly must equal solving for it
         rng = np.random.default_rng(40)

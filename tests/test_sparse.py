@@ -17,7 +17,6 @@ from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.sparse import (
     BLOCKED_BAND,
     BLOCKED_SOLVE_COLUMNS,
-    PAIRED_BLOCKS_BAND,
     BandStorageError,
     CostLedger,
     DenseCholesky,
@@ -66,24 +65,20 @@ def _transposed_band(ab):
 
 
 def _reference_storage(K):
-    """Reference fill of ``K``'s band storage, by dense slicing: each half's
-    lower band (the bottom half's rows reversed), then the separator's
-    couplings to the top's and the bottom's last rows and its own lower
-    triangle, stacked (3 sep) x sep."""
-    A, band = K.toarray(), K.pattern.band()
-    k, s, sep = band.bandwidth, band.split, band.sep
+    """Reference fill of ``K``'s band storage, by dense slicing: its lower
+    band, (k + 1) x n."""
+    A = K.toarray()
+    row, col = np.nonzero(np.tril(A))
+    return _to_banded_lower(row, col, A[row, col], K.n, K.bandwidth)
 
-    def lower_band(M):
-        row, col = np.nonzero(np.tril(M))
-        return _to_banded_lower(row, col, M[row, col], len(M), k)
-    sigma = slice(s, s + sep)
-    halves = [lower_band(A[:s, :s]),
-              lower_band(A[s + sep:, s + sep:][::-1, ::-1])]
-    dense = np.vstack([A[s - sep:s, sigma],
-                       A[s + sep:s + 2 * sep, sigma][::-1],
-                       np.tril(A[sigma, sigma])])
-    return halves, np.concatenate([h.ravel("F") for h in halves]
-                                  + [dense.ravel("F")])
+
+def _fresh_python(code):
+    """What ``code`` prints, run in a new interpreter on this mptop."""
+    src = Path(mptop.sparse.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=60).stdout.strip()
 
 
 def random_spd_banded(n, band, rng):
@@ -223,23 +218,21 @@ class TestBlockMaps:
         K = clamped_plane_stress(nelx, nely, seed=4)
         band = K.pattern.band()
         assert (K.bandwidth < BLOCKED_BAND) == narrow
-        assert band.bandwidth == K.bandwidth == band.sep
+        assert band.bandwidth == K.bandwidth
         np.testing.assert_array_equal(band.fill(K.mat.data),
-                                      _reference_storage(K)[1])
+                                      _reference_storage(K))
 
     @pytest.mark.parametrize("nelx, nely, narrow", [(40, 40, False),
                                                     (5, 60, True)])
     def test_lower_factor_matches_upper(self, nelx, nely, narrow):
-        # each half's L from the lower storage is U^T from LAPACK's upper
-        # storage of the same half
+        # L from the lower storage is U^T from LAPACK's upper storage of
+        # the same band
         K = clamped_plane_stress(nelx, nely, seed=4)
         assert (K.bandwidth < BLOCKED_BAND) == narrow
-        f = factorize(K)
-        assert len(f._halves) == 2
-        for half, lower in zip(f._halves, _reference_storage(K)[0]):
-            ref = cholesky_banded(_transposed_band(lower), lower=False)
-            got = _transposed_band(half)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = cholesky_banded(_transposed_band(_reference_storage(K)),
+                              lower=False)
+        got = _transposed_band(factorize(K)._cb)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
     def test_ordering_found_once_per_block(self, monkeypatch, pipeline):
@@ -439,8 +432,8 @@ class TestBlockedSolve:
         (40, 195), (40, 221), (20, 30),     # k = 20: pbtrs at these columns
         (101, 303), (101, 340), (125, 375), (125, 400)])
     def test_matches_pbtrs(self, band, n, monkeypatch):
-        # n a multiple of k, not one, and below 3k (no split); each half
-        # sweeps forward and back by dtbtrs at few columns
+        # n a multiple of k, and not one; the band sweeps forward and back
+        # by dtbtrs at few columns
         K = random_spd_banded(n, band, np.random.default_rng(0))
         f = factorize(K)
         calls = self.spy_tbtrs(monkeypatch)
@@ -452,11 +445,8 @@ class TestBlockedSolve:
             got = f.solve(B)
             assert np.array_equal(B, kept)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        sweeps = 2 * len(f._halves)
-        assert len(f._halves) == 1 + (n >= 3 * band)
         assert calls == [q for q in self.COLUMNS
-                         if not _solve_by_blocks(band, q)
-                         for _ in range(sweeps)]
+                         if not _solve_by_blocks(band, q) for _ in range(2)]
 
     @pytest.mark.parametrize("band", [0, 13])
     def test_narrow_bands_take_pbtrs(self, band, monkeypatch):
@@ -475,11 +465,10 @@ class TestBlockedSolve:
             ref = self.pbtrs(f, K, B)
             got = f.solve(B)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        # every width takes tbtrs on the diagonal (one part), all but `wide`
-        # at k = 13 (two halves, each swept forward and back)
-        sweeps = 2 if band == 0 else 4
+        # every width takes tbtrs on the diagonal, all but `wide` at k = 13,
+        # each swept forward and back
         assert calls == [q for q in [BLOCKED_SOLVE_COLUMNS, wide - 1]
-                         + [wide] * (band == 0) for _ in range(sweeps)]
+                         + [wide] * (band == 0) for _ in range(2)]
 
     def test_vector_and_empty_rhs(self):
         f = self.factor(101, 250)
@@ -538,7 +527,7 @@ class TestBlockedSolve:
         finally:
             tracemalloc.stop()
         # the solution and per-block temporaries, no copy of the band
-        assert peak < B.nbytes + 8 * f._band.size // 4
+        assert peak < B.nbytes + f._cb.nbytes // 4
 
     def test_one_ledger_event_per_call(self):
         f = self.factor(101, 350)
@@ -552,30 +541,23 @@ class TestBlockedSolve:
 
 
 class TestSplit:
-    """Each band factors and solves as two halves joined by a k-row
-    separator; a band with n < 3k as one part."""
+    """Each band factors whole and solves in k-row blocks, on the calling
+    thread: against dense solves, in lent storage, from two callers at
+    once, at a bad pivot, and with no thread started."""
 
-    # (n, k): unsplit; n = 3k; odd n; a partial last block in each half,
-    # at a band whose block solves run in turn and at one where they run
-    # at once; k = 1
+    # (n, k): a whole number of blocks; a partial last block, at half-widths
+    # below and above BLOCKED_BAND; n below 3k; k = 1
     SHAPES = [(50, 20), (120, 40), (303, 40), (301, 41), (331, 101), (9, 1)]
 
     @pytest.mark.parametrize("columns", [1, 4, 9, 10, 33])
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_matches_dense_solve(self, n, k, columns):
         K = random_spd_banded(n, k, np.random.default_rng(n + k))
-        band = K.pattern.band()
-        assert (band.sep, band.split) == ((k, (n - k) // 2) if n >= 3 * k
-                                          else (0, n))
+        assert K.bandwidth == k
         B = np.random.default_rng(columns).normal(size=(n, columns))
         ref = np.linalg.solve(K.toarray(), B)
         got = factorize(K).solve(B)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_halves_hold_partial_blocks(self):
-        band = random_spd_banded(301, 41, np.random.default_rng(0)
-                                 ).pattern.band()
-        assert band.split % 41 and (301 - band.split - 41) % 41
 
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_lent_storage_gives_the_same_bits(self, n, k):
@@ -586,8 +568,8 @@ class TestSplit:
                               factorize(K).solve(B))
 
     def test_two_threads_give_the_bits_of_calls_in_turn(self):
-        # two callers factorize and solve different blocks at once, beside
-        # the band worker: the elementary helper's case
+        # two callers factorize and solve different blocks at once: the
+        # elementary helper's case
         import threading
 
         mats = [random_spd_banded(900, 101, np.random.default_rng(5)),
@@ -623,65 +605,28 @@ class TestSplit:
             assert len(runs) == 15
             assert all(np.array_equal(x, ref) for x in runs)
 
-    @pytest.mark.parametrize("k, at_once", [
-        (PAIRED_BLOCKS_BAND - 1, False), (PAIRED_BLOCKS_BAND, True)])
-    def test_narrow_block_solves_run_in_turn(self, k, at_once, monkeypatch):
-        import threading
-
-        f = factorize(random_spd_banded(4 * k, k, np.random.default_rng(3)))
-        threads = []
-        blocks = mptop.sparse._solve_band_blocks
-        monkeypatch.setattr(
-            mptop.sparse, "_solve_band_blocks", lambda *args: threads.append(
-                threading.current_thread().name) or blocks(*args))
-        f.solve(np.ones((f.n, BLOCKED_SOLVE_COLUMNS)))
-        assert len(threads) == 4
-        on_worker = [name.startswith("mptop-band") for name in threads]
-        assert on_worker == [False, at_once] * 2
-
-    @pytest.mark.parametrize("part", ["top half", "bottom half",
-                                      "separator"])
-    def test_non_positive_pivot_names_its_part_and_row(self, part):
-        n, k = 200, 20
-        K = random_spd_banded(n, k, np.random.default_rng(8))
-        band = K.pattern.band()
-        row = {"top half": 37, "separator": band.split + 5,
-               "bottom half": n - 23}[part]
+    @pytest.mark.parametrize("row", [37, 95, 177])
+    def test_non_positive_pivot_names_its_row(self, row):
+        K = random_spd_banded(200, 20, np.random.default_rng(8))
         A = K.toarray()
         A[row, row] = -1.0
         with pytest.raises(SingularMatrixError,
-                           match=f"{part}, row {row} of the block"):
+                           match=f"row {row} of the block"):
             factorize(SymmetricSparse(A))
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        import threading
-
-        K = random_spd_banded(400, 65, np.random.default_rng(9))
-        pbtrf = mptop.sparse._pbtrf
-
-        def failing(ab):
-            if threading.current_thread().name.startswith("mptop-band"):
-                raise RuntimeError("bottom half failed")
-            return pbtrf(ab)
-        monkeypatch.setattr(mptop.sparse, "_pbtrf", failing)
-        with TestBlasThreads.caller_threads(2) as before:
-            with pytest.raises(RuntimeError, match="bottom half failed"):
-                factorize(K)
-            assert TestBlasThreads.counts() == before
-        monkeypatch.setattr(mptop.sparse, "_pbtrf", pbtrf)
-        b = np.ones(K.n)
-        np.testing.assert_allclose(K.mat @ factorize(K).solve(b), b,
-                                   rtol=0.0, atol=1e-12)
-
     def test_import_starts_no_thread(self):
-        src = Path(mptop.sparse.__file__).resolve().parents[1]
-        code = ("import threading, mptop; "
-                "print(threading.active_count())")
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True,
-                             timeout=60).stdout
-        assert out.strip() == "1"
+        assert _fresh_python("import threading, mptop; "
+                             "print(threading.active_count())") == "1"
+
+    def test_factor_and_solve_start_no_thread(self):
+        # a tridiagonal band solved by tbtrs and, at 400 columns, by blocks
+        assert _fresh_python(
+            "import threading, numpy as np, scipy.sparse as sp, mptop; "
+            "K = mptop.sparse.SymmetricSparse(sp.diags("
+            "[-1.0, 4.0, -1.0], [-1, 0, 1], shape=(400, 400))); "
+            "f = mptop.sparse.factorize(K); "
+            "[f.solve(np.ones((400, q))) for q in (1, 400)]; "
+            "print(threading.active_count())") == "1"
 
 
 class TestBlasThreads:
@@ -738,13 +683,12 @@ class TestBlasThreads:
             assert self.counts() == before
         assert inside == [[1] * len(before)]
 
-    # each kernel runs once per half, on the caller and the band worker, and
-    # a solve's twice per half, forward and back
+    # a factorization runs its kernel once, a solve twice, forward and back
     @pytest.mark.parametrize("kernel, band, columns, calls", [
-        ("_pbtrf", 65, 0, 2),
-        ("_pbtrf", 101, 0, 2),
-        ("_tbtrs", 101, 4, 4),
-        ("_solve_band_blocks", 101, BLOCKED_SOLVE_COLUMNS, 4),
+        ("_pbtrf", 65, 0, 1),
+        ("_pbtrf", 101, 0, 1),
+        ("_tbtrs", 101, 4, 2),
+        ("_solve_band_blocks", 101, BLOCKED_SOLVE_COLUMNS, 2),
     ], ids=["factor-65", "factor-101", "tbtrs", "blocks"])
     def test_kernel_runs_on_one_thread(self, kernel, band, columns, calls,
                                        monkeypatch):
@@ -801,9 +745,8 @@ class TestBlasThreads:
             sys.setswitchinterval(old)
         assert not any(w.is_alive() for w in workers)
         assert errors == []
-        # both bands split: per round two half factorizations and each
-        # half's two one-column sweeps
-        assert inside == [[1] * len(before)] * (6 * 25 * 6)
+        # per round one factorization and its two one-column sweeps
+        assert inside == [[1] * len(before)] * (6 * 25 * 3)
 
     @pytest.mark.parametrize("build", [
         lambda: build_problem1(70, 70, m=4),
@@ -843,10 +786,8 @@ class TestBlasThreads:
         helper = [name for name, thread, _ in seen
                   if thread.startswith("mptop-elementary")]
         # the first set factorizes on the calling thread, which solves all;
-        # each later set's top half on the helper, its bottom half there
-        # too or on the band worker, whichever is free
-        assert set(helper) == {"_pbtrf"}
-        assert len(p.sets) - 1 <= len(helper) <= 2 * (len(p.sets) - 1)
+        # each later set on the helper
+        assert helper == ["_pbtrf"] * (len(p.sets) - 1)
         assert all(counts == [1] * len(before) for _, _, counts in seen)
 
     def test_no_library_found(self, monkeypatch):
@@ -889,9 +830,8 @@ class TestGilFree:
         import threading
         import time
 
-        # one part: n < 3k leaves the band unsplit, so one kernel runs
         K = random_spd_banded(1200, 450, np.random.default_rng(11))
-        assert factorize(K)._band.sep == 0  # builds the layout, warms LAPACK
+        factorize(K)    # builds the layout, warms LAPACK
         ticks, stop, spans = [], threading.Event(), []
         pbtrf = mptop.sparse._pbtrf
 
@@ -983,10 +923,6 @@ class TestLedgerPhases:
 
 def test_import_leaves_out_the_graph_module():
     # the grid numbers its DOFs in banded order: no graph reordering loads
-    src = Path(mptop.sparse.__file__).resolve().parents[1]
-    code = ("import sys, mptop; "
-            "print('scipy.sparse.csgraph' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    out = _fresh_python("import sys, mptop; "
+                        "print('scipy.sparse.csgraph' in sys.modules)")
+    assert out == "False"
