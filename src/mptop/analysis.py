@@ -9,8 +9,8 @@ cores both run at once. Only while a set's solve runs at level 3 does the
 next set go to the helper; after a solve of few right-hand sides, set i is
 released and set i + 1 factorized on the calling thread. The helper only
 factorizes, into the other of the stream's two band buffers, records into
-a ledger of its own that joins the caller's in set order, and lives for
-one stream: at most two sets' full-length states are alive.
+the caller's ledger, and lives for one stream: at most two sets'
+full-length states are alive.
 ``solve_condensed`` runs every pattern against one shared reduced model: a
 single large factorization total, then per set a small dense
 factorization, the state solve and the adjoint solve against it; it keeps
@@ -26,7 +26,6 @@ Adjoint right-hand sides and solved adjoints travel as stacks, one
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,19 +110,13 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
     ahead = None        # the next set's factorization, on the helper
     with ThreadPoolExecutor(1, thread_name_prefix="mptop-elementary") as helper:
         for i, aset in enumerate(sets):
-            fact, k_fp, own = (_factorize_set(K, blocks[i], aset, ledger,
-                                              bands[i % len(bands)])
-                               if ahead is None else ahead.result())
-            if own is not ledger:       # factorized on the helper
-                ledger.events.extend(own.events)
+            fact, k_fp = (_factorize_set(K, blocks[i], aset, ledger,
+                                         bands[i % len(bands)])
+                          if ahead is None else ahead.result())
             ahead = None
             if prefetch[i]:
-                # its events join the ledger in set order, stamped with the
-                # phase the caller is in now: the helper reads no phase
-                own = None if ledger is None else CostLedger(
-                    _phase=ledger._phase)
                 ahead = helper.submit(_factorize_set, K, blocks[i + 1],
-                                      sets[i + 1], own, bands[(i + 1) % 2])
+                                      sets[i + 1], ledger, bands[(i + 1) % 2])
             states = _set_states(K, aset, fact, k_fp, ledger, want_reactions)
             stack = (None if adjoint_rhs is None
                      else solve_stack(fact, adjoint_rhs[i], ledger))
@@ -133,9 +126,9 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
 
 
 def _factorize_set(K, block, aset, ledger, storage):
-    """``block`` factorized in ``storage``, ``aset``'s K_fp, ``ledger``."""
+    """``block`` factorized in ``storage``, and ``aset``'s K_fp."""
     return (factorize(block, ledger=ledger, storage=storage),
-            extract(K, aset.free, aset.prescribed), ledger)
+            extract(K, aset.free, aset.prescribed))
 
 
 def _set_states(K, aset, fact, k_fp, ledger, want_reactions):
@@ -226,18 +219,14 @@ def check_stack(stack, i: int, shape: tuple) -> np.ndarray:
     return stack
 
 
-def adjoint_phase(ledger):
-    return ledger.phase("adjoint") if ledger is not None else nullcontext()
-
-
 def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
     """Solve a (rows, free, cases) stack in one call, every response's
-    columns side by side; columns that are exactly zero are not solved, and
-    stay zero."""
+    columns side by side, in the ledger's ``"adjoint"`` phase; columns that
+    are exactly zero are not solved, and stay zero."""
     cols = np.hstack(stack)
     live = cols.any(axis=0)
     lam = np.zeros_like(cols)
     if live.any():
-        with adjoint_phase(ledger):
-            lam[:, live] = fact.solve(cols[:, live], ledger=ledger)
+        lam[:, live] = fact.solve(cols[:, live], ledger=ledger,
+                                  phase="adjoint")
     return np.stack(np.hsplit(lam, len(stack)))

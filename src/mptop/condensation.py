@@ -108,8 +108,7 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
                         load_states, fact, k_fp, k_pm, k_pp, sec_values)
 
 
-def recover_secondary(model: ReducedModel, u_primary,
-                      ledger: CostLedger | None = None):
+def recover_secondary(model: ReducedModel, u_primary):
     """Secondary free states and secondary reaction loads for given primary states.
 
     ``u_primary`` holds one column per global load case in plan order. No new

@@ -71,7 +71,10 @@ class MMA:
         # the last solve's multipliers, where the next one starts
         self.multipliers = np.zeros(n_cons)
 
-    def step(self, x, g0, dg0, g=None, dg=None) -> np.ndarray:
+    def step(self, x, dg0, g=None, dg=None) -> np.ndarray:
+        """The design after one update from ``x``, given the objective's
+        gradient ``dg0``, the constraints ``g`` and their gradients ``dg``;
+        the update reads no objective value."""
         x = np.asarray(x, dtype=float)
         dg0 = np.asarray(dg0, dtype=float)
         if self.h:
@@ -324,8 +327,7 @@ def optimize(problem: ProblemSpec, pipeline: str = "condensed",
         t0 = time.perf_counter()
         ledger = CostLedger()
         ev = evaluate(problem, x, pipeline=pipeline, ledger=ledger)
-        x_new = mma.step(x, ev.objective, ev.d_objective, ev.constraints,
-                         ev.d_constraints)
+        x_new = mma.step(x, ev.d_objective, ev.constraints, ev.d_constraints)
         max_change = float(np.abs(x_new - x).max())
         record = IterationRecord(
             iteration=k,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import adjoint_phase, check_stack, check_stacks, solve_stack
+from .analysis import check_stack, check_stacks, solve_stack
 from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
@@ -276,9 +276,8 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
                 large = np.asarray(model.k_fp @ partial)
                 direct = model.k_pm.T @ partial
                 X[plan.sec_prescribed.ids, :] = -partial
-            with adjoint_phase(ledger):
-                X[plan.sec_free.ids, :] = model.kff_fact.solve(large,
-                                                               ledger=ledger)
+            X[plan.sec_free.ids, :] = model.kff_fact.solve(
+                large, ledger=ledger, phase="adjoint")
             ctq = model.static_modes.T @ large - direct
             rhs, extra = -ctq[fpos], -ctq[ppos]
         lam_hat = solve_stack(sol.factorizations[set_index], rhs[None],

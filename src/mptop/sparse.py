@@ -36,8 +36,9 @@ calls skip their own scans), runs each kernel on one OpenBLAS thread (on
 two cores no kernel here gains from a second) and restores the caller's
 count after. It can report into a :class:`CostLedger`: one event per
 factorization / multi-RHS solve with its dimension (and a sparse handle's
-half-bandwidth), right-hand-side count, an operation-count estimate and
-wall time. An empty block solves trivially and records nothing.
+half-bandwidth), right-hand-side count, an operation-count estimate,
+wall time and phase: ``"response"``, or what the caller passes to
+``solve``. An empty block solves trivially and records nothing.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ import ctypes
 import functools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,27 +166,23 @@ class CostEvent:
 
 @dataclass
 class CostLedger:
-    """Per-run record of factorization and solve events.
+    """Per-run record of factorization and solve events, append only.
 
-    ``phase`` labels let callers separate response evaluation from adjoint
-    work; use the :meth:`phase` context manager around a code region.
+    Each event carries the ``phase`` its solve was called with, so callers
+    separate response evaluation from adjoint work. Several threads may
+    record into one ledger: events keep the order they were recorded in,
+    which the aggregates below do not read. A set the elementary stream
+    factorizes on its helper records when the helper finishes, so its
+    events need not sit next to the rest of its set's.
     """
 
     events: list = field(default_factory=list)
-    _phase: str = "response"
 
-    @contextmanager
-    def phase(self, name: str):
-        prev, self._phase = self._phase, name
-        try:
-            yield self
-        finally:
-            self._phase = prev
-
-    def record(self, op, matrix, dim, nrhs, flops, seconds, bandwidth=None):
+    def record(self, op, matrix, dim, nrhs, flops, seconds, bandwidth=None,
+               phase="response"):
         self.events.append(
             CostEvent(op, matrix, int(dim), int(nrhs), float(flops),
-                      self._phase, float(seconds), bandwidth)
+                      phase, float(seconds), bandwidth)
         )
 
     # -- aggregate views ----------------------------------------------------
@@ -385,11 +381,11 @@ def _flops_dense_solve(n, nrhs):
 # ---------------------------------------------------------------------------
 
 # Right-hand-side columns from which a banded solve runs block by block at
-# level 3 (_solve_band_blocks) instead of LAPACK's pbtrs, which reads the
-# whole factor once per column. A band narrower than BLOCKED_BAND needs more
-# columns: the blocks are k x k, so the loop makes 4n/k BLAS calls whose
-# fixed cost grows as k shrinks, and blocks are used when
-# columns x k >= BLOCKED_SOLVE_COLUMNS x BLOCKED_BAND.
+# level 3 (_solve_band_blocks) instead of LAPACK's tbtrs (_tbtrs), which
+# reads the whole factor once per column and direction. A band narrower
+# than BLOCKED_BAND needs more columns: the blocks are k x k, so the loop
+# makes 4n/k BLAS calls whose fixed cost grows as k shrinks, and blocks are
+# used when columns x k >= BLOCKED_SOLVE_COLUMNS x BLOCKED_BAND.
 # Measured crossover on the lower factor, n = 15238, 2-vCPU x86-64 VM,
 # OpenBLAS 0.3.31 at one thread: ~8 columns at k = 101; ~10 at k = 41-65;
 # ~11 at k = 30; ~16 at k = 22; ~30 at k = 13. The rule: 10, 10, 12, 17, 28.
@@ -605,13 +601,15 @@ class _Solver:
             with _one_blas_thread:
                 self._record(ledger, "factorize", 0, self._factor(A), t0)
 
-    def _record(self, ledger, op, nrhs, flops, t0):
+    def _record(self, ledger, op, nrhs, flops, t0, phase="response"):
         if ledger is not None:
             ledger.record(op, self.matrix, self.n, nrhs, flops,
-                          time.perf_counter() - t0, self.bandwidth)
+                          time.perf_counter() - t0, self.bandwidth, phase)
 
-    def solve(self, B, ledger: CostLedger | None = None) -> np.ndarray:
-        """Solve A X = B for a vector or a matrix of right-hand sides."""
+    def solve(self, B, ledger: CostLedger | None = None,
+              phase: str = "response") -> np.ndarray:
+        """Solve A X = B for a vector or a matrix of right-hand sides; the
+        ledger event carries ``phase``."""
         B = np.asarray_chkfinite(B, dtype=float)
         Bm = B[:, None] if B.ndim == 1 else B
         if Bm.ndim != 2 or Bm.shape[0] != self.n:
@@ -621,7 +619,7 @@ class _Solver:
         t0 = time.perf_counter()
         with _one_blas_thread:
             X, fl = self._kernel(Bm) if Bm.shape[1] else (Bm, 0.0)
-        self._record(ledger, "solve", Bm.shape[1], fl, t0)
+        self._record(ledger, "solve", Bm.shape[1], fl, t0, phase)
         return X[:, 0] if B.ndim == 1 else X
 
 

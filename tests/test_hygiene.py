@@ -1,6 +1,7 @@
 """Source hygiene: no package module imports a name it never uses or a
-scipy.linalg kernel that holds the GIL, or builds a thread or executor at
-import, and no private name is defined that the package never references."""
+scipy.linalg kernel that holds the GIL, builds a thread or executor at
+import, or defines a function parameter its body never reads, and no
+private name is defined that the package never references."""
 import ast
 from pathlib import Path
 
@@ -75,6 +76,31 @@ def test_no_thread_built_at_import(path):
     found = [f"{name} (line {line})" for name, line in called
              if name in THREAD_CONSTRUCTORS]
     assert not found, f"{path.name} builds at import: {found}"
+
+
+# (function, parameter) pairs a protocol fixes: ``__exit__`` takes the
+# exception whether or not it reads it
+UNREAD_BY_PROTOCOL = {("__exit__", "exc")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    # a parameter that a refactor stopped reading still has to be passed by
+    # every caller, and reads as if it mattered
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{fn.name}({name}) (line {fn.lineno})" for name in params
+                  if name not in read and name not in ("self", "cls")
+                  and (fn.name, name) not in UNREAD_BY_PROTOCOL]
+    assert not found, f"{path.name} has unread parameters: {found}"
 
 
 def _private_definitions(tree):

@@ -55,22 +55,21 @@ class TestMMA:
         mma = MMA(1, 0, lower=0.0, upper=1.0)
         x = np.array([0.9])
         for _ in range(30):
-            g0 = (x[0] - 0.3) ** 2
             dg0 = np.array([2 * (x[0] - 0.3)])
-            x = mma.step(x, g0, dg0)
+            x = mma.step(x, dg0)
         assert abs(x[0] - 0.3) <= 1e-3
 
     def test_bound_capture(self):
         mma = MMA(1, 0, lower=1e-3, upper=1.0)
         x = np.array([0.5])
         for _ in range(40):
-            x = mma.step(x, x[0], np.array([1.0]))
+            x = mma.step(x, np.array([1.0]))
         assert abs(x[0] - 1e-3) <= 1e-9
 
     def test_move_limit(self):
         mma = MMA(1, 0, lower=0.0, upper=1.0)
         x0 = np.array([0.9])
-        x1 = mma.step(x0, x0[0], np.array([1.0]))
+        x1 = mma.step(x0, np.array([1.0]))
         assert x0[0] - x1[0] <= 0.2 + 1e-12
 
     def test_linear_constraint_becomes_active(self):
@@ -80,11 +79,10 @@ class TestMMA:
         mma = MMA(n, 1, lower=0.0, upper=1.0)
         x = np.full(n, 0.4)
         for _ in range(60):
-            g0 = float(np.sum((x - 1.0) ** 2))
             dg0 = 2.0 * (x - 1.0)
             g = np.array([x.mean() / 0.4 - 1.0])
             dg = np.full((1, n), 1.0 / (0.4 * n))
-            x = mma.step(x, g0, dg0, g, dg)
+            x = mma.step(x, dg0, g, dg)
         assert abs(x.mean() / 0.4 - 1.0) <= 1e-3
 
     def test_two_constraints(self):
@@ -93,24 +91,23 @@ class TestMMA:
         mma = MMA(2, 2, lower=0.0, upper=1.0)
         x = np.array([0.2, 0.2])
         for _ in range(80):
-            g0 = -(x[0] + x[1])
             dg0 = np.array([-1.0, -1.0])
             g = np.array([x[0] + x[1] - 1.0, x[0] - x[1]])
             dg = np.array([[1.0, 1.0], [1.0, -1.0]])
-            x = mma.step(x, g0, dg0, g, dg)
+            x = mma.step(x, dg0, g, dg)
         assert abs(x.sum() - 1.0) <= 1e-3
         assert x[0] <= x[1] + 1e-6
 
     def test_rejects_nan_gradient(self):
         mma = MMA(2, 0, lower=0.0, upper=1.0)
         with pytest.raises(ValueError):
-            mma.step(np.array([0.5, 0.5]), 1.0, np.array([np.nan, 0.0]))
+            mma.step(np.array([0.5, 0.5]), np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_constraint(self, bad):
         mma = MMA(2, 2, lower=0.0, upper=1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            mma.step(np.array([0.5, 0.5]), 1.0, np.array([1.0, -1.0]),
+            mma.step(np.array([0.5, 0.5]), np.array([1.0, -1.0]),
                      np.array([bad, 0.1]), np.eye(2))
 
 
@@ -166,7 +163,7 @@ class TestMMADual:
         # constraints with almost the same gradient
         x, dg0, g, dg = _nearly_parallel()
         mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
-        x_new = mma.step(x, 0.0, dg0, g, dg)
+        x_new = mma.step(x, dg0, g, dg)
         # the coupling is resolved by Newton line searches, with no
         # coordinate pass
         assert mma.dual_newton >= 1 and mma.dual_sweeps == 0
@@ -179,8 +176,8 @@ class TestMMADual:
         x = p.x0
         for _ in range(3):
             ev = evaluate(p, x)
-            x_new = mma.step(x, ev.objective, ev.d_objective,
-                             ev.constraints, ev.d_constraints)
+            x_new = mma.step(x, ev.d_objective, ev.constraints,
+                             ev.d_constraints)
             _assert_kkt(mma, x, ev.d_objective, ev.constraints,
                         ev.d_constraints, x_new)
             x = x_new
@@ -211,12 +208,12 @@ class TestMMADual:
     def test_warm_start_matches_cold(self):
         x, dg0, g, dg = _nearly_parallel(seed=5)
         warm = MMA(x.size, g.size, lower=0.0, upper=1.0)
-        x1 = warm.step(x, 0.0, dg0, g, dg)
+        x1 = warm.step(x, dg0, g, dg)
         cold = copy.deepcopy(warm)
         cold.multipliers = np.zeros(g.size)
         g2 = 0.9 * g
-        x_warm = warm.step(x1, 0.0, dg0, g2, dg)
-        x_cold = cold.step(x1, 0.0, dg0, g2, dg)
+        x_warm = warm.step(x1, dg0, g2, dg)
+        x_cold = cold.step(x1, dg0, g2, dg)
         assert np.abs(x_warm - x_cold).max() <= 1e-10 * np.abs(x_cold).max()
         # the warm start is used: it needs fewer line searches
         assert warm.dual_newton < cold.dual_newton
@@ -230,10 +227,10 @@ class TestMMADual:
         dg0 = -rng.uniform(0.5, 1.5, n)
         dg = rng.uniform(-1.0, 1.0, (h, n)) / n
         g = 0.02 + 0.02 * rng.random(h)
-        ref = MMA(n, h, lower=0.0, upper=1.0).step(x, 0.0, dg0, g, dg)
+        ref = MMA(n, h, lower=0.0, upper=1.0).step(x, dg0, g, dg)
         monkeypatch.setattr(MMA, "_target", lambda self, *args: None)
         mma = MMA(n, h, lower=0.0, upper=1.0)
-        x_new = mma.step(x, 0.0, dg0, g, dg)
+        x_new = mma.step(x, dg0, g, dg)
         assert mma.dual_newton == 0 and mma.dual_sweeps >= 1
         assert mma.dual_residual <= MMA.dual_tol
         assert np.abs(x_new - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -246,7 +243,7 @@ class TestMMADual:
         dg = rng.uniform(0.2, 1.0, (1, n)) / n
         g = np.array([0.05])
         mma = MMA(n, 1, lower=1e-3, upper=1.0)
-        x_new = mma.step(x, 0.0, dg0, g, dg)
+        x_new = mma.step(x, dg0, g, dg)
         sub = _subproblem(mma, x, dg0, g, dg)
 
         def grad(lam):
@@ -269,7 +266,7 @@ class TestMMADual:
             mma = MMA(x.size, g.size, lower=0.0, upper=1.0)
             xk = x
             for _ in range(3):
-                xk = mma.step(xk, 0.0, dg0, g, dg)
+                xk = mma.step(xk, dg0, g, dg)
             runs.append((xk, mma.dual_sweeps, mma.dual_newton,
                          mma.dual_residual))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -282,7 +279,7 @@ class TestMMADual:
         with pytest.raises(MMADualError,
                            match=r"iteration 1: h=4, projected-gradient "
                                  r"residual \S+ after 1 sweeps"):
-            mma.step(x, 0.0, dg0, g, dg)
+            mma.step(x, dg0, g, dg)
 
 
 class TestOptimize:

@@ -910,15 +910,22 @@ class TestLedgerPhases:
             ("sparse", "solve", K.bandwidth),
             ("dense", "factorize", None), ("dense", "solve", None)]
 
-    def test_phase_context(self):
+    def test_phase_is_a_solve_argument(self):
+        # a solve records the phase it is called with, "response" by
+        # default; a factorization always records "response"
         ledger = CostLedger()
-        K = SymmetricSparse(np.eye(3))
-        f = factorize(K, ledger=ledger)
-        with ledger.phase("adjoint"):
-            f.solve(np.ones(3), ledger=ledger)
+        f = factorize(SymmetricSparse(np.eye(3)), ledger=ledger)
+        f.solve(np.ones(3), ledger=ledger, phase="adjoint")
         f.solve(np.ones(3), ledger=ledger)
-        assert ledger.count(op="solve", phase="adjoint") == 1
-        assert ledger.count(op="solve", phase="response") == 1
+        d = DenseCholesky(CHAIN3, ledger=ledger)
+        d.solve(np.ones((3, 2)), ledger=ledger, phase="adjoint")
+        assert [(e.matrix, e.op, e.phase) for e in ledger.events] == [
+            ("sparse", "factorize", "response"),
+            ("sparse", "solve", "adjoint"), ("sparse", "solve", "response"),
+            ("dense", "factorize", "response"), ("dense", "solve", "adjoint")]
+        assert ledger.count(op="solve", phase="adjoint") == 2
+        assert ledger.rhs_total(phase="adjoint") == 3
+        assert ledger.rhs_total(phase="response") == 1
 
 
 def test_import_leaves_out_the_graph_module():
