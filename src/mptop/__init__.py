@@ -7,7 +7,7 @@ followed by small dense solves per pattern, with matching adjoint design
 gradients, an operation-count model predicting the speedup, and two
 ready-made benchmark problems.
 """
-from .analysis import SetStates, StateSolution, solve_condensed, solve_elementary
+from .analysis import SetStates, solve_condensed, solve_elementary
 from .condensation import EmptyPrimarySetError, ReducedModel, condense, recover_secondary
 from .fem import DesignField, Filter, Grid, assemble, element_matrix, simp
 from .optimizer import MMA, MMADualError, OptResult, optimize

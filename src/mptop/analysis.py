@@ -1,5 +1,8 @@
 """End-to-end response pipelines over the analysis sets.
 
+Both pipelines give one result: per analysis set, in set order, a pair of
+its :class:`SetStates` and its solved adjoint stack (None when no adjoint
+right-hand sides are given, for self-adjoint responses).
 ``solve_elementary`` treats every boundary-condition pattern as its own
 large constrained system and streams through them in set order: the calling
 thread solves set i's states and adjoints and yields them while one helper
@@ -11,13 +14,14 @@ released and set i + 1 factorized on the calling thread. The helper only
 factorizes, into the other of the stream's two band buffers, records into
 the caller's ledger, and lives for one stream: at most two sets'
 full-length states are alive.
-``solve_condensed`` runs every pattern against one shared reduced model: a
-single large factorization total, then per set a small dense
-factorization, the state solve and the adjoint solve against it; it keeps
-the dense handles for the dependency cases of
-:func:`~mptop.sensitivity.sens_case`. Both produce the same primary states
-and solved adjoints, and solve the adjoint stacks through
-:func:`solve_stack`; the cost ledgers differ.
+``solve_condensed`` runs every pattern against one shared reduced model,
+whose :func:`~mptop.condensation.condense` made the single large
+factorization and each set's small dense one: per set it runs only the
+state solve and the adjoint solve, and returns the list of pairs at once.
+Its states are on the primary DOFs, the elementary ones on all DOFs; the
+primary states and the solved adjoints on the free primary DOFs agree.
+Both solve the adjoint stacks through :func:`solve_stack`; the cost
+ledgers differ.
 
 Adjoint right-hand sides and solved adjoints travel as stacks, one
 (rows, free, cases) array per set with one row per response;
@@ -26,14 +30,13 @@ Adjoint right-hand sides and solved adjoints travel as stacks, one
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .condensation import ReducedModel
 from .sparse import (
     CostLedger,
-    DenseCholesky,
     SymmetricSparse,
     _solve_by_blocks,
     band_storage,
@@ -55,7 +58,6 @@ class SetStates:
     u_full: np.ndarray          # (all or primary DOFs, cases)
     free: np.ndarray            # rows of u_full at the set's free DOFs
     prescribed: np.ndarray      # rows at its prescribed DOFs
-    reactions: np.ndarray | None = None
 
     @property
     def u_free(self) -> np.ndarray:
@@ -66,24 +68,8 @@ class SetStates:
         return self.u_full[self.prescribed]
 
 
-@dataclass
-class StateSolution:
-    """States of every analysis set.
-
-    ``factorizations`` holds the condensed pipeline's dense handles, one per
-    set. ``adjoints`` holds its solved adjoint stacks, one per set, or is
-    None when no right-hand sides were given (self-adjoint responses). An
-    elementary evaluation keeps each set's primary rows only, with neither.
-    """
-
-    sets: list = field(default_factory=list)
-    factorizations: list = field(default_factory=list)
-    adjoints: list | None = None
-
-
 def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
-                     ledger: CostLedger | None = None,
-                     want_reactions: bool = False):
+                     ledger: CostLedger | None = None):
     """Solve each analysis set against the full system matrix: factorize,
     solve the states, solve the adjoints, release; yield each set's
     :class:`SetStates` and solved adjoint stack (None without
@@ -117,7 +103,7 @@ def solve_elementary(K: SymmetricSparse, sets, adjoint_rhs=None,
             if prefetch[i]:
                 ahead = helper.submit(_factorize_set, K, blocks[i + 1],
                                       sets[i + 1], ledger, bands[(i + 1) % 2])
-            states = _set_states(K, aset, fact, k_fp, ledger, want_reactions)
+            states = _set_states(K, aset, fact, k_fp, ledger)
             stack = (None if adjoint_rhs is None
                      else solve_stack(fact, adjoint_rhs[i], ledger))
             if ahead is None:   # released before the next set factorizes;
@@ -131,7 +117,7 @@ def _factorize_set(K, block, aset, ledger, storage):
             extract(K, aset.free, aset.prescribed))
 
 
-def _set_states(K, aset, fact, k_fp, ledger, want_reactions):
+def _set_states(K, aset, fact, k_fp, ledger):
     """Set ``aset``'s :class:`SetStates` on all DOFs, solved with ``fact``;
     no buffer of the solve outlives it."""
     rhs = -(k_fp @ aset.prescribed_values)
@@ -141,56 +127,37 @@ def _set_states(K, aset, fact, k_fp, ledger, want_reactions):
     u_full = np.zeros((K.n, aset.cases))
     u_full[aset.free.ids, :] = u_free
     u_full[aset.prescribed.ids, :] = aset.prescribed_values
-    reactions = None
-    if want_reactions:
-        k_pp = extract(K, aset.prescribed, aset.prescribed)
-        reactions = k_fp.T @ u_free + k_pp @ aset.prescribed_values
-    return SetStates(u_full, aset.free.ids, aset.prescribed.ids, reactions)
+    return SetStates(u_full, aset.free.ids, aset.prescribed.ids)
 
 
 def solve_condensed(model: ReducedModel, sets, adjoint_rhs=None,
-                    ledger: CostLedger | None = None,
-                    want_reactions: bool = False) -> StateSolution:
+                    ledger: CostLedger | None = None) -> list:
     """Solve each analysis set against the shared reduced model, and its
-    (rows, free primary, cases) stack of ``adjoint_rhs`` against the set's
-    small dense factor right after the states, as :func:`solve_elementary`
-    does; no large system is solved."""
+    (rows, free primary, cases) stack of ``adjoint_rhs`` right after, both
+    against the set's dense factor in ``model.set_factors``: nothing is
+    factorized and no large system is solved. Returns, as a list, the pairs
+    :func:`solve_elementary` yields, with the states on the primary DOFs."""
     plan = model.plan
     if adjoint_rhs is not None:
         adjoint_rhs = check_stacks(adjoint_rhs,
                                    [(len(f), s.cases) for f, s
                                     in zip(plan.free_primary, sets)])
     kt = model.reduced_matrix
-    out = StateSolution(adjoints=None if adjoint_rhs is None else [])
-    for i, aset in enumerate(sets):
+    out = []
+    for i, (aset, fact) in enumerate(zip(sets, model.set_factors)):
         fpos = plan.free_primary_pos[i]
         ppos = plan.presc_primary_pos[i]
-        cols = plan.case_slices[i]
-        ktff = kt[np.ix_(fpos, fpos)]
-        ktfp = kt[np.ix_(fpos, ppos)]
-        fact = DenseCholesky(ktff, ledger=ledger)
-
         f_free = aset.loads_at(plan.primary)[fpos]
         u_presc = aset.prescribed_values[
             plan.presc_primary[i].positions_in(aset.prescribed)]
-        ft_free = model.reduced_loads[np.ix_(fpos, range(cols.start, cols.stop))]
-        rhs = f_free - ktfp @ u_presc + ft_free
-        u_free = fact.solve(rhs, ledger=ledger)
-        if adjoint_rhs is not None:
-            out.adjoints.append(solve_stack(fact, adjoint_rhs[i], ledger))
-
+        ft_free = model.reduced_loads[fpos, plan.case_slices[i]]
+        rhs = f_free - kt[np.ix_(fpos, ppos)] @ u_presc + ft_free
         u_full = np.zeros((plan.m, aset.cases))
-        u_full[fpos, :] = u_free
+        u_full[fpos, :] = fact.solve(rhs, ledger=ledger)
         u_full[ppos, :] = u_presc
-        reactions = None
-        if want_reactions:
-            ktpf = kt[np.ix_(ppos, fpos)]
-            ktpp = kt[np.ix_(ppos, ppos)]
-            ft_presc = model.reduced_loads[
-                np.ix_(ppos, range(cols.start, cols.stop))]
-            reactions = ktpf @ u_free + ktpp @ u_presc - ft_presc
-        out.sets.append(SetStates(u_full, fpos, ppos, reactions))
-        out.factorizations.append(fact)
+        stack = (None if adjoint_rhs is None
+                 else solve_stack(fact, adjoint_rhs[i], ledger))
+        out.append((SetStates(u_full, fpos, ppos), stack))
     return out
 
 
@@ -222,11 +189,14 @@ def check_stack(stack, i: int, shape: tuple) -> np.ndarray:
 def solve_stack(fact, stack: np.ndarray, ledger=None) -> np.ndarray:
     """Solve a (rows, free, cases) stack in one call, every response's
     columns side by side, in the ledger's ``"adjoint"`` phase; columns that
-    are exactly zero are not solved, and stay zero."""
-    cols = np.hstack(stack)
+    are exactly zero, and so a stack of no rows, are not solved, and stay
+    zero."""
+    rows, free, cases = stack.shape
+    cols = stack.transpose(1, 0, 2).reshape(free, rows * cases)
     live = cols.any(axis=0)
     lam = np.zeros_like(cols)
     if live.any():
         lam[:, live] = fact.solve(cols[:, live], ledger=ledger,
                                   phase="adjoint")
-    return np.stack(np.hsplit(lam, len(stack)))
+    return np.ascontiguousarray(
+        lam.reshape(free, rows, cases).transpose(1, 0, 2))

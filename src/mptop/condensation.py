@@ -4,7 +4,8 @@ One factorization of the secondary-free block serves every right-hand side:
 the coupling columns that build the dense reduced matrix, and the load
 columns that build the reduced loads. Both solution blocks are retained —
 they reappear verbatim in state recovery and in every sensitivity formula,
-which is what makes the reduced-model gradients cheap.
+which is what makes the reduced-model gradients cheap. So are the analysis
+sets' dense factors, each shared by the set's state and adjoint solves.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 from .partitions import PartitionPlan
 from .sparse import (
     CostLedger,
+    DenseCholesky,
     Factorization,
     SymmetricSparse,
     extract,
@@ -42,6 +44,7 @@ class ReducedModel:
     k_pm: sp.csr_matrix               # secondary-prescribed rows, primary cols
     k_pp: sp.csr_matrix
     sec_values: np.ndarray            # prescribed magnitudes on secondary DOFs
+    set_factors: list                 # DenseCholesky of each set's free primary block
 
     @property
     def m(self):
@@ -57,10 +60,11 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
     DOFs; both may be None or zero, in which case the reduced loads vanish
     and no load columns are solved.
 
-    The secondary-free block is factorized once. With no secondary-free DOFs
-    the same path runs on its 0 x 0 factorization, which does no work: the
-    reduced matrix is the primary block, the reduced loads are
-    ``-K_mp @ sec_values``, and nothing is recorded in the ledger.
+    The secondary-free block is factorized once, then densely each set's
+    free primary block of the reduced matrix. With no secondary-free DOFs
+    the same path runs on its 0 x 0 factorization, which does no work and
+    records nothing: the reduced matrix is the primary block, the reduced
+    loads are ``-K_mp @ sec_values``.
     """
     if plan.m == 0:
         raise EmptyPrimarySetError("empty primary set: nothing to condense onto")
@@ -98,6 +102,8 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
 
     reduced = k_mm - k_fm.T @ static_modes
     reduced = 0.5 * (reduced + reduced.T)
+    set_factors = [DenseCholesky(reduced[np.ix_(f, f)], ledger=ledger)
+                   for f in plan.free_primary_pos]
 
     if load_states is not None:
         reduced_loads = k_fm.T @ load_states - k_mp @ sec_values
@@ -105,7 +111,8 @@ def condense(K: SymmetricSparse, plan: PartitionPlan, sec_loads=None,
         reduced_loads = np.zeros((plan.m, l_tot))
 
     return ReducedModel(plan, reduced, reduced_loads, static_modes,
-                        load_states, fact, k_fp, k_pm, k_pp, sec_values)
+                        load_states, fact, k_fp, k_pm, k_pp, sec_values,
+                        set_factors)
 
 
 def recover_secondary(model: ReducedModel, u_primary):

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .analysis import (SetStates, StateSolution, solve_condensed,
-                       solve_elementary)
+from .analysis import SetStates, solve_condensed, solve_elementary
 from .condensation import condense
 from .fem import DesignField, Filter, Grid, assemble
 from .partitions import AnalysisSet, PartitionPlan, build_plan, gather_secondary
@@ -57,7 +57,7 @@ class Evaluation:
     constraints: np.ndarray
     d_objective: np.ndarray | None
     d_constraints: np.ndarray | None
-    states: object
+    states: list        # per set, its SetStates on the primary DOFs
     model: object
 
 
@@ -158,55 +158,53 @@ def evaluate(problem: ProblemSpec, x, pipeline: str = "condensed",
     through the reduced model, or ``sens_elementary``, one per set and
     response). The responses' adjoint right-hand sides depend only on those
     free DOFs, so they are built before the solve, and both pipelines solve
-    them right after each set's states. One gradient call then contracts
-    every response: the solved adjoints, or the states themselves for the
-    self-adjoint problem 1. The elementary sets stream through it, each one
-    contracted as it is solved; then only their (m, cases) primary rows,
-    which the responses read, are kept, as the condensed states are.
+    them right after each set's states. The (states, solved stack) pairs of
+    either pass through one path: one gradient call contracts every
+    response, the solved adjoints or the states themselves for the
+    self-adjoint problem 1, each elementary set as it is solved; then only
+    each set's (m, cases) primary rows, which the responses read, are kept.
     """
-    grid = problem.grid
+    grid, plan = problem.grid, problem.plan
     design = problem.design(np.asarray(x, dtype=float))
     K = assemble(grid, design)
     if pipeline == "condensed":
-        free_sets = problem.plan.free_primary
+        model = condense(K, plan, problem.sec_loads, problem.sec_values,
+                         ledger=ledger)
+        free_sets, rows = plan.free_primary, slice(None)
+        solve = partial(solve_condensed, model)
+        sens = partial(sens_condensed_state, grid, design, model)
     elif pipeline == "elementary":
-        free_sets = [aset.free for aset in problem.sets]
+        model, free_sets = None, [aset.free for aset in problem.sets]
+        rows = plan.primary.ids
+        solve = partial(solve_elementary, K)
+        sens = partial(sens_elementary, grid, design)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     adjoint_rhs = _adjoint_rhs(problem, free_sets) if want_grads else None
 
-    d_states = model = None
-    if pipeline == "condensed":
-        model = condense(K, problem.plan, problem.sec_loads,
-                         problem.sec_values, ledger=ledger)
-        sol = solve_condensed(model, problem.sets, adjoint_rhs, ledger=ledger)
+    states, d_states = [], None
+    stream = _keep_primary_rows(plan, rows, states, solve(
+        problem.sets, adjoint_rhs, ledger=ledger))
+    with closing(stream):   # a consumer that raises stops the helper
         if want_grads:
-            d_states = sens_condensed_state(grid, design, model, sol,
-                                            problem.sets, sol.adjoints)
-    else:
-        sol = StateSolution()
-        stream = _keep_primary_rows(problem.plan, sol, solve_elementary(
-            K, problem.sets, adjoint_rhs, ledger=ledger))
-        with closing(stream):   # a consumer that raises stops the helper
-            if want_grads:
-                d_states = sens_elementary(grid, design, stream)
-            else:
-                for _ in stream:
-                    pass
+            d_states = sens(stream)
+        else:
+            for _ in stream:
+                pass
 
     if problem.kind == "problem1":
-        responses = _evaluate_p1(problem, design, sol, d_states)
+        responses = _evaluate_p1(problem, design, states, d_states)
     else:
-        responses = _evaluate_p2(problem, design, sol, d_states)
-    return Evaluation(*responses, sol, model)
+        responses = _evaluate_p2(problem, design, states, d_states)
+    return Evaluation(*responses, states, model)
 
 
-def _keep_primary_rows(plan, kept, stream):
-    """``stream`` passed on, each set's primary rows appended to ``kept``."""
+def _keep_primary_rows(plan, rows, kept, stream):
+    """``stream`` passed on, each set's states at ``rows``, its primary
+    rows, appended to ``kept``."""
     for i, (state, stack) in enumerate(stream):
-        kept.sets.append(SetStates(state.u_full[plan.primary.ids],
-                                   plan.free_primary_pos[i],
-                                   plan.presc_primary_pos[i]))
+        kept.append(SetStates(state.u_full[rows], plan.free_primary_pos[i],
+                              plan.presc_primary_pos[i]))
         yield state, stack
 
 
@@ -228,7 +226,7 @@ def _adjoint_rhs(problem, free_sets):
     return stacks
 
 
-def _evaluate_p1(problem, design, sol, d_states):
+def _evaluate_p1(problem, design, states, d_states):
     grid, plan = problem.grid, problem.plan
     vbar = problem.params["vbar"]
     n_elems = grid.n_elems
@@ -236,7 +234,7 @@ def _evaluate_p1(problem, design, sol, d_states):
     # compliance u^T K u is the work of the port loads: the grounded port
     # carries zero temperature, every other port is loaded and primary
     g0 = sum(float(np.sum(aset.loads_at(plan.primary)
-                          * sol.sets[i].u_full))
+                          * states[i].u_full))
              for i, aset in enumerate(problem.sets))
     g1 = float(design.filtered.sum() / (n_elems * vbar) - 1.0)
 
@@ -251,7 +249,7 @@ def _evaluate_p1(problem, design, sol, d_states):
     return g0, np.array([g1]), d0, d1
 
 
-def _evaluate_p2(problem, design, sol, d_states):
+def _evaluate_p2(problem, design, states, d_states):
     plan = problem.plan
     jbar = problem.params["jbar"]
     x_in = problem.params["n_inputs"]
@@ -260,7 +258,7 @@ def _evaluate_p2(problem, design, sol, d_states):
     n_elems = problem.grid.n_elems
 
     # transmission entries: output displacement i under unit input j
-    jmat = np.column_stack([sol.sets[j].u_full[out_pos, 0]
+    jmat = np.column_stack([states[j].u_full[out_pos, 0]
                             for j in range(x_in)])
 
     g0 = -float(design.filtered.sum()) / n_elems

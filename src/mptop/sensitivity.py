@@ -3,11 +3,12 @@
 Every gradient here reduces to sums of element-level contractions
 ``left^T (dK/dx_e) right``, chained through the density filter once at the
 end; the full derivative of the system matrix is never formed. Both
-pipelines' state gradients only contract: :mod:`mptop.analysis`'s solve
-functions solve every adjoint stack right after its set's states, against
-the factor then alive. The elementary pipeline contracts full-length
-adjoints and states with :func:`~mptop.fem.contract_dk_raw`, one set at a
-time as its solve stream yields them.
+pipelines' state gradients read the same (states, solved adjoint stack)
+pairs of :mod:`mptop.analysis`'s solve functions, which solve every
+adjoint stack right after its set's states, and only contract. The
+elementary pipeline contracts full-length adjoints and states with
+:func:`~mptop.fem.contract_dk_raw`, one set at a time as its solve stream
+yields them.
 
 The condensed pipeline has one route. Its kernel, :func:`_contract_reduced`,
 sums ``W[r] * L_e^T k_e R_e`` per element over full-length bases L and R,
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import check_stack, check_stacks, solve_stack
+from .analysis import check_stack, solve_stack
 from .condensation import ReducedModel
 from .fem import ELEMENT_CHUNK, DesignField, Grid, contract_dk_raw
 from .sparse import CostLedger
@@ -176,31 +177,35 @@ def _left_fields(state, stack):
 
 
 def sens_condensed_state(grid: Grid, design: DesignField, model: ReducedModel,
-                         sol, sets, adjoints) -> np.ndarray:
+                         solved) -> np.ndarray:
     """Gradients of several responses of the reduced free states, condensed
     route: (rows, n_elems).
 
-    ``adjoints[i]`` is set i's solved adjoint stack from
-    :func:`~mptop.analysis.solve_condensed`, (rows, free, cases) on its free
-    primary DOFs and zero where a response ignores the set. None stands for
-    one self-adjoint response, whose adjoint is each set's full state: the
-    left field ``E u - B``, with B the field of the secondary sources.
-    Nothing is solved here.
+    ``solved`` holds each set's states and solved adjoint stack in set
+    order, as :func:`~mptop.analysis.solve_condensed` returns them: (rows,
+    free, cases) on the set's free primary DOFs and zero where a response
+    ignores the set. A None stack stands for one self-adjoint response,
+    whose adjoint is the set's full state: the left field ``E u - B``, with
+    B the field of the secondary sources. Nothing is solved here.
     """
     plan = model.plan
-    X = None
-    if adjoints is None:
-        adjoints = [s.u_free[None] for s in sol.sets]
-        B = load_field(model)
-        X = None if B is None else -B
-    stacks = check_stacks(adjoints,
-                          [(len(f), s.cases)
-                           for f, s in zip(plan.free_primary, sets)])
-    A = np.zeros((len(stacks[0]), plan.m, plan.total_cases))
-    for i, stack in enumerate(stacks):
-        A[:, plan.free_primary_pos[i], plan.case_slices[i]] = stack
-    U = np.hstack([s.u_full for s in sol.sets])
-    return _state_gradient(grid, design, model, A, U, slice(None), X)
+    B = load_field(model)
+    A = X = None
+    U = []
+    for i, (state, stack) in enumerate(solved):
+        cols = plan.case_slices[i]
+        if stack is None:
+            stack = state.u_free[None]
+            if B is not None:
+                X = np.zeros_like(B) if X is None else X
+                X[:, cols] = -B[:, cols]
+        if A is None:
+            A = np.zeros((len(stack), plan.m, plan.total_cases))
+        A[:, state.free, cols] = check_stack(
+            stack, i, (len(A), len(state.free), state.u_full.shape[1]))
+        U.append(state.u_full)
+    return _state_gradient(grid, design, model, A, np.hstack(U),
+                           slice(None), X)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +233,11 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
     """Full sensitivity bundle for one response dependency.
 
     ``partial`` is dg/d(quantity); set-specific state cases also need the
-    condensed solution ``sol`` for the retained dense factorization and the
-    states. The reduced-load case takes every case when ``set_index`` is None.
-    Every case but the reduced matrix is one reduced adjoint ``a`` plus a
+    set's states, read from ``sol``, the pairs
+    :func:`~mptop.analysis.solve_condensed` returns, and solve against the
+    set's dense factor in ``model.set_factors``; nothing is factorized. The
+    reduced-load case takes every case when ``set_index`` is None. Every
+    case but the reduced matrix is one reduced adjoint ``a`` plus a
     full-length term ``X``, the large adjoint of the secondary cases: the
     design gradient is :func:`_state_gradient`'s, and the input-space
     partials are read off the full adjoint ``E a + X``.
@@ -263,7 +270,7 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
         ppos = plan.presc_primary_pos[set_index]
         kt = model.reduced_matrix
         ktpf = kt[np.ix_(ppos, fpos)]
-        u = sol.sets[set_index].u_full
+        u = sol[set_index][0].u_full
         if case == "primary-state":
             rhs, extra = partial, 0.0
         elif case == "primary-reaction":
@@ -280,7 +287,7 @@ def sens_case(case: str, grid: Grid, design: DesignField, model: ReducedModel,
                 large, ledger=ledger, phase="adjoint")
             ctq = model.static_modes.T @ large - direct
             rhs, extra = -ctq[fpos], -ctq[ppos]
-        lam_hat = solve_stack(sol.factorizations[set_index], rhs[None],
+        lam_hat = solve_stack(model.set_factors[set_index], rhs[None],
                               ledger)[0]
         d_presc = extra - ktpf @ lam_hat
         a[fpos, :] = lam_hat

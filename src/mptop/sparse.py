@@ -563,8 +563,22 @@ class Band:
         """The block's (k + 1) x n band, in ``out``'s head or a new array,
         Fortran-ordered for LAPACK, zero off the block's entries (also past
         its last row), gathered from the pattern's values ``data``, which
-        are checked for infs and NaNs there."""
-        ab = np.empty(self.size) if out is None else out[:self.size]
+        are checked for infs and NaNs there. LAPACK reads ``out`` through
+        its data pointer, so any but a 1-D, C-contiguous float64 array of
+        ``size`` elements or more raises ValueError."""
+        if out is None:
+            ab = np.empty(self.size)
+        else:
+            wrong = [what for bad, what in (
+                (out.dtype != np.float64, f"dtype {out.dtype}"),
+                (out.ndim != 1, f"shape {out.shape}"),
+                (not out.flags.c_contiguous, f"strides {out.strides}"),
+                (out.size < self.size, f"{out.size} elements")) if bad]
+            if wrong:
+                raise ValueError(
+                    f"band storage has {', '.join(wrong)}: it must be a 1-D, "
+                    f"C-contiguous float64 array of {self.size} elements or more")
+            ab = out[:self.size]
         ab[:] = 0.0
         ab[self.slots] = np.asarray_chkfinite(data[self.lower])
         return ab.reshape((self.bandwidth + 1, self.n), order="F")

@@ -2,7 +2,6 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mptop.analysis import StateSolution, solve_elementary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
 from mptop.sparse import IndexSet
@@ -76,12 +75,3 @@ def jbar8():
     rng = np.random.default_rng(8)
     return rng.uniform(0.5, 2.0, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8))
 
-
-def collect_elementary(*args, **kwargs) -> StateSolution:
-    """Every set :func:`solve_elementary` yields, full-length states and
-    solved adjoint stacks, collected into one :class:`StateSolution`."""
-    pairs = list(solve_elementary(*args, **kwargs))
-    adjoints = [stack for _, stack in pairs]
-    return StateSolution(
-        sets=[states for states, _ in pairs],
-        adjoints=adjoints if all(a is not None for a in adjoints) else None)

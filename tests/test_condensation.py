@@ -4,9 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 import mptop.sparse
-from helpers import (collect_elementary, plan_and_secondary,
-                     random_conduction_problem)
-from mptop.analysis import solve_condensed
+from helpers import plan_and_secondary, random_conduction_problem
+from mptop.analysis import solve_condensed, solve_elementary
 from mptop.condensation import EmptyPrimarySetError, condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
@@ -155,14 +154,16 @@ class TestCondense:
         K = SymmetricSparse(CHAIN3)
         ledger = CostLedger()
         model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
-        assert ledger.events == []
+        # no sparse work: only each set's dense factor is recorded
+        assert [(e.matrix, e.op) for e in ledger.events] == \
+            [("dense", "factorize")] * 2
         k_mp = CHAIN3[np.ix_([0, 1], [2])]
         np.testing.assert_array_equal(model.reduced_loads, -(k_mp @ sec_values))
         cond = solve_condensed(model, [s1, s2])
-        elem = collect_elementary(K, [s1, s2])
+        elem = list(solve_elementary(K, [s1, s2]))
         for i in range(2):
-            np.testing.assert_allclose(cond.sets[i].u_full,
-                                       elem.sets[i].u_full[plan.primary.ids],
+            np.testing.assert_allclose(cond[i][0].u_full,
+                                       elem[i][0].u_full[plan.primary.ids],
                                        rtol=0.0, atol=1e-12)
 
     def test_every_dof_of_interest_factorizes_an_empty_block(self):
@@ -189,12 +190,13 @@ class TestCondense:
                                               plan.primary).toarray())
         assert isinstance(model.kff_fact, Factorization)
         assert model.kff_fact.n == 0
-        assert ledger.events == []
+        assert [(e.matrix, e.op) for e in ledger.events] == \
+            [("dense", "factorize")] * 2
         cond = solve_condensed(model, sets)
-        elem = collect_elementary(K, sets)
+        elem = list(solve_elementary(K, sets))
         for i in range(2):
-            np.testing.assert_allclose(cond.sets[i].u_full,
-                                       elem.sets[i].u_full[plan.primary.ids],
+            np.testing.assert_allclose(cond[i][0].u_full,
+                                       elem[i][0].u_full[plan.primary.ids],
                                        rtol=1e-12, atol=1e-14)
 
 

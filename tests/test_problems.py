@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import mptop.analysis
-from helpers import collect_elementary, jbar8
-from mptop.analysis import solve_elementary
+from helpers import jbar8
+from mptop.analysis import SetStates, solve_elementary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet
 from mptop.problems import build_problem1, build_problem2, evaluate
@@ -114,10 +114,10 @@ class TestBuildProblem1:
         x = np.random.default_rng(2).uniform(0.3, 0.9, p.grid.n_elems)
         ev = evaluate(p, x, pipeline="elementary")
         design = p.design(x)
-        sol = collect_elementary(assemble(p.grid, design), p.sets)
+        sol = solve_elementary(assemble(p.grid, design), p.sets)
         raw = np.zeros(p.grid.n_elems)
         raw_pair = np.zeros(p.grid.n_elems)
-        for aset, state in zip(p.sets, sol.sets):
+        for aset, (state, _) in zip(p.sets, sol):
             raw -= contract_dk_raw(p.grid, design, state.u_full, state.u_full)
             lam = np.zeros((p.grid.n_dofs, aset.cases))
             lam[aset.free.ids, :] = state.u_free
@@ -191,7 +191,7 @@ class TestBuildProblem2:
         p = build_problem2(6, 6, 2, JBAR)
         ev = evaluate(p, p.x0, want_grads=False)
         for j, s in enumerate(p.sets):
-            u = ev.states.sets[j].u_full
+            u = ev.states[j].u_full
             pos = np.searchsorted(p.plan.primary.ids, p.params["in_dofs"][j])
             assert u[pos, 0] == 1.0
 
@@ -619,7 +619,8 @@ class TestElementaryStreaming:
                     if t.name.startswith("mptop-elementary")]
 
     # the condensed pipeline's per-set events are its dense ones, after the
-    # one sparse factorization and solve of the condensation
+    # one sparse factorization and solve of the condensation; the
+    # condensation also factorizes every set's dense block, before any solve
     @pytest.mark.parametrize("pipeline, matrix", [
         ("elementary", "sparse"), ("condensed", "dense")])
     @pytest.mark.parametrize("build, b", [
@@ -627,9 +628,9 @@ class TestElementaryStreaming:
         (lambda: build_problem2(6, 6, 2, JBAR), 2),
     ], ids=["problem1", "problem2"])
     def test_events_grouped_per_set(self, build, b, pipeline, matrix):
-        # each set's events are contiguous: its factorization, its response
-        # solve, then its adjoint solve (b right-hand sides), before the
-        # next set factorizes. That holds only because no set here solves
+        # each set's solves are contiguous: its response solve, then its
+        # adjoint solve (b right-hand sides). An elementary set factorizes
+        # right before them, which holds only because no set here solves
         # enough columns to be prefetched: a set factorized on the helper
         # records when the helper gets to it
         p = build()
@@ -637,18 +638,15 @@ class TestElementaryStreaming:
         evaluate(p, p.x0, pipeline=pipeline, ledger=ledger)
         others = [e.op for e in ledger.events if e.matrix != matrix]
         assert others == ["factorize", "solve"] * (pipeline == "condensed")
-        groups = []
-        for e in ledger.events:
-            if e.matrix != matrix:
-                continue
-            if e.op == "factorize":
-                groups.append([])
-            else:
-                groups[-1].append(e)
-        assert len(groups) == len(p.sets)
-        for aset, solves in zip(p.sets, groups):
-            assert [(e.phase, e.nrhs) for e in solves] == \
-                [("response", aset.cases)] + [("adjoint", b)] * (b > 0)
+        factorize = [("factorize", "response", 0)]
+        solves = [[("solve", "response", aset.cases)]
+                  + [("solve", "adjoint", b)] * (b > 0) for aset in p.sets]
+        if pipeline == "elementary":
+            expected = sum((factorize + s for s in solves), [])
+        else:
+            expected = factorize * len(p.sets) + sum(solves, [])
+        assert [(e.op, e.phase, e.nrhs) for e in ledger.events
+                if e.matrix == matrix] == expected
 
     def test_each_state_held_once(self):
         # an elementary evaluation keeps, per set, one float array of the
@@ -658,15 +656,14 @@ class TestElementaryStreaming:
         for p in (build_problem1(8, 8, m=4), build_problem2(6, 6, 2, JBAR)):
             plan = p.plan
             ev = evaluate(p, p.x0, pipeline="elementary")
-            full = collect_elementary(assemble(p.grid, p.design(p.x0)),
-                                      p.sets)
-            assert ev.states.adjoints is None
-            assert ev.states.factorizations == []
-            for i, (aset, state) in enumerate(zip(p.sets, ev.states.sets)):
+            full = list(solve_elementary(assemble(p.grid, p.design(p.x0)),
+                                         p.sets))
+            assert [type(s) for s in ev.states] == [SetStates] * len(p.sets)
+            for i, (aset, state) in enumerate(zip(p.sets, ev.states)):
                 held = [v.shape for v in vars(state).values()
                         if isinstance(v, np.ndarray) and v.dtype == float]
                 assert held == [(plan.m, aset.cases)]
-                u = full.sets[i].u_full
+                u = full[i][0].u_full
                 np.testing.assert_array_equal(state.u_full,
                                               u[plan.primary.ids])
                 np.testing.assert_array_equal(

@@ -4,10 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 import mptop.sensitivity
-from helpers import (collect_elementary, jbar8, plan_and_secondary,
-                     random_conduction_problem)
+from helpers import jbar8, plan_and_secondary, random_conduction_problem
 from mptop import build_problem1, build_problem2, evaluate
-from mptop.analysis import solve_condensed, solve_elementary
+from mptop.analysis import SetStates, solve_condensed, solve_elementary
 from mptop.condensation import condense, recover_secondary
 from mptop.fem import DesignField, Filter, Grid, assemble
 from mptop.partitions import AnalysisSet, build_plan, gather_secondary
@@ -50,11 +49,11 @@ class TestOperators:
             checked += 1
             model = condense(K, plan, None, None)
             cond = solve_condensed(model, sets)
-            elem = collect_elementary(K, sets)
+            elem = list(solve_elementary(K, sets))
             E = mptop.sensitivity._primary_basis(model)
             for i in range(len(sets)):
-                full = E @ cond.sets[i].u_full
-                ref = elem.sets[i].u_full
+                full = E @ cond[i][0].u_full
+                ref = elem[i][0].u_full
                 keep = np.concatenate([plan.primary.ids, plan.sec_free.ids])
                 scale = max(np.abs(ref).max(), 1.0)
                 assert np.abs(full[keep] - ref[keep]).max() <= 1e-10 * scale
@@ -263,6 +262,39 @@ class TestStateSensitivities:
             stacks.append(rhs)
         return stacks
 
+    def test_both_pipelines_return_the_same_pairs(self):
+        # one result contract: a list of (SetStates, solved stack) pairs in
+        # set order, the condensed states on the primary DOFs and its stacks
+        # on the free primary ones, where both pipelines agree
+        rng = np.random.default_rng(44)
+        checked = 0
+        while checked < 8:
+            K, sets, grid, _ = random_conduction_problem(rng, max_grid=10)
+            plan, sec_loads, sec_values = plan_and_secondary(sets, grid.n_dofs)
+            if plan.m == 0:
+                continue
+            model = condense(K, plan, sec_loads, sec_values)
+            if load_field(model) is None:
+                continue
+            checked += 1
+            weights = self._rand_state_response(rng, sets, plan,
+                                                int(rng.integers(1, 4)))
+            cond = solve_condensed(model, sets, weights)
+            elem = list(solve_elementary(
+                K, sets, self._elementary_stacks(sets, plan, weights)))
+            assert isinstance(cond, list) and len(cond) == len(elem) == len(sets)
+            for i, ((cs, cl), (es, el)) in enumerate(zip(cond, elem)):
+                for states, stack in ((cs, cl), (es, el)):
+                    assert isinstance(states, SetStates)
+                    assert isinstance(stack, np.ndarray)
+                for got, ref in (
+                        (cs.u_full, es.u_full[plan.primary.ids]),
+                        (cl, el[:, plan.free_primary[i].positions_in(
+                            sets[i].free)])):
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max(initial=0.0) <= \
+                        1e-9 * max(np.abs(ref).max(initial=0.0), 1e-30)
+
     def test_cross_pipeline_gradient_equality(self):
         # draws with secondary sources present (the reduced-load term F of the
         # condensed contraction), with total cases both above and below m
@@ -285,8 +317,7 @@ class TestStateSensitivities:
                                     self._elementary_stacks(sets, plan,
                                                             weights))
 
-            g_cond = sens_condensed_state(grid, design, model, cond, sets,
-                                          cond.adjoints)
+            g_cond = sens_condensed_state(grid, design, model, cond)
             g_elem = sens_elementary(grid, design, elem)
             assert g_cond.shape == g_elem.shape == (2, grid.n_elems)
             for gc, ge in zip(g_cond, g_elem):
@@ -325,24 +356,49 @@ class TestStateSensitivities:
             d = DesignField(grid, xv, flt)
             m = condense(assemble(grid, d), plan, sec_loads, sec_values)
             sol = solve_condensed(m, sets)
-            return response_from_primary([sol.sets[i].u_full for i in range(2)])
+            return response_from_primary([state.u_full for state, _ in sol])
 
         def g_elem(xv):
             d = DesignField(grid, xv, flt)
-            sol = collect_elementary(assemble(grid, d), sets)
+            sol = solve_elementary(assemble(grid, d), sets)
             return response_from_primary(
-                [sol.sets[i].u_full[plan.primary.ids, :] for i in range(2)])
+                [state.u_full[plan.primary.ids, :] for state, _ in sol])
 
         model = condense(assemble(grid, design), plan, sec_loads, sec_values)
         cond = solve_condensed(model, sets, weights)
-        grad_c = sens_condensed_state(grid, design, model, cond, sets,
-                                      cond.adjoints)[0]
+        grad_c = sens_condensed_state(grid, design, model, cond)[0]
         elem = solve_elementary(assemble(grid, design), sets,
                                 self._elementary_stacks(sets, plan, weights))
         grad_e = sens_elementary(grid, design, elem)[0]
 
         assert fd_verify(g_cond, x, grad_c) <= 1e-5
         assert fd_verify(g_elem, x, grad_e) <= 1e-5
+
+    @pytest.mark.parametrize("pipeline", ["condensed", "elementary"])
+    def test_stacks_of_no_rows(self, pipeline):
+        # no responses: each (0, free, cases) stack solves to itself with
+        # no ledger event, and the gradient has no rows
+        rng = np.random.default_rng(45)
+        while True:
+            K, sets, grid, design = random_conduction_problem(rng, max_grid=6)
+            plan, sec_loads, sec_values = plan_and_secondary(sets, grid.n_dofs)
+            if plan.m:
+                break
+        ledger = CostLedger()
+        if pipeline == "condensed":
+            model = condense(K, plan, sec_loads, sec_values)
+            empty = [np.zeros((0, len(f), s.cases))
+                     for f, s in zip(plan.free_primary, sets)]
+            solved = solve_condensed(model, sets, empty, ledger=ledger)
+            grad = sens_condensed_state(grid, design, model, solved)
+        else:
+            empty = [np.zeros((0, len(s.free), s.cases)) for s in sets]
+            solved = list(solve_elementary(K, sets, empty, ledger=ledger))
+            grad = sens_elementary(grid, design, solved)
+        assert [stack.shape for _, stack in solved] == [e.shape for e in empty]
+        assert ledger.count(op="solve", phase="adjoint") == 0
+        assert ledger.count(op="solve") == len(sets)
+        assert grad.shape == (0, grid.n_elems)
 
     def test_zero_partial_zero_gradient(self):
         # an all-zero adjoint stack gives exactly zero and records no solve
@@ -364,8 +420,8 @@ class TestStateSensitivities:
         design = p.design(p.x0)
         K = assemble(p.grid, design)
         model = condense(K, p.plan, p.sec_loads, p.sec_values)
-        cond = solve_condensed(model, p.sets)
-        elem = collect_elementary(K, p.sets)
+        cond = [state for state, _ in solve_condensed(model, p.sets)]
+        elem = [state for state, _ in solve_elementary(K, p.sets)]
         tiny = np.ones((1, 1, 1))
         ok_c = np.zeros((1, len(p.plan.free_primary[0]), 1))
         ok_e = np.zeros((1, len(p.sets[0].free), 1))
@@ -374,14 +430,13 @@ class TestStateSensitivities:
             return solve_condensed(model, p.sets, st)
 
         def sens_c(st):
-            return sens_condensed_state(p.grid, design, model, cond, p.sets,
-                                        st)
+            return sens_condensed_state(p.grid, design, model, zip(cond, st))
 
         def solve_e(st):
             return list(solve_elementary(K, p.sets, st))
 
         def sens_e(st):
-            return sens_elementary(p.grid, design, zip(elem.sets, st))
+            return sens_elementary(p.grid, design, zip(elem, st))
 
         for ok, solve, sens in ((ok_c, solve_c, sens_c),
                                 (ok_e, solve_e, sens_e)):
@@ -390,9 +445,9 @@ class TestStateSensitivities:
                 for call in (solve, sens):
                     with pytest.raises(ValueError, match=f"set {i} "):
                         call(stacks)
-        # the elementary gradient reads (states, stack) pairs, which cannot
-        # differ in count; every call that takes a list of stacks checks it
-        for ok, call in ((ok_c, solve_c), (ok_c, sens_c), (ok_e, solve_e)):
+        # the gradients read (states, stack) pairs, which cannot differ in
+        # count; every call that takes a list of stacks checks it
+        for ok, call in ((ok_c, solve_c), (ok_e, solve_e)):
             with pytest.raises(ValueError, match="1 adjoint stacks for 2"):
                 call([ok])
 
@@ -409,8 +464,7 @@ class TestStateSensitivities:
             model = condense(K, plan, sec_loads, sec_values, ledger=ledger)
             weights = self._rand_state_response(rng, sets, plan)
             cond = solve_condensed(model, sets, weights, ledger=ledger)
-            sens_condensed_state(grid, design, model, cond, sets,
-                                 cond.adjoints)
+            sens_condensed_state(grid, design, model, cond)
             assert ledger.count(op="solve", matrix="sparse", phase="adjoint") == 0
             # each set's two responses are one small dense solve
             assert ledger.count(op="solve", matrix="dense",
@@ -423,11 +477,10 @@ class TestStateSensitivities:
         rng = np.random.default_rng(42)
         K, sets, grid, design = random_conduction_problem(rng, max_grid=6)
         assert all(s.prescribed_values.any() for s in sets)
-        elem = collect_elementary(K, sets)
         np.testing.assert_array_equal(
             sens_elementary(grid, design, solve_elementary(K, sets)),
-            sens_elementary(grid, design, [(s, s.u_free[None])
-                                           for s in elem.sets]))
+            sens_elementary(grid, design, [(s, s.u_free[None]) for s, _
+                                           in solve_elementary(K, sets)]))
 
     def test_self_adjoint_gradient_with_secondary_sources(self):
         # 12 x 10 conduction grid, four corner ports: each set grounds one
@@ -452,8 +505,7 @@ class TestStateSensitivities:
         model = condense(K, plan, *gather_secondary(plan, sets))
         assert load_field(model) is not None
         g_cond = sens_condensed_state(grid, design, model,
-                                      solve_condensed(model, sets), sets,
-                                      None)[0]
+                                      solve_condensed(model, sets))[0]
         g_elem = sens_elementary(grid, design, solve_elementary(K, sets))[0]
         assert np.abs(g_cond - g_elem).max() <= 1e-9 * np.abs(g_elem).max()
 
@@ -464,8 +516,8 @@ class TestStateSensitivities:
             xv[elems] = xs
             K = assemble(grid, DesignField(grid, xv, flt))
             return sum(float(aset.loads.toarray().ravel() @ st.u_full[:, 0])
-                       for aset, st in zip(sets,
-                                           collect_elementary(K, sets).sets))
+                       for aset, (st, _) in zip(sets,
+                                                solve_elementary(K, sets)))
         assert fd_verify(compliance, x[elems], g_cond[elems]) < 1e-5
 
     def test_self_adjoint_shortcut_matches_solve(self):
@@ -479,11 +531,11 @@ class TestStateSensitivities:
         model = condense(K, plan, None, None)
         weights = self._rand_state_response(rng, sets, plan)
         cond = solve_condensed(model, sets, weights)
-        g1 = sens_condensed_state(grid, design, model, cond, sets,
-                                  cond.adjoints)
-        lams = [np.stack([cond.factorizations[i].solve(wr) for wr in w])
+        g1 = sens_condensed_state(grid, design, model, cond)
+        lams = [np.stack([model.set_factors[i].solve(wr) for wr in w])
                 for i, w in enumerate(weights)]
-        g2 = sens_condensed_state(grid, design, model, cond, sets, lams)
+        g2 = sens_condensed_state(grid, design, model,
+                                  [(s, lam) for (s, _), lam in zip(cond, lams)])
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
@@ -524,7 +576,7 @@ class CaseRig:
         if d_free_loads is not None or d_presc_values is not None:
             sets = [self._perturb_set(i, d_free_loads, d_presc_values,
                                       set_index) for i in range(2)]
-        sol = solve_condensed(model, sets, want_reactions=True, ledger=ledger)
+        sol = solve_condensed(model, sets, ledger=ledger)
         return design, model, sol, sets
 
     def _perturb_set(self, i, d_free_loads, d_presc_values, set_index):
@@ -547,11 +599,16 @@ class CaseRig:
             return model.reduced_matrix
         if case == "reduced-load":
             return model.reduced_loads[:, cols]
+        state = sol[set_index][0]
         if case == "primary-state":
-            return sol.sets[set_index].u_free
+            return state.u_free
         if case == "primary-reaction":
-            return sol.sets[set_index].reactions
-        u_primary = np.hstack([sol.sets[i].u_full for i in range(len(sets))])
+            # K~_pf u_f + K~_pp u_p - f~_p on the set's prescribed primary rows
+            kt, fpos, ppos = model.reduced_matrix, state.free, state.prescribed
+            return (kt[np.ix_(ppos, fpos)] @ state.u_free
+                    + kt[np.ix_(ppos, ppos)] @ state.u_presc
+                    - model.reduced_loads[ppos, cols])
+        u_primary = np.hstack([s.u_full for s, _ in sol])
         u_sec, reactions = recover_secondary(model, u_primary)
         if case == "secondary-state":
             return u_sec[:, cols]
@@ -682,8 +739,8 @@ def test_condensed_gradients_use_only_the_reduced_contraction(monkeypatch):
     weights = [rig.rng.normal(size=(2, len(rig.plan.free_primary[i]), s.cases))
                for i, s in enumerate(sets)]
     del calls[:]
-    sens_condensed_state(rig.grid, design, model, sol, sets,
-                         solve_condensed(model, sets, weights).adjoints)
+    sens_condensed_state(rig.grid, design, model,
+                         solve_condensed(model, sets, weights))
     assert len(calls) == 1
 
 
@@ -759,8 +816,8 @@ class TestReducedContraction:
             sens_case(case, rig.grid, design, model, W, sol=sol, set_index=0)
         weights = [rig.rng.normal(size=(2, len(rig.plan.free_primary[i]),
                                         s.cases)) for i, s in enumerate(sets)]
-        sens_condensed_state(rig.grid, design, model, sol, sets,
-                             solve_condensed(model, sets, weights).adjoints)
+        sens_condensed_state(rig.grid, design, model,
+                             solve_condensed(model, sets, weights))
         monkeypatch.undo()
         assert all(L is not R for _, _, L, R, _ in captured)
         assert any(W.shape[1] != W.shape[2] for *_, W in captured)

@@ -26,6 +26,7 @@ from mptop.sparse import (
     _flops_banded_factor,
     _flops_banded_solve,
     _solve_by_blocks,
+    band_storage,
     extract,
     factorize,
     principal,
@@ -566,6 +567,31 @@ class TestSplit:
         B = np.random.default_rng(2).normal(size=(n, 12))
         assert np.array_equal(factorize(K, storage=lent).solve(B),
                               factorize(K).solve(B))
+
+    @pytest.mark.parametrize("make, problem", [
+        (lambda size: np.zeros(size, np.float32), "dtype float32"),
+        (lambda size: np.zeros(size, np.int64), "dtype int64"),
+        (lambda size: np.zeros(2 * size)[::2], r"has strides \(16,\):"),
+        (lambda size: np.zeros(size - 1), "has 1559 elements"),
+    ], ids=["float32", "int64", "stride-2", "short"])
+    def test_malformed_storage_is_refused(self, make, problem, monkeypatch):
+        # LAPACK reads lent storage through its data pointer as doubles: any
+        # other buffer is refused, naming the problem, before a kernel runs
+        p = build_problem1(10, 10, m=4)
+        K = principal(assemble(p.grid, p.design(p.x0)), p.sets[0].free)
+        size = K._band.size
+        assert size == 1560
+        ok = band_storage([K])
+        expected = factorize(K).solve(np.ones(K.n))
+        assert np.array_equal(factorize(K, storage=ok).solve(np.ones(K.n)),
+                              expected)
+
+        def no_kernel(ab):
+            raise AssertionError("a kernel ran on malformed storage")
+
+        monkeypatch.setattr(mptop.sparse, "_pbtrf", no_kernel)
+        with pytest.raises(ValueError, match=problem):
+            factorize(K, storage=make(size))
 
     def test_two_threads_give_the_bits_of_calls_in_turn(self):
         # two callers factorize and solve different blocks at once: the
